@@ -39,7 +39,7 @@ from .spectral import (EigenvalueTable, explicit_formula_residual,
 from .exponents import (ExponentSolution, corollary_exponents,
                         short_interval_exponents, solve_alpha, solve_beta,
                         uncond_system)
-from .harness import ExperimentConfig, FitResult, fit_exponent
+from .harness import FitResult, fit_exponent
 
 __version__ = "0.1.0"
 

@@ -52,23 +52,7 @@ def residue_symbol(n: GaussianInt, pi: CanonicalIdealRep) -> int:
         raise NotPrimeError("the even prime (1+i) has no Euler criterion")
     if not g.is_prime_ideal(pi):
         raise NotPrimeError(f"{pi} is not a Gaussian prime")
-    pp = pi.pair
-    x = g.reduce_mod(n.pair, pp)
-    if g.divides(pp, x):
-        return 0
-    acc = (1, 0)
-    base = x
-    e = (npi - 1) // 2
-    while e:
-        if e & 1:
-            acc = g.reduce_mod(g.mul(acc, base), pp)
-        base = g.reduce_mod(g.mul(base, base), pp)
-        e >>= 1
-    if g.divides(pp, g.sub(acc, (1, 0))):
-        return 1
-    if g.divides(pp, g.add(acc, (1, 0))):
-        return -1
-    raise ArithmeticError(f"Euler criterion returned a non-square-root at {pi}")
+    return g.euler_symbol(n.pair, pi.pair)
 
 
 def is_perfect_square(delta: GaussianInt) -> bool:
@@ -134,46 +118,46 @@ class QuadraticCharacter:
     _prime_cache: dict = field(default_factory=dict, repr=False)
 
     def value_at_prime(self, pi: CanonicalIdealRep) -> int:
-        if pi.norm() == 2:
-            return self.even_value
-        key = pi.pair
-        v = self._prime_cache.get(key)
-        if v is None:
-            v = residue_symbol(self.D, pi)
-            self._prime_cache[key] = v
-        return v
+        return _prime_value(self.D.pair, self.even_value, self._prime_cache, pi.pair)
 
 
 def chi(character: QuadraticCharacter, n: CanonicalIdealRep) -> int:
     """chi_D(n), completely multiplicative over the prime powers of (n)."""
+    return _chi_pair(*_validated_args(character), n.pair)
+
+
+def _validated_args(character: QuadraticCharacter):
+    """(D_pair, even_value, cache) of a validated character: the leading
+    arguments of _chi_pair and of the coefficient builders below."""
     if not character.validated:
         raise PinningError("character has not been validated; pin it first")
-    out = 1
-    for pi, e in g.factor_pair_cached(n.pair):
-        v = character.value_at_prime(CanonicalIdealRep(GaussianInt.from_pair(pi)))
-        if v == 0:
-            return 0
-        if v == -1 and e % 2:
-            out = -out
-    return out
+    return character.D.pair, character.even_value, character._prime_cache
 
 
 # ---------------------------------------------------------------------------
 # the coefficient-matching oracle
 # ---------------------------------------------------------------------------
 
+def _prime_value(D_pair, even_value, cache, pi) -> int:
+    """chi_D at the prime pair pi for the character (D, even_value).
+
+    `cache` maps odd prime pairs to their residue symbols with D on top.
+    """
+    if g.norm(pi) == 2:
+        return even_value
+    v = cache.get(pi)
+    if v is None:
+        v = residue_symbol(GaussianInt.from_pair(D_pair),
+                           CanonicalIdealRep(GaussianInt.from_pair(pi)))
+        cache[pi] = v
+    return v
+
+
 def _chi_pair(D_pair, even_value, cache, pair) -> int:
-    """chi value at the ideal of `pair` for a candidate character."""
+    """chi_D at the ideal of `pair`, completely multiplicative."""
     out = 1
     for pi, e in g.factor_pair_cached(pair):
-        if g.norm(pi) == 2:
-            v = even_value
-        else:
-            v = cache.get(pi)
-            if v is None:
-                v = residue_symbol(GaussianInt.from_pair(D_pair),
-                                   CanonicalIdealRep(GaussianInt.from_pair(pi)))
-                cache[pi] = v
+        v = _prime_value(D_pair, even_value, cache, pi)
         if v == 0:
             return 0
         if v == -1 and e % 2:
@@ -358,12 +342,9 @@ def _pin_full(delta: GaussianInt, n: GaussianInt | None = None):
 _split_memo: dict = {}
 
 
-def discriminant_split(delta: GaussianInt) -> DiscriminantSplit:
-    """Write delta ~ D l^2 with the oracle-pinned normalization of D.
-
-    Rejects zero and perfect-square delta.  Results are memoized per exact
-    element delta (the split is not associate-invariant).
-    """
+def _pinned(delta: GaussianInt):
+    """(split, character) of delta, memoized per exact element delta (the
+    split is not associate-invariant)."""
     key = delta.pair
     hit = _split_memo.get(key)
     if hit is None:
@@ -371,19 +352,21 @@ def discriminant_split(delta: GaussianInt) -> DiscriminantSplit:
         if len(_split_memo) > 65536:
             _split_memo.clear()
         _split_memo[key] = hit
-    return hit[0]
+    return hit
+
+
+def discriminant_split(delta: GaussianInt) -> DiscriminantSplit:
+    """Write delta ~ D l^2 with the oracle-pinned normalization of D.
+
+    Rejects zero and perfect-square delta.  Memoized together with the
+    character.
+    """
+    return _pinned(delta)[0]
 
 
 def quadratic_character(delta: GaussianInt) -> QuadraticCharacter:
     """The validated character chi_D for delta ~ D l^2 (memoized with the split)."""
-    key = delta.pair
-    hit = _split_memo.get(key)
-    if hit is None:
-        hit = _pin_full(delta)
-        if len(_split_memo) > 65536:
-            _split_memo.clear()
-        _split_memo[key] = hit
-    return hit[1]
+    return _pinned(delta)[1]
 
 
 def pin_even_unit_values(D: GaussianInt):

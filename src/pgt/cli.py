@@ -24,11 +24,7 @@ from . import spectral as spec_mod
 from .acceptance import run_all
 from .characters import discriminant_split, quadratic_character
 from .gaussian import GaussianInt, canonical_rep
-from .harness import (ExperimentConfig, default_threads, parse_config_file,
-                      write_csv, write_json)
-
-_GAUSS_RE = re.compile(
-    r"^\s*(?P<re>[+-]?\d+)?\s*(?P<im>[+-]?\d*)\s*(?P<i>i)?\s*$")
+from .harness import parse_config_file, write_csv, write_json
 
 
 def parse_gaussian(text: str) -> GaussianInt:
@@ -59,6 +55,22 @@ def parse_theta(text: str) -> Fraction:
     return Fraction(text)
 
 
+def parse_tol(text: str) -> float:
+    """An accuracy target: a float > 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text!r}")
+    return value
+
+
+def parse_seed(text: str) -> int:
+    """A seed: an integer in [0, 2^64)."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2^64), got {text!r}")
+    return value
+
+
 def parse_grid(text: str) -> list:
     """'1e3:1e6' = decades from 1e3 to 1e6; or comma-separated values."""
     if ":" in text:
@@ -87,35 +99,32 @@ def _emit(args, obj, rows=None, header=None) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, help="write to file instead of stdout")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--seed", type=parse_seed, default=7)
+    p.add_argument("--tol", type=parse_tol, default=None,
                    help="accuracy target (default: each command's own)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker count (default: PGT_THREADS or 1); runs are "
-                        "deterministic for every value")
     p.add_argument("--config", default=None, help="key=value defaults file")
+    p.set_defaults(subparser=p)
 
 
-def _apply_config(args: argparse.Namespace, argv: list) -> None:
-    """config file fills values the command line left at parser defaults."""
-    if not getattr(args, "config", None):
-        return
-    file_values = parse_config_file(args.config)
-    explicit = {a.split("=", 1)[0].lstrip("-").replace("-", "_")
-                for a in argv if a.startswith("--")}
-    for key, value in file_values.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr in explicit:
-            continue
-        current = getattr(args, attr)
-        if isinstance(current, bool):
-            setattr(args, attr, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, attr, int(value))
-        elif isinstance(current, float):
-            setattr(args, attr, float(value))
-        else:
-            setattr(args, attr, value)
+def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    """Parse argv; a --config file's values become the sub-command's defaults.
+
+    argparse converts a string default through its option's own type, the
+    way it converts a command-line string, and the command line still wins.
+    Flags (store_true) have no type, so their values are read as booleans.
+    """
+    args = parser.parse_args(argv)
+    if args.config:
+        values = {}
+        for key, value in parse_config_file(args.config).items():
+            attr = key.replace("-", "_")
+            if hasattr(args, attr):
+                current = getattr(args, attr)
+                values[attr] = (value.lower() in ("1", "true", "yes")
+                                if isinstance(current, bool) else value)
+        args.subparser.set_defaults(**values)
+        args = parser.parse_args(argv)
+    return args
 
 
 def _psi_options(args) -> geo.PsiOptions:
@@ -370,15 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    _apply_config(args, argv if argv is not None else sys.argv[1:])
-    if getattr(args, "threads", None) is None:
-        args.threads = default_threads()
-    # validated run-parameter record (seed determinism, thread count, format)
-    args.experiment = ExperimentConfig(
-        seed=args.seed, tolerance=args.tol if args.tol is not None else 1e-2,
-        threads=args.threads, output_format=args.format,
-        output_path=args.output)
+    args = _parse(parser, sys.argv[1:] if argv is None else argv)
     return args.func(args)
 
 

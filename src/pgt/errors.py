@@ -25,10 +25,6 @@ class PinningError(PgtError):
     """Raised when no consistent character normalization can be pinned."""
 
 
-class ConvergenceError(PgtError):
-    """Raised when a smoothed series fails its convergence-by-doubling test."""
-
-
 class EigenvalueFileError(PgtError):
     """Raised on malformed eigenvalue data files (carries a line number)."""
 

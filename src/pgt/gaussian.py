@@ -137,6 +137,31 @@ def invert_mod(a, m):
     return reduce_mod(mul(x, conj(g)), m)
 
 
+def euler_symbol(x, pi) -> int:
+    """Quadratic residue symbol (x / pi) of a pair x at an odd prime pair pi.
+
+    Euler criterion x^((N(pi)-1)/2) mod pi in {0, +1, -1}, by
+    square-and-multiply with rounded-division reduction.  pi is not checked
+    for primality; callers pass primes.
+    """
+    r = reduce_mod(x, pi)
+    if divides(pi, r):
+        return 0
+    acc = (1, 0)
+    base = r
+    e = (norm(pi) - 1) // 2
+    while e:
+        if e & 1:
+            acc = reduce_mod(mul(acc, base), pi)
+        base = reduce_mod(mul(base, base), pi)
+        e >>= 1
+    if divides(pi, sub(acc, (1, 0))):
+        return 1
+    if divides(pi, add(acc, (1, 0))):
+        return -1
+    raise ArithmeticError(f"Euler criterion returned a non-square-root at {pi}")
+
+
 def ext_gcd_int(a: int, b: int):
     """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
     x0, x1, y0, y1 = 1, 0, 0, 1
@@ -420,15 +445,9 @@ def _factor_pair(a):
     return unit, facs
 
 
-def factor(n: GaussianInt) -> Factorization:
-    """Factor a nonzero Gaussian integer into unit * canonical prime powers.
-
-    Memoized on the canonical associate; the memo is guarded by a lock so
-    concurrent callers only ever observe complete entries.
-    """
-    if n.is_zero():
-        raise ZeroInputError("cannot factor zero")
-    can = canonical_pair(n.pair)
+def _factor_cached(can):
+    """Memoized _factor_pair of a canonical pair; the memo is guarded by a
+    lock so concurrent callers only ever observe complete entries."""
     with _factor_lock:
         cached = _factor_memo.get(can)
     if cached is None:
@@ -437,7 +456,18 @@ def factor(n: GaussianInt) -> Factorization:
             if len(_factor_memo) > 200_000:
                 _factor_memo.clear()
             _factor_memo[can] = cached
-    unit_can, facs = cached
+    return cached
+
+
+def factor(n: GaussianInt) -> Factorization:
+    """Factor a nonzero Gaussian integer into unit * canonical prime powers.
+
+    Memoized on the canonical associate.
+    """
+    if n.is_zero():
+        raise ZeroInputError("cannot factor zero")
+    can = canonical_pair(n.pair)
+    unit_can, facs = _factor_cached(can)
     # adjust unit for the actual associate passed in
     u = exact_div(n.pair, can)  # a unit
     unit = mul(u, unit_can)
@@ -449,16 +479,7 @@ def factor(n: GaussianInt) -> Factorization:
 
 def factor_pair_cached(a):
     """Tuple-level factorization of the *ideal* (a): ((prime_pair, exp), ...)."""
-    can = canonical_pair(a)
-    with _factor_lock:
-        cached = _factor_memo.get(can)
-    if cached is None:
-        cached = _factor_pair(can)
-        with _factor_lock:
-            if len(_factor_memo) > 200_000:
-                _factor_memo.clear()
-            _factor_memo[can] = cached
-    return cached[1]
+    return _factor_cached(canonical_pair(a))[1]
 
 
 def is_prime_ideal(q: CanonicalIdealRep) -> bool:
@@ -618,6 +639,37 @@ def prime_ideals_upto(limit: int):
                 out.append((p * p, (p, 0)))
     out.sort(key=lambda t: (t[0], t[1][0]))
     return out
+
+
+def walk_ideals(limit: int, extend, term, root=1) -> None:
+    """Visit every ideal of norm <= limit in factored form, depth first.
+
+    The value of an ideal is built one prime power at a time:
+    extend(value_q, N(pi), pi_pair, e) returns the value of q * pi^e, or None
+    to prune that ideal together with every ideal the walk reaches through it.
+    term(N(q), value_q) consumes each visited ideal, starting with the unit
+    ideal, whose value is `root`.  Deterministic order: primes ascending by
+    (norm, re), exponents ascending, so sums accumulated by `term` round the
+    same way on every run.
+    """
+    primes = prime_ideals_upto(limit)
+
+    def rec(i, nrm, val):
+        term(nrm, val)
+        for j in range(i, len(primes)):
+            npj, pj = primes[j]
+            nn = nrm * npj
+            if nn > limit:
+                break
+            e = 1
+            while nn <= limit:
+                child = extend(val, npj, pj, e)
+                if child is not None:
+                    rec(j + 1, nn, child)
+                e += 1
+                nn *= npj
+
+    rec(0, 1, root)
 
 
 def ideal_reps_upto(limit: int):

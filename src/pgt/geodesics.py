@@ -135,6 +135,16 @@ def trace_threshold(n: GaussianInt):
     return t if t > 1.0 else None
 
 
+def _window_traces(lo: float, hi: float) -> trace_engine.TraceSet:
+    """Traces with threshold in (lo, hi], the upper threshold held to PSI_X_CAP.
+
+    Every counting entry point enumerates its traces here.
+    """
+    if hi > PSI_X_CAP:
+        raise CutoffExceededError(f"threshold {hi} beyond the desk cap {PSI_X_CAP}")
+    return trace_engine.trace_set(lo, hi)
+
+
 def _raw_sum(traces: trace_engine.TraceSet, V: float, cutoff_mult: float):
     """(sum of weight * G_V, per-trace G_V array)."""
     gv = trace_engine.gv_per_trace(traces, V, cutoff_mult=cutoff_mult)
@@ -143,7 +153,7 @@ def _raw_sum(traces: trace_engine.TraceSet, V: float, cutoff_mult: float):
 
 def _evaluate_window(lo: float, hi: float, opts: PsiOptions, x_scale: float):
     """Shared driver: traces with thr in (lo, hi], validated smoothed sum."""
-    traces = trace_engine.trace_set(lo, hi)
+    traces = _window_traces(lo, hi)
     V = opts.pick_v(x_scale)
     for _ in range(opts.max_retries + 1):
         raw, gv = _raw_sum(traces, V, opts.cutoff_mult)
@@ -166,8 +176,6 @@ def psi(X: float, opts: PsiOptions | None = None) -> GeodesicCountResult:
     """
     if X < 10:
         raise ValueError("X must be >= 10")
-    if X > PSI_X_CAP:
-        raise CutoffExceededError(f"X = {X} beyond the desk cap {PSI_X_CAP}")
     opts = opts or PsiOptions()
     traces, gv, raw, V, band = _evaluate_window(1.0, float(X), opts, X)
     value = PSI_CONSTANT * raw
@@ -201,7 +209,7 @@ def psi_short_interval(X: float, Y: float,
 def trace_terms(X: float, opts: PsiOptions | None = None) -> list[TraceTerm]:
     """Per-trace terms of psi(X) (thresholds, weights, smoothed L1 values)."""
     opts = opts or PsiOptions()
-    traces = trace_engine.trace_set(1.0, float(X))
+    traces = _window_traces(1.0, float(X))
     V = opts.pick_v(X)
     gv = trace_engine.gv_per_trace(traces, V, cutoff_mult=opts.cutoff_mult)
     out = []
@@ -322,7 +330,7 @@ def psi_smoothed(X: float, kernel: KernelSpec,
     opts = opts or PsiOptions()
     Y = kernel.Y
     hi = X + 2.0 * Y
-    traces = trace_engine.trace_set(1.0, hi)
+    traces = _window_traces(1.0, hi)
     V = opts.pick_v(hi)
     gv = trace_engine.gv_per_trace(traces, V, cutoff_mult=opts.cutoff_mult)
     total = 0.0
@@ -345,7 +353,7 @@ def psi_profile(X: float, Y: float, opts: PsiOptions | None = None):
     """
     opts = opts or PsiOptions()
     hi = X + 2.0 * Y
-    traces = trace_engine.trace_set(1.0, hi)
+    traces = _window_traces(1.0, hi)
     V = opts.pick_v(hi)
     gv = trace_engine.gv_per_trace(traces, V, cutoff_mult=opts.cutoff_mult)
     contrib = PSI_CONSTANT * traces.weight * gv

@@ -1,4 +1,4 @@
-"""Experiment plumbing: exponent fits, configs, and machine-readable output.
+"""Experiment plumbing: exponent fits, config files, and machine-readable output.
 
 Every "fitted exponent" in the package goes through fit_exponent (least
 squares on log-log axes).  Output helpers emit CSV with a header row naming
@@ -11,11 +11,9 @@ import csv
 import io
 import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 JSON_SCHEMA_VERSION = 1
-THREADS_ENV_VAR = "PGT_THREADS"
 
 
 @dataclass
@@ -58,38 +56,6 @@ def fit_exponent(samples) -> FitResult:
     ss_res = sum((y - slope * x - intercept) ** 2 for x, y in zip(lx, ly))
     r2 = 1.0 if syy == 0 else max(0.0, 1.0 - ss_res / syy)
     return FitResult(slope=slope, intercept=intercept, r_squared=r2, samples=pts)
-
-
-@dataclass
-class ExperimentConfig:
-    """Shared CLI run parameters; command-specific ones ride in `params`."""
-
-    seed: int = 7
-    tolerance: float = 1e-2
-    threads: int = 1
-    output_format: str = "json"   # "csv" or "json"
-    output_path: str | None = None
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError("output_format must be csv or json")
-
-
-def default_threads() -> int:
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def parse_config_file(path: str) -> dict:

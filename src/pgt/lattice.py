@@ -26,6 +26,7 @@ from fractions import Fraction
 from .errors import CutoffExceededError
 from . import gaussian as g
 from .gaussian import CanonicalIdealRep, GaussianInt
+from .harness import fit_exponent
 
 CIRCLE_M_CAP = 1.0e9
 REMAINDER_C = 8.0       # crude perimeter bound |count - pi M| <= C sqrt(M) + c0
@@ -159,15 +160,9 @@ def eta_fit(m_grid, n_centers: int = 100, seed: int = 7) -> EtaFit:
         for c in centers:
             worst = max(worst, abs(circle_count(c, M).remainder))
         samples.append((M, worst))
-    lx = [math.log(M) for M, _ in samples]
-    ly = [math.log(max(w, 1e-300)) for _, w in samples]
-    n = len(lx)
-    mx = sum(lx) / n
-    my = sum(ly) / n
-    sxx = sum((x - mx) ** 2 for x in lx)
-    slope = sum((x - mx) * (y - my) for x, y in zip(lx, ly)) / sxx
-    intercept = my - slope * mx
-    residuals = [y - (slope * x + intercept) for x, y in zip(lx, ly)]
-    return EtaFit(samples=samples, fitted_exponent=slope,
-                  constant=math.exp(intercept), residuals=residuals,
+    fit = fit_exponent((M, max(w, 1e-300)) for M, w in samples)
+    residuals = [math.log(y) - (fit.slope * math.log(x) + fit.intercept)
+                 for x, y in fit.samples]
+    return EtaFit(samples=samples, fitted_exponent=fit.slope,
+                  constant=math.exp(fit.intercept), residuals=residuals,
                   seed=seed, n_centers=n_centers)

@@ -19,14 +19,18 @@ Objects:
                     under which the product T * L reproduces the integer
                     coefficients lambda_q(delta) exactly -- the
                     szmidt_coefficient_check oracle below enforces it, and
-                    it is what pins the character normalization.
+                    it is what pins the character normalization.  T and the
+                    product coefficients come from the integer coefficient
+                    builders in characters, the ones the pinning matches.
   zagier_L1         G_V(delta) = sum_q lambda_q(delta) e^(-N(q)/V) / N(q),
                     the smoothed value of the form L-function at s = 1.
   normalization_sum the mu-square-weighted smoothed sum that tends to 1.
   R_V_estimate      empirical proxy for the smoothing remainder.
 
-The smoothed series are exact finite sums over N(q) <= 40 V; the neglected
-tail is exp(-40)-suppressed and the attached tail_estimate bounds it.
+The smoothed series are exact finite sums over N(q) <= 40 V, walked in
+factored form by gaussian.walk_ideals (one Python callback per prime power
+and per ideal); the neglected tail is exp(-40)-suppressed and the attached
+tail_estimate bounds it.
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ import numpy as np
 from . import gaussian as g
 from .gaussian import CanonicalIdealRep, GaussianInt
 from . import quad_counts
+from .harness import fit_exponent
 from .characters import QuadraticCharacter, quadratic_character, \
-    discriminant_split, chi
+    discriminant_split, _product_coefficient, _t_coefficients, _validated_args
 
 CUTOFF_MULT = 40.0  # smoothed series run over N(q) <= CUTOFF_MULT * V
 
@@ -103,36 +108,6 @@ class LChiValue:
 
 
 # ---------------------------------------------------------------------------
-# ideal enumeration in factored form (scalar DFS)
-# ---------------------------------------------------------------------------
-
-def _dfs_ideals(limit: int, pp_value, term):
-    """Visit every ideal of norm <= limit as prod(pi^e) in factored form.
-
-    pp_value(norm_pi, pi_pair, e) -> multiplicative value of the prime power;
-    term(norm_q, value_q) consumes each ideal.  Deterministic order: primes
-    ascending by (norm, re), exponents ascending.
-    """
-    primes = g.prime_ideals_upto(limit)
-
-    def rec(i, nrm, val):
-        term(nrm, val)
-        for j in range(i, len(primes)):
-            npj, pj = primes[j]
-            nn = nrm * npj
-            if nn > limit:
-                break
-            e = 1
-            while nn <= limit:
-                v = pp_value(npj, pj, e)
-                if v != 0:
-                    rec(j + 1, nn, val * v)
-                e += 1
-                nn *= npj
-    rec(0, 1, 1)
-
-
-# ---------------------------------------------------------------------------
 # zeta of Q(i)
 # ---------------------------------------------------------------------------
 
@@ -184,11 +159,9 @@ def L_chi(s: complex, character: QuadraticCharacter, V: float,
     s = complex(s)
     sums = [0.0 + 0.0j for _ in vs]
 
-    def pp_value(npj, pj, e):
+    def extend(val, npj, pj, e):
         v = character.value_at_prime(CanonicalIdealRep(GaussianInt.from_pair(pj)))
-        if v == 0:
-            return 0
-        return v ** (e % 2) if v == -1 else 1
+        return val * v ** (e % 2) if v else None
 
     def term(nrm, val):
         base = val * nrm ** (-s)
@@ -196,7 +169,7 @@ def L_chi(s: complex, character: QuadraticCharacter, V: float,
             if nrm <= CUTOFF_MULT * vv:
                 sums[k] += base * math.exp(-nrm / vv)
 
-    _dfs_ideals(limit, pp_value, term)
+    g.walk_ideals(limit, extend, term)
     band = abs(sums[-1] - sums[-2]) if doublings >= 1 else float("nan")
     return LChiValue(value=sums[-1], band=float(band),
                      converged=bool(band <= tol), v_used=vs[-1])
@@ -210,65 +183,36 @@ def T_l_poly(s: complex, D: GaussianInt, l: CanonicalIdealRep,
              character: QuadraticCharacter | None = None) -> complex:
     """The finite Dirichlet factor of a split delta ~ D l^2 at s.
 
-    Exact finite double sum over ideal divisors d | l and e | l/d:
-    chi_D(d) mu(d) N(d)^-s N(e)^(1-2s).  chi_D is taken from `character`
-    when supplied (needed if (1+i) | l), else pinned from D.
+    Exact finite sum  sum_f t_f N(f)^-s  over the integer coefficients
+    t_f = chi_D(d) mu(d) N(e) at the ideals f = d e^2 (d | l squarefree,
+    e | l/d); each f comes from a single (d, e).  chi_D is taken from
+    `character` when supplied (needed if (1+i) | l), else pinned from D.
     """
     if character is None:
         from .characters import pin_even_unit_values
         ev, _, _ = pin_even_unit_values(D)
         character = QuadraticCharacter(D=D, even_value=ev, validated=True)
+    D_pair, ev, cache = _validated_args(character)
     s = complex(s)
-    total = 0.0 + 0.0j
-    lp = l.pair
-    for d in g.divisor_pairs(lp):
-        rep = CanonicalIdealRep(GaussianInt.from_pair(d))
-        mu = g.mobius(rep)
-        if mu == 0:
-            continue
-        xd = chi(character, rep)
-        if xd == 0:
-            continue
-        nd = g.norm(d)
-        rest = g.canonical_pair(g.exact_div(lp, d))
-        inner = 0.0 + 0.0j
-        for e in g.divisor_pairs(rest):
-            ne = g.norm(e)
-            inner += ne ** (1.0 - 2.0 * s)
-        total += mu * xd * nd ** (-s) * inner
-    return complex(total)
+    tcoeffs = _t_coefficients(D_pair, ev, l.pair, cache)
+    return complex(sum(w * g.norm(f) ** (-s) for f, w in tcoeffs.items()))
 
 
 def szmidt_product_coefficients(delta: GaussianInt, cutoff: int) -> DirichletCoefficients:
     """Integer Dirichlet coefficients of T_l^(D) * L(., chi_D) up to cutoff.
 
-    Built from the pinned split/character of delta; every coefficient is an
-    integer: t-coefficients sit at ideals d e^2 with weight chi mu(d) N(e).
+    Built from the pinned split/character of delta by the same coefficient
+    builders the pinning oracle matches against lambda; every coefficient is
+    an integer: t-coefficients sit at ideals d e^2 with weight chi mu(d) N(e).
     """
     split = discriminant_split(delta)
     char = quadratic_character(delta)
-    lp = split.l.pair
-    tcoeffs: dict = {}
-    for d in g.divisor_pairs(lp):
-        rep = CanonicalIdealRep(GaussianInt.from_pair(d))
-        mu = g.mobius(rep)
-        if mu == 0:
-            continue
-        xd = chi(char, rep)
-        if xd == 0:
-            continue
-        rest = g.canonical_pair(g.exact_div(lp, d))
-        for e in g.divisor_pairs(rest):
-            idx = g.canonical_pair(g.mul(d, g.mul(e, e)))
-            tcoeffs[idx] = tcoeffs.get(idx, 0) + mu * xd * g.norm(e)
-    entries = {}
-    for qp in g.ideal_reps_upto(cutoff):
-        tot = 0
-        for f, w in tcoeffs.items():
-            if g.divides(f, qp):
-                co = g.canonical_pair(g.exact_div(qp, f))
-                tot += w * chi(char, CanonicalIdealRep(GaussianInt.from_pair(co)))
-        entries[CanonicalIdealRep(GaussianInt.from_pair(qp))] = tot
+    D_pair, ev, cache = _validated_args(char)
+    tcoeffs = _t_coefficients(D_pair, ev, split.l.pair, cache)
+    entries = {
+        CanonicalIdealRep(GaussianInt.from_pair(qp)):
+            _product_coefficient(tcoeffs, D_pair, ev, cache, qp)
+        for qp in g.ideal_reps_upto(cutoff)}
     return DirichletCoefficients(
         description=f"T_l * L(chi_D) for delta = {delta}", cutoff=cutoff,
         entries=entries)
@@ -341,21 +285,20 @@ def zagier_L1(delta: GaussianInt, V: float,
     limit = int(CUTOFF_MULT * V)
     memo: dict = {}
 
-    def pp_value(npj, pj, e):
+    def extend(val, npj, pj, e):
         key = (pj, e)
         v = memo.get(key)
         if v is None:
             v = quad_counts.lambda_at_prime_power(pj, e, delta, n)
             memo[key] = v
-        return v
+        return val * v if v else None
 
     acc = [0.0]
 
     def term(nrm, val):
-        if val:
-            acc[0] += val * math.exp(-nrm / V) / nrm
+        acc[0] += val * math.exp(-nrm / V) / nrm
 
-    _dfs_ideals(limit, pp_value, term)
+    g.walk_ideals(limit, extend, term)
     return SmoothedValue(delta=delta, V=float(V), value=acc[0],
                          tail_estimate=_tail_estimate(V))
 
@@ -369,15 +312,15 @@ def normalization_sum(V: float) -> float:
         raise ValueError("V must be >= 1")
     limit = max(int(CUTOFF_MULT * V), 2)
 
-    def pp_value(npj, pj, e):
-        return 1.0 if e % 2 == 0 else -1.0 / npj
+    def extend(val, npj, pj, e):
+        return val * (1.0 if e % 2 == 0 else -1.0 / npj)
 
     acc = [0.0]
 
     def term(nrm, val):
         acc[0] += val * math.exp(-nrm / V) / nrm
 
-    _dfs_ideals(limit, pp_value, term)
+    g.walk_ideals(limit, extend, term)
     return acc[0]
 
 
@@ -428,11 +371,9 @@ def R_V_estimate(delta: GaussianInt, V: float, sigma: float = 0.5,
     else:
         vmax = _RV_EXACT_LIMIT / (CUTOFF_MULT * 8.0)
         ladder = [vmax / 4.0, vmax / 2.0, vmax]
-        pts = [(v, max(proxy_at(v), 1e-300)) for v in ladder]
-        lx = np.log([p[0] for p in pts])
-        ly = np.log([p[1] for p in pts])
-        slope, intercept = np.polyfit(lx, ly, 1)
-        gamma = min(max(-slope, 0.3), 1.5)
+        fit = fit_exponent((v, max(proxy_at(v), 1e-300)) for v in ladder)
+        gamma = min(max(-fit.slope, 0.3), 1.5)
+        lx, ly = np.log(fit.samples).T
         c = math.exp(float(np.mean(ly + gamma * lx)))
         proxy = c * V ** (-gamma)
         extrapolated = True

@@ -185,27 +185,6 @@ def lambda_(q: CanonicalIdealRep, delta: GaussianInt, *, n: GaussianInt | None =
     return total
 
 
-def _symbol_mod_prime(x, pi) -> int:
-    """Euler-criterion quadratic symbol of the pair x mod the odd prime pair pi."""
-    npi = g.norm(pi)
-    r = g.reduce_mod(x, pi)
-    if g.divides(pi, r):
-        return 0
-    acc = (1, 0)
-    base = r
-    e = (npi - 1) // 2
-    while e:
-        if e & 1:
-            acc = g.reduce_mod(g.mul(acc, base), pi)
-        base = g.reduce_mod(g.mul(base, base), pi)
-        e >>= 1
-    if g.divides(pi, g.sub(acc, (1, 0))):
-        return 1
-    if g.divides(pi, g.add(acc, (1, 0))):
-        return -1
-    raise ArithmeticError(f"Euler criterion failed at {pi}")
-
-
 def lambda_at_prime_power(pi, e: int, delta: GaussianInt,
                           n: GaussianInt | None = None) -> int:
     """lambda_{pi^e}(delta) for a prime pair pi, in O(log) at odd primes.
@@ -246,7 +225,7 @@ def lambda_at_prime_power(pi, e: int, delta: GaussianInt,
         return npi ** (e // 2) if e % 2 == 0 else 0
     if v % 2:
         return 0
-    s = _symbol_mod_prime(cur, pi)
+    s = g.euler_symbol(cur, pi)
     return npi ** (v // 2) * (s ** (e - v))
 
 

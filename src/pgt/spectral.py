@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import EigenvalueFileError
 from .geodesics import KernelSpec, _integrate
+from .harness import fit_exponent
 
 
 @dataclass
@@ -201,5 +202,4 @@ def weyl_law_exponent(table: EigenvalueTable) -> float | None:
     ts = np.geomspace(rmin * 2.0, rmax, 12)
     counts = np.array([table.count_upto(t) for t in ts], dtype=np.float64)
     keep = counts > 0
-    slope, _ = np.polyfit(np.log(ts[keep]), np.log(counts[keep]), 1)
-    return float(slope)
+    return fit_exponent(zip(ts[keep], counts[keep])).slope

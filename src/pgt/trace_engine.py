@@ -21,8 +21,10 @@ computed at once:
     unit histogram of y + y^(-1) with inverses via a vectorized Newton
     iteration mod 2^f (no loops in Python).
 
-The ideal enumeration is a depth-first walk over the sorted prime list, so
-term order (hence floating-point rounding) is deterministic.  Every vector
+The ideal enumeration is gaussian.walk_ideals, the depth-first walk over the
+sorted prime list that the scalar series in lfunctions use as well, so term
+order (hence floating-point rounding) is deterministic; a prime power whose
+product vector vanishes on every trace prunes its subtree.  Every vector
 builder is property-tested against the scalar quad_counts.lambda_.
 """
 
@@ -285,32 +287,22 @@ def gv_per_trace(traces: TraceSet, V: float, cutoff_mult: float = 40.0,
                  cache_norm: int = 32768) -> np.ndarray:
     """G_V(n^2-4) for every trace in `traces` (ideal convention).
 
-    One depth-first pass over all ideals of norm <= cutoff_mult * V; the
-    running product over prime powers is a float64 vector (lambda values at
-    desk scale stay far below 2^53, so products are exact).
+    One gaussian.walk_ideals pass over all ideals of norm <= cutoff_mult * V;
+    the running product over prime powers is a float64 vector (lambda values
+    at desk scale stay far below 2^53, so products are exact).
     """
     m = len(traces)
     acc = np.zeros(m)
     if m == 0 or V <= 0:
         return acc
-    limit = int(cutoff_mult * V)
-    primes = g.prime_ideals_upto(limit)
     prov = LambdaVectors(traces, cache_norm=cache_norm)
 
-    def rec(i, nrm, vec):
-        np.add(acc, vec * (math.exp(-nrm / V) / nrm), out=acc)
-        for j in range(i, len(primes)):
-            npj, pj = primes[j]
-            nn = nrm * npj
-            if nn > limit:
-                break
-            e = 1
-            while nn <= limit:
-                child = vec * prov.vec(npj, pj, e)
-                if np.any(child):
-                    rec(j + 1, nn, child)
-                e += 1
-                nn *= npj
+    def extend(vec, npj, pj, e):
+        child = vec * prov.vec(npj, pj, e)
+        return child if np.any(child) else None
 
-    rec(0, 1, np.ones(m))
+    def term(nrm, vec):
+        np.add(acc, vec * (math.exp(-nrm / V) / nrm), out=acc)
+
+    g.walk_ideals(int(cutoff_mult * V), extend, term, root=np.ones(m))
     return acc

@@ -92,8 +92,15 @@ def test_psi_near_main_term():
 
 
 def test_psi_cap():
-    with pytest.raises(CutoffExceededError):
-        psi(1e5)
+    # every entry point checks its upper threshold X, X+Y or X+2Y
+    calls = [lambda: psi(1e5),
+             lambda: psi_short_interval(2.9e4, 2e3),
+             lambda: psi_smoothed(2.9e4, KernelSpec(Y=1e3)),
+             lambda: psi_profile(2.9e4, 1e3),
+             lambda: trace_terms(1e5)]
+    for call in calls:
+        with pytest.raises(CutoffExceededError):
+            call()
 
 
 def test_short_interval_consistency_with_psi_difference():

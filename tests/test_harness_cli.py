@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from pgt.harness import (ExperimentConfig, FitResult, fit_exponent,
-                         parse_config_file, write_csv, write_json)
+from pgt.harness import (FitResult, fit_exponent, parse_config_file,
+                         write_csv, write_json)
 from pgt.cli import main, parse_gaussian, parse_grid
 
 
@@ -44,14 +44,12 @@ def test_fit_degenerate_inputs():
                   samples=[(1, 1), (2, 2)])
 
 
-def test_experiment_config_validation():
-    ExperimentConfig(seed=0, tolerance=1e-3, threads=4, output_format="csv")
-    with pytest.raises(ValueError):
-        ExperimentConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(threads=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(output_format="yaml")
+def test_cli_rejects_bad_tol_and_seed(capsys):
+    for bad in (["--tol", "0"], ["--seed", "-1"], ["--seed", str(2**64)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["psi", "--x", "100"] + bad)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 def test_config_file_parsing(tmp_path):
@@ -145,3 +143,10 @@ def test_cli_config_precedence(capsys, tmp_path):
     assert main(["psi", "--x", "200", "--v", "500", "--config", str(cfg)]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["x"] == 200.0  # explicit flag wins over config
+    # values only the config sets go through each option's own type
+    cfg.write_text("tol=0.5\nv=500\n")
+    assert main(["psi", "--x", "100", "--config", str(cfg)]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["v_used"] == 500.0
+    assert main(["lfun", "--trace", "3", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["v_used"] == 500.0

@@ -7,6 +7,7 @@ import pytest
 
 from pgt.errors import CutoffExceededError
 from pgt.gaussian import GaussianInt, ResidueRing, canonical_rep, ideal_reps_upto
+from pgt.harness import fit_exponent
 from pgt.lattice import (EtaFit, circle_count, eta_fit, residue_class_count)
 
 G = GaussianInt
@@ -94,6 +95,9 @@ def test_eta_fit_deterministic_and_bounds():
     f2 = eta_fit([1e3, 1e4, 1e5], n_centers=25, seed=7)
     assert f1.samples == f2.samples
     assert f1.fitted_exponent == f2.fitted_exponent
+    fit = fit_exponent(f1.samples)
+    assert f1.fitted_exponent == fit.slope
+    assert f1.constant == math.exp(fit.intercept)
     f3 = eta_fit([1e3, 1e4, 1e5], n_centers=25, seed=8)
     assert f3.samples != f1.samples
     assert isinstance(f1, EtaFit)
