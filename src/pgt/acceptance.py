@@ -33,7 +33,7 @@ import numpy as np
 
 from . import calibration as cal
 from . import gaussian as g
-from .gaussian import GaussianInt, canonical_rep, ideal_reps_upto
+from .gaussian import GaussianInt, canonical_rep, disk_rows, ideal_reps_upto
 from . import quad_counts as qc
 from . import lfunctions as lf
 from . import lattice
@@ -122,11 +122,8 @@ def criterion_2(quick: bool = False) -> CriterionResult:
     pairs = 0
     for qp in ideal_reps_upto(q_cut):
         q = canonical_rep(GaussianInt.from_pair(qp))
-        bmax = math.isqrt(n_cut)
-        for a in range(-bmax, bmax + 1):
-            for b in range(-bmax, bmax + 1):
-                if a * a + b * b > n_cut or (a == 0 and b == 0):
-                    continue
+        for b, row in disk_rows(0, n_cut):
+            for a in row.tolist():
                 n = GaussianInt(a, b)
                 pairs += 1
                 if qc.rho_fast(q, n) != qc.rho_bruteforce(q, n * n - GaussianInt(4, 0)):
@@ -155,11 +152,8 @@ def criterion_3(quick: bool = False) -> CriterionResult:
     worst = 0.0
     for qp in ideal_reps_upto(q_cut):
         q = canonical_rep(GaussianInt.from_pair(qp))
-        kmax = math.isqrt(k_cut)
-        for a in range(-kmax, kmax + 1):
-            for b in range(-kmax, kmax + 1):
-                if a * a + b * b > k_cut:
-                    continue
+        for b, row in disk_rows(-1, k_cut):
+            for a in row.tolist():
                 worst = max(worst, qc.kloosterman_identity_check(q, GaussianInt(a, b)))
     ok &= _clause(d, worst <= 1e-8,
                   f"identity deviation max {worst:.2e} <= 1e-8 "

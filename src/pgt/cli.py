@@ -99,30 +99,45 @@ def _emit(args, obj, rows=None, header=None) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, help="write to file instead of stdout")
-    p.add_argument("--seed", type=parse_seed, default=7)
-    p.add_argument("--tol", type=parse_tol, default=None,
-                   help="accuracy target (default: each command's own)")
     p.add_argument("--config", default=None, help="key=value defaults file")
     p.set_defaults(subparser=p)
+
+
+def _add_tol(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol", type=parse_tol, default=None,
+                   help="accuracy target (default: each command's own)")
 
 
 def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
     """Parse argv; a --config file's values become the sub-command's defaults.
 
-    argparse converts a string default through its option's own type, the
-    way it converts a command-line string, and the command line still wins.
+    Only keys naming an option of the sub-command are read; others are
+    ignored.  argparse converts a string default through its option's own
+    type, the way it converts a command-line string, and the command line
+    still wins, also over the file's value for another member of the same
+    mutually exclusive group.  Values must lie in the option's choices.
     Flags (store_true) have no type, so their values are read as booleans.
     """
     args = parser.parse_args(argv)
     if args.config:
+        sub = args.subparser
+        options = {a.dest: a for a in sub._actions
+                   if a.option_strings and a.dest not in ("help", "config")}
+        for group in sub._mutually_exclusive_groups:
+            if any(getattr(args, a.dest) != a.default for a in group._group_actions):
+                for a in group._group_actions:
+                    options.pop(a.dest, None)
         values = {}
         for key, value in parse_config_file(args.config).items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr):
-                current = getattr(args, attr)
-                values[attr] = (value.lower() in ("1", "true", "yes")
-                                if isinstance(current, bool) else value)
-        args.subparser.set_defaults(**values)
+            action = options.get(key.replace("-", "_"))
+            if action is None:
+                continue
+            if action.choices is not None and value not in action.choices:
+                sub.error(f"{args.config}: {key}={value!r} is not one of "
+                          f"{', '.join(map(str, action.choices))}")
+            values[action.dest] = (value.lower() in ("1", "true", "yes")
+                                   if isinstance(action.default, bool) else value)
+        sub.set_defaults(**values)
         args = parser.parse_args(argv)
     return args
 
@@ -313,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psi", help="weighted geodesic count up to x")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--v", type=float, default=None, help="smoothing length override")
+    _add_tol(p)
     _add_common(p)
     p.set_defaults(func=cmd_psi)
 
@@ -321,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, default=0.7)
     p.add_argument("--y", type=float, default=None, help="explicit window length")
     p.add_argument("--v", type=float, default=None)
+    _add_tol(p)
     _add_common(p)
     p.set_defaults(func=cmd_interval)
 
@@ -328,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--v", type=float, default=None)
+    _add_tol(p)
     _add_common(p)
     p.set_defaults(func=cmd_smoothed)
 
@@ -336,12 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--delta", type=parse_gaussian)
     grp.add_argument("--trace", type=parse_gaussian, help="trace n; delta = n^2-4")
     p.add_argument("--v", type=float, default=None)
+    _add_tol(p)
     _add_common(p)
     p.set_defaults(func=cmd_lfun)
 
     p = sub.add_parser("circle", help="shifted-circle remainder sweep")
     p.add_argument("--m-grid", default="1e3:1e6")
     p.add_argument("--centers", type=int, default=100)
+    p.add_argument("--seed", type=parse_seed, default=7)
     _add_common(p)
     p.set_defaults(func=cmd_circle)
 

@@ -23,6 +23,8 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import OverflowGuardError, ZeroInputError
 
 COMPONENT_BOUND = 2**31  # inputs with |re| or |im| >= this are rejected
@@ -601,16 +603,6 @@ class ResidueRing:
         """All representatives in index order."""
         return [(x, y) for x in range(self.d1) for y in range(self.d2)]
 
-    def units(self):
-        """Representatives coprime to m."""
-        return [r for r in self.representatives() if norm(gcd_pair(r, self.m)) == 1]
-
-    def inverse(self, a):
-        return self.reduce(invert_mod(a, self.m))
-
-    def mul(self, a, b):
-        return self.reduce(mul(a, b))
-
 
 def prime_ideals_upto(limit: int):
     """Canonical Gaussian primes of norm <= limit as (norm, (re, im)) tuples.
@@ -672,12 +664,31 @@ def walk_ideals(limit: int, extend, term, root=1) -> None:
     rec(0, 1, root)
 
 
+def disk_rows(lo: float, hi: float):
+    """Lattice points of the annulus lo < a^2 + b^2 <= hi, row by row.
+
+    Yields (b, a) for b ascending, a the ascending int64 array of every a in
+    the row (empty rows are skipped).  Real bounds act through their floors,
+    so a negative lo includes the origin.  Every disk or annulus whose points
+    the package lists (traces, partial sums, ideal lists) is walked here.
+    """
+    top = math.floor(hi)
+    if top < 0:
+        return
+    bottom = math.floor(lo)
+    bmax = math.isqrt(top)
+    for b in range(-bmax, bmax + 1):
+        amax = math.isqrt(top - b * b)
+        a = np.arange(-amax, amax + 1, dtype=np.int64)
+        if bottom >= b * b:
+            a = a[a * a > bottom - b * b]
+        if len(a):
+            yield b, a
+
+
 def ideal_reps_upto(limit: int):
     """Canonical pairs of all ideals with norm <= limit, sorted by (norm, re)."""
-    out = []
-    amax = math.isqrt(limit)
-    for a in range(1, amax + 1):
-        bmax = math.isqrt(limit - a * a)
-        out.extend((a, b) for b in range(bmax + 1))
+    out = [(a, b) for b, row in disk_rows(0, limit) if b >= 0
+           for a in row[row > 0].tolist()]
     out.sort(key=lambda d: (norm(d), d[0]))
     return out

@@ -42,13 +42,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CutoffExceededError
-from .gaussian import GaussianInt, canonical_pair
+from .gaussian import GaussianInt, canonical_pair, disk_rows
 from . import characters
-from .lfunctions import SmoothedValue, _tail_estimate
+from .lfunctions import CUTOFF_MULT, SmoothedValue, _tail_estimate
 from . import trace_engine
 
 PSI_CONSTANT = 1.0 / math.pi   # multiplies the ideal-convention L1 sum
 PSI_X_CAP = 3.0e4              # desk budget for a full count
+MAX_RETRIES = 2                # V *= 4 retries when the quarter-V band misses tol
 
 
 @dataclass
@@ -67,8 +68,7 @@ class PsiOptions:
     tol: float = 0.03
     V: float | None = None
     validate: bool = True
-    cutoff_mult: float = 40.0
-    max_retries: int = 2
+    cutoff_mult: float = CUTOFF_MULT
 
     def pick_v(self, x_scale: float) -> float:
         if self.V is not None:
@@ -155,7 +155,7 @@ def _evaluate_window(lo: float, hi: float, opts: PsiOptions, x_scale: float):
     """Shared driver: traces with thr in (lo, hi], validated smoothed sum."""
     traces = _window_traces(lo, hi)
     V = opts.pick_v(x_scale)
-    for _ in range(opts.max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         raw, gv = _raw_sum(traces, V, opts.cutoff_mult)
         if not opts.validate:
             band = 0.0
@@ -388,16 +388,8 @@ def tower_stats(X: float, Y: float) -> TowerStats:
     by the ideal of the pinned fundamental generator D.
     """
     deltas = {}
-    bmax = math.isqrt(int(X + Y))
-    for b in range(-bmax, bmax + 1):
-        rem = X + Y - b * b
-        if rem < 0:
-            continue
-        amax = math.isqrt(int(rem))
-        for a in range(-amax, amax + 1):
-            nn = a * a + b * b
-            if nn <= X or nn > X + Y:
-                continue
+    for b, row in disk_rows(X, X + Y):
+        for a in row.tolist():
             n = GaussianInt(a, b)
             delta = n * n - GaussianInt(4, 0)
             if characters.is_perfect_square(delta):

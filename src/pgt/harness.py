@@ -1,8 +1,10 @@
-"""Experiment plumbing: exponent fits, config files, and machine-readable output.
+"""Experiment plumbing: exponent fits, compensated sums, config files, and
+machine-readable output.
 
 Every "fitted exponent" in the package goes through fit_exponent (least
-squares on log-log axes).  Output helpers emit CSV with a header row naming
-each quantity, or JSON objects carrying a schema version.
+squares on log-log axes), every compensated sum through compensated_sum.
+Output helpers emit CSV with a header row naming each quantity, or JSON
+objects carrying a schema version.
 """
 
 from __future__ import annotations
@@ -56,6 +58,23 @@ def fit_exponent(samples) -> FitResult:
     ss_res = sum((y - slope * x - intercept) ** 2 for x, y in zip(lx, ly))
     r2 = 1.0 if syy == 0 else max(0.0, 1.0 - ss_res / syy)
     return FitResult(slope=slope, intercept=intercept, r_squared=r2, samples=pts)
+
+
+def compensated_sum(terms) -> complex:
+    """Kahan sum of real or complex terms, the real and imaginary parts each
+    carrying its own compensation; every long oscillatory sum (Kloosterman,
+    spectral) accumulates here."""
+    sr = si = cr = ci = 0.0
+    for term in terms:
+        yr = term.real - cr
+        tr = sr + yr
+        cr = (tr - sr) - yr
+        sr = tr
+        yi = term.imag - ci
+        ti = si + yi
+        ci = (ti - si) - yi
+        si = ti
+    return complex(sr, si)
 
 
 def parse_config_file(path: str) -> dict:

@@ -89,7 +89,6 @@ class SmoothedValue:
     V: float
     value: float
     tail_estimate: float
-    sigma_contour: float = 0.5
 
 
 @dataclass
@@ -114,11 +113,10 @@ class LChiValue:
 def ideal_norm_counts(limit: int) -> np.ndarray:
     """A[m] = number of ideals of norm exactly m, for m <= limit."""
     counts = np.zeros(limit + 1, dtype=np.int64)
-    amax = math.isqrt(limit)
-    for a in range(1, amax + 1):
-        bmax = math.isqrt(limit - a * a)
-        b = np.arange(0, bmax + 1, dtype=np.int64)
-        np.add.at(counts, a * a + b * b, 1)
+    for b, a in g.disk_rows(0, limit):
+        if b >= 0:
+            a = a[a > 0]
+            np.add.at(counts, a * a + b * b, 1)
     return counts
 
 

@@ -16,11 +16,14 @@ at each prime power).
 
 The phase <m, a/c> equals an exact integer divided by N(c), so every
 exponential here is a root of unity evaluated from an exact rational angle;
-sums are accumulated with compensated (Kahan) summation.
+sums are accumulated by harness.compensated_sum (Kahan summation).  The
+trace partial sums run over gaussian.disk_rows, one residue-class bincount
+per row.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,6 +32,7 @@ import numpy as np
 from .errors import CutoffExceededError
 from . import gaussian as g
 from .gaussian import CanonicalIdealRep, GaussianInt, ResidueRing
+from .harness import compensated_sum
 
 RHO_BRUTE_NORM_CUTOFF = 10**6   # refuse brute enumeration beyond N(2q) > 1e6
 KLOOSTERMAN_NORM_CUTOFF = 10**6
@@ -294,16 +298,11 @@ def lambda_partial_sum(q: CanonicalIdealRep, Z: float):
         nn = GaussianInt.from_pair(rep)
         d = nn * nn - GaussianInt(4, 0)
         table[ring.index(rep)] = lambda_(q, d, n=nn)
-    # count elements per residue class, rows of the disk N(n) <= Z
+    # count elements per residue class, row by row over the disk 0 < N(n) <= Z
+    # (one bincount per row keeps memory flat in Z)
     d1, d2, eoff = ring.d1, ring.d2, ring.eoff
-    zi = int(math.floor(Z))
-    bmax = math.isqrt(zi)
     total = 0
-    for b in range(-bmax, bmax + 1):
-        amax = math.isqrt(zi - b * b)
-        a = np.arange(-amax, amax + 1, dtype=np.int64)
-        if b == 0:  # exclude n = 0
-            a = a[a != 0]
+    for b, a in g.disk_rows(0, Z):
         k = b // d2
         y = b - k * d2
         x = (a - k * eoff) % d1
@@ -369,24 +368,16 @@ def kloosterman(m: GaussianInt, n: GaussianInt, c: CanonicalIdealRep) -> Klooste
     ring = ResidueRing(cp)
     mp, np_ = m.pair, n.pair
     tau = 2.0 * math.pi / nc
-    sr = si = 0.0
-    cr = ci = 0.0  # Kahan compensations
-    for a in ring.representatives():
-        if g.norm(g.gcd_pair(a, cp)) != 1:
-            continue
-        ainv = g.invert_mod(a, cp)
-        k = (_phase_int(mp, a, cbar, nc) + _phase_int(np_, ainv, cbar, nc)) % nc
-        ang = tau * k
-        term_r, term_i = math.cos(ang), math.sin(ang)
-        yr = term_r - cr
-        tr = sr + yr
-        cr = (tr - sr) - yr
-        sr = tr
-        yi = term_i - ci
-        ti = si + yi
-        ci = (ti - si) - yi
-        si = ti
-    return KloostermanValue(m=m, n=n, c=c, value=complex(sr, si))
+
+    def terms():
+        for a in ring.representatives():
+            if g.norm(g.gcd_pair(a, cp)) != 1:
+                continue
+            ainv = g.invert_mod(a, cp)
+            ang = tau * ((_phase_int(mp, a, cbar, nc) + _phase_int(np_, ainv, cbar, nc)) % nc)
+            yield complex(math.cos(ang), math.sin(ang))
+
+    return KloostermanValue(m=m, n=n, c=c, value=compensated_sum(terms()))
 
 
 def weil_ratio(m: GaussianInt, n: GaussianInt, c: CanonicalIdealRep,
@@ -414,20 +405,6 @@ def kloosterman_identity_check(q: CanonicalIdealRep, k: GaussianInt) -> float:
     ring, rho_values = rho_table(q)
     kp = k.pair
     tau = 2.0 * math.pi / nq
-    sr = si = 0.0
-    cr = ci = 0.0
-    for b, rho in zip(ring.representatives(), rho_values):
-        if rho == 0:
-            continue
-        ang = tau * _phase_int(kp, b, qbar, nq)
-        term_r, term_i = rho * math.cos(ang), rho * math.sin(ang)
-        yr = term_r - cr
-        tr = sr + yr
-        cr = (tr - sr) - yr
-        sr = tr
-        yi = term_i - ci
-        ti = si + yi
-        ci = (ti - si) - yi
-        si = ti
-    rhs = kloosterman(k, k, q).value
-    return abs(complex(sr, si) - rhs)
+    lhs = compensated_sum(cmath.rect(rho, tau * _phase_int(kp, b, qbar, nq))
+                          for b, rho in zip(ring.representatives(), rho_values) if rho)
+    return abs(lhs - kloosterman(k, k, q).value)

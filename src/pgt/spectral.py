@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EigenvalueFileError
 from .geodesics import KernelSpec, _integrate
-from .harness import fit_exponent
+from .harness import compensated_sum, fit_exponent
 
 
 @dataclass
@@ -82,21 +82,8 @@ def spectral_sum(table: EigenvalueTable, T: float, X: float) -> complex:
     if T < 0 or X < 1:
         raise ValueError("need T >= 0 and X >= 1")
     lx = math.log(X)
-    sr = si = cr = ci = 0.0
-    for r in table.r_values:
-        if r > T:
-            break
-        ang = r * lx
-        tr_, ti_ = math.cos(ang), math.sin(ang)
-        y = tr_ - cr
-        t = sr + y
-        cr = (t - sr) - y
-        sr = t
-        y = ti_ - ci
-        t = si + y
-        ci = (t - si) - y
-        si = t
-    return complex(sr, si)
+    return compensated_sum(complex(math.cos(r * lx), math.sin(r * lx))
+                           for r in table.r_values if r <= T)
 
 
 def stx_bound_report(table: EigenvalueTable, t_grid, x_grid) -> list:
@@ -118,18 +105,9 @@ def stx_bound_report(table: EigenvalueTable, t_grid, x_grid) -> list:
 def _spectral_main(table: EigenvalueTable, T: float, X: float) -> float:
     """2 Re sum_{r_j <= T} X^(1+i r_j) / (1 + i r_j)."""
     lx = math.log(X)
-    acc = 0.0
-    c = 0.0
-    for r in table.r_values:
-        if r > T:
-            break
-        term = 2.0 * (X * complex(math.cos(r * lx), math.sin(r * lx))
-                      / complex(1.0, r)).real
-        y = term - c
-        t = acc + y
-        c = (t - acc) - y
-        acc = t
-    return acc
+    return compensated_sum(2.0 * (X * complex(math.cos(r * lx), math.sin(r * lx))
+                                  / complex(1.0, r)).real
+                           for r in table.r_values if r <= T).real
 
 
 @dataclass

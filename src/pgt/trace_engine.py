@@ -21,7 +21,9 @@ computed at once:
     unit histogram of y + y^(-1) with inverses via a vectorized Newton
     iteration mod 2^f (no loops in Python).
 
-The ideal enumeration is gaussian.walk_ideals, the depth-first walk over the
+The traces themselves are the gaussian.disk_rows points of an annulus in
+N(n), filtered and ordered by the vectorized `thresholds`.  The ideal
+enumeration is gaussian.walk_ideals, the depth-first walk over the
 sorted prime list that the scalar series in lfunctions use as well, so term
 order (hence floating-point rounding) is deterministic; a prime power whose
 product vector vanishes on every trace prunes its subtree.  Every vector
@@ -36,24 +38,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gaussian as g
+from .lfunctions import CUTOFF_MULT
 
 
 # ---------------------------------------------------------------------------
 # trace enumeration
 # ---------------------------------------------------------------------------
 
-def threshold_of_pair(a: int, b: int) -> float:
-    """max(|z|^2, |z^-1|^2) for z = (n + sqrt(n^2-4))/2, n = a+bi.
+def thresholds(na, nb) -> np.ndarray:
+    """max(|z|^2, |z^-1|^2) for z = (n + sqrt(n^2-4))/2, n = na + nb*i.
 
-    Returns exactly 1.0 for the finitely many unit-circle traces (those are
-    excluded by the strict lower bound elsewhere).  Double precision keeps
-    the relative error near 1e-15 at desk scale.
+    Vectorized over integer arrays.  Exactly 1.0 for the finitely many
+    unit-circle traces (those are excluded by the strict lower bound
+    elsewhere).  Double precision keeps the relative error near 1e-15 at desk
+    scale; |z| is taken by hypot, the rounding of the scalar abs(complex).
     """
-    n = complex(a, b)
-    root = np.sqrt(complex(n * n - 4))
-    t1 = abs((n + root) / 2.0) ** 2
-    t2 = abs((n - root) / 2.0) ** 2
-    return max(t1, t2)
+    n = np.asarray(na, dtype=np.float64) + 1j * np.asarray(nb, dtype=np.float64)
+    root = np.sqrt(n * n - 4)
+    z1 = (n + root) / 2.0
+    z2 = (n - root) / 2.0
+    t1 = np.hypot(z1.real, z1.imag)
+    t2 = np.hypot(z2.real, z2.imag)
+    return np.maximum(t1 * t1, t2 * t2)
+
+
+def threshold_of_pair(a: int, b: int) -> float:
+    """thresholds() of the single trace a + b*i."""
+    return float(thresholds([a], [b])[0])
 
 
 @dataclass
@@ -82,31 +93,20 @@ class TraceSet:
 
 
 def trace_set(lo: float, hi: float) -> TraceSet:
-    """All traces n with lo < threshold(n) <= hi.
+    """All traces n with lo < threshold(n) <= hi, sorted by (threshold, re, im).
 
-    Candidates are enumerated over the annulus lo - 3 < N(n) <= hi + 3
-    (the threshold differs from N(n) by at most 2 + 1/N boundary terms)
-    and filtered by the exact threshold.
+    Candidates are the gaussian.disk_rows points of the annulus
+    lo - 3 < N(n) <= hi + 3 (the threshold differs from N(n) by at most
+    2 + 1/N boundary terms), filtered by the exact threshold.
     """
-    rows = []
-    bmax = math.isqrt(int(hi + 3))
-    lo_norm = max(0.0, lo - 3.0)
-    for b in range(-bmax, bmax + 1):
-        rem = hi + 3 - b * b
-        if rem < 0:
-            continue
-        amax = math.isqrt(int(rem))
-        for a in range(-amax, amax + 1):
-            nn = a * a + b * b
-            if nn == 0 or nn < lo_norm:
-                continue
-            t = threshold_of_pair(a, b)
-            if lo < t <= hi and t > 1.0:
-                rows.append((a, b, t))
-    rows.sort(key=lambda r: (r[2], r[0], r[1]))
-    na = np.array([r[0] for r in rows], dtype=np.int64)
-    nb = np.array([r[1] for r in rows], dtype=np.int64)
-    thr = np.array([r[2] for r in rows], dtype=np.float64)
+    rows = list(g.disk_rows(lo - 3.0, hi + 3.0))
+    empty = np.zeros(0, dtype=np.int64)
+    na = np.concatenate([empty] + [a for _, a in rows])
+    nb = np.concatenate([empty] + [np.full(len(a), b, dtype=np.int64) for b, a in rows])
+    thr = thresholds(na, nb)
+    keep = np.flatnonzero((thr > lo) & (thr <= hi) & (thr > 1.0))
+    order = keep[np.lexsort((nb[keep], na[keep], thr[keep]))]
+    na, nb, thr = na[order], nb[order], thr[order]
     da = na * na - nb * nb - 4
     db = 2 * na * nb
     weight = np.sqrt((da * da + db * db).astype(np.float64))
@@ -283,7 +283,7 @@ class LambdaVectors:
 # the ideal-major sweep
 # ---------------------------------------------------------------------------
 
-def gv_per_trace(traces: TraceSet, V: float, cutoff_mult: float = 40.0,
+def gv_per_trace(traces: TraceSet, V: float, cutoff_mult: float = CUTOFF_MULT,
                  cache_norm: int = 32768) -> np.ndarray:
     """G_V(n^2-4) for every trace in `traces` (ideal convention).
 

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from pgt import calibration as cal
 from pgt.errors import CutoffExceededError
 from pgt.gaussian import GaussianInt
 from pgt.geodesics import (KernelSpec, PsiOptions, psi, psi_profile,
@@ -41,20 +43,21 @@ def test_threshold_root_product_unity():
                 assert t1 * t2 == pytest.approx(1.0, rel=1e-10)
 
 
-def test_trace_set_window_matches_threshold_filter():
-    ts = trace_engine.trace_set(50.0, 120.0)
+@settings(max_examples=30, deadline=None)
+@example(50.0, 70.0)
+@given(st.floats(0.0, 400.0), st.floats(0.5, 200.0))
+def test_trace_set_window_matches_threshold_filter(lo, width):
+    hi = lo + width
+    ts = trace_engine.trace_set(lo, hi)
     for j in range(len(ts)):
-        assert 50.0 < ts.thr[j] <= 120.0
-    # every admissible trace in the annulus is present
-    want = 0
-    for a in range(-12, 13):
-        for b in range(-12, 13):
-            if a == 0 and b == 0:
-                continue
-            t = trace_engine.threshold_of_pair(a, b)
-            if 50.0 < t <= 120.0:
-                want += 1
-    assert len(ts) == want
+        assert lo < ts.thr[j] <= hi
+    # exactly the admissible traces of a box around the window, in
+    # (threshold, re, im) order
+    r = math.isqrt(int(hi)) + 3
+    want = sorted((trace_engine.threshold_of_pair(a, b), a, b)
+                  for a in range(-r, r + 1) for b in range(-r, r + 1))
+    want = [(a, b) for t, a, b in want if lo < t <= hi and t > 1.0]
+    assert list(zip(ts.na.tolist(), ts.nb.tolist())) == want
 
 
 def test_trace_window_excludes_n3_below_its_threshold():
@@ -123,7 +126,7 @@ def test_short_interval_additivity_partition():
 def test_short_interval_nonnegative_and_trivial_bound():
     r = psi_short_interval(2000.0, 180.0)
     assert r.difference >= 0
-    assert r.difference <= 0.6 * 2000.0**1.1 * 180.0
+    assert r.difference <= cal.TRIVIAL_BOUND_C * 2000.0**(1 + cal.TRIVIAL_BOUND_EPS) * 180.0
 
 
 def test_trace_terms_invariants():
@@ -210,5 +213,5 @@ def test_tower_stats_shapes():
     assert ts.Q <= (1000.0 + 125.0 + 4.0) ** 2 + 2.0
     assert ts.N_max == max(ts.per_D_counts.values())
     assert ts.card == sum(ts.per_D_counts.values())
-    assert ts.N_max <= 1.0 * math.log(ts.Q)
-    assert ts.card <= 0.5 * 125.0 * math.log(1000.0)
+    assert ts.N_max <= cal.TOWER_NMAX_C * math.log(ts.Q)
+    assert ts.card <= cal.TOWER_CARD_C * 125.0 * math.log(1000.0)

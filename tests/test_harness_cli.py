@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from pgt.harness import (FitResult, fit_exponent, parse_config_file,
-                         write_csv, write_json)
+from pgt import calibration as cal
+from pgt.harness import (FitResult, compensated_sum, fit_exponent,
+                         parse_config_file, write_csv, write_json)
 from pgt.cli import main, parse_gaussian, parse_grid
 
 
@@ -28,7 +29,7 @@ def test_fit_noisy_power_law_within_band():
     pts = [(x, x**0.5 * math.exp(rng.gauss(0.0, 0.1)))
            for x in (10.0, 100.0, 1000.0, 10000.0, 100000.0)]
     f = fit_exponent(pts)
-    assert abs(f.slope - 0.5) < 0.08
+    assert abs(f.slope - 0.5) < cal.SYNTHETIC_FIT_BAND
     assert f.r_squared > 0.99
 
 
@@ -45,11 +46,31 @@ def test_fit_degenerate_inputs():
 
 
 def test_cli_rejects_bad_tol_and_seed(capsys):
-    for bad in (["--tol", "0"], ["--seed", "-1"], ["--seed", str(2**64)]):
+    for bad in (["psi", "--x", "100", "--tol", "0"], ["circle", "--seed", "-1"],
+                ["circle", "--seed", str(2**64)]):
         with pytest.raises(SystemExit) as exc:
-            main(["psi", "--x", "100"] + bad)
+            main(bad)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+
+def test_compensated_sum_matches_fsum_on_cancelling_sums():
+    # a big term, many terms below its half-ulp, then the big term cancelled:
+    # plain summation drops the small terms, Kahan summation keeps them to
+    # within 2 eps sum|x| of the exactly rounded math.fsum
+    eps = 2.0 ** -52
+    rng = random.Random(5)
+    re_terms = [1.0] + [rng.uniform(0.0, 1e-16) for _ in range(10000)] + [-1.0]
+    im_terms = [1e6] + [rng.uniform(-1e-11, 0.0) for _ in range(10000)] + [-1e6]
+    terms = [complex(x, y) for x, y in zip(re_terms, im_terms)]
+    got, plain = compensated_sum(terms), sum(terms)
+    for part, xs in (("real", re_terms), ("imag", im_terms)):
+        want = math.fsum(xs)
+        bound = 2 * eps * math.fsum(abs(x) for x in xs)
+        assert abs(getattr(got, part) - want) <= bound
+        assert abs(getattr(plain, part) - want) > 10 * bound
+    # real terms sum on the real part alone
+    assert compensated_sum(re_terms) == complex(got.real, 0.0)
 
 
 def test_config_file_parsing(tmp_path):
@@ -150,3 +171,18 @@ def test_cli_config_precedence(capsys, tmp_path):
     assert obj["v_used"] == 500.0
     assert main(["lfun", "--trace", "3", "--config", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["v_used"] == 500.0
+    # keys naming no option of the sub-command are ignored
+    cfg.write_text("func=1\nsubparser=1\ncommand=psi\nconfig=elsewhere\nbogus=2\n")
+    assert main(["exponents", "--theta", "1/6", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "exponents"
+    # config values must lie in the option's choices
+    cfg.write_text("format=xml\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["exponents", "--theta", "1/6", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    # the command line wins over the file for another member of its
+    # mutually exclusive group
+    cfg.write_text("trace=3\nv=500\n")
+    assert main(["lfun", "--delta", "12", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["delta"] == "12"

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from pgt import calibration as cal
 from pgt.errors import EigenvalueFileError
 from pgt.geodesics import KernelSpec, PsiOptions, psi
 from pgt.spectral import (EigenvalueTable, explicit_formula_residual,
@@ -163,7 +164,7 @@ def test_integration_by_parts_decay():
         segs = max(256, int(r * Y / X * 16))
         val = complex(_integrate(f, Y, 2 * Y, segs), _integrate(fim, Y, 2 * Y, segs))
         ratios[r] = abs(val) / (X ** 3 / (r * Y) ** 2)
-    assert all(v <= 60.0 for v in ratios.values()), ratios
+    assert all(v <= cal.BYPARTS_L2_ENVELOPE for v in ratios.values()), ratios
     assert ratios[640.0] < 1.0
 
 

@@ -1,12 +1,18 @@
-"""Property tests: the vector lambda builders and the factored-ideal walker."""
+"""Property tests: the vector lambda builders, the factored-ideal walker,
+the disk enumerator, and the orbit invariance of G_V."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from pgt.characters import is_perfect_square
 from pgt.gaussian import (CanonicalIdealRep, GaussianInt, canonical_pair,
-                          ideal_reps_upto, mul, prime_ideals_upto, walk_ideals)
+                          disk_rows, ideal_reps_upto, mul, prime_ideals_upto,
+                          walk_ideals)
+from pgt.lfunctions import zagier_L1
 from pgt.quad_counts import lambda_, lambda_at_prime_power
-from pgt.trace_engine import LambdaVectors, TraceSet
+from pgt.trace_engine import LambdaVectors, TraceSet, gv_per_trace
 
 G = GaussianInt
 PP_NORM_MAX = 2000
@@ -62,3 +68,42 @@ def test_walk_ideals_visits_each_ideal_once(limit):
     walk_ideals(limit, extend, lambda nrm, val: seen.append(canonical_pair(val)),
                 root=(1, 0))
     assert sorted(seen) == sorted(ideal_reps_upto(limit))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-20.0, 400.0), st.floats(0.0, 300.0))
+def test_disk_rows_matches_double_loop(lo, width):
+    hi = lo + width
+    r = math.isqrt(max(math.floor(hi), 0)) + 1
+    want = sorted((b, a) for b in range(-r, r + 1) for a in range(-r, r + 1)
+                  if lo < a * a + b * b <= hi)
+    rows = list(disk_rows(lo, hi))
+    got = [(b, int(a)) for b, row in rows for a in row]
+    assert got == want  # rows in b order, entries in a order, each point once
+    for b, row in rows:
+        assert row.dtype == np.int64 and len(row) > 0
+        assert np.all(np.diff(row) > 0)
+    assert all(b0 < b1 for (b0, _), (b1, _) in zip(rows, rows[1:]))
+
+
+# traces whose discriminant n^2 - 4 is not a perfect square
+orbit_st = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(
+    lambda n: not is_perfect_square(GaussianInt(*n) * GaussianInt(*n) - GaussianInt(4, 0)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(orbit_st, st.sampled_from([20.0, 75.0]))
+def test_gv_orbit_invariance(n, V):
+    """G_V(n^2 - 4) is unchanged by n -> -n (same delta: bit-equal) and by
+    n -> conj(n) (conjugate ideals, reordered sum: equal to rounding)."""
+    a, b = n
+    na = np.array([a, -a, a], dtype=np.int64)
+    nb = np.array([b, -b, -b], dtype=np.int64)
+    ones = np.ones(3)
+    gv = gv_per_trace(TraceSet(lo=1.0, hi=2.0, na=na, nb=nb, weight=ones, thr=ones), V)
+    assert gv[1] == gv[0]
+    assert abs(gv[2] - gv[0]) <= 1e-12 * abs(gv[0])
+    scalar = [zagier_L1(m * m - G(4, 0), V, n=m).value
+              for m in (G(a, b), G(-a, -b), G(a, -b))]
+    assert scalar[1] == scalar[0]
+    assert abs(scalar[2] - scalar[0]) <= 1e-12 * abs(scalar[0])
