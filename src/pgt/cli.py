@@ -115,10 +115,23 @@ def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
     ignored.  argparse converts a string default through its option's own
     type, the way it converts a command-line string, and the command line
     still wins, also over the file's value for another member of the same
-    mutually exclusive group.  Values must lie in the option's choices.
+    mutually exclusive group.  Values must lie in the option's choices, and
+    the file may set at most one member of a group.  A value from the file
+    satisfies a required option, or a required group it is a member of.
     Flags (store_true) have no type, so their values are read as booleans.
     """
-    args = parser.parse_args(argv)
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices.values()
+    required = [x for p in subs for x in (*p._actions, *p._mutually_exclusive_groups)
+                if x.required]
+    # first pass: find the sub-command and its --config, requirements aside
+    for x in required:
+        x.required = False
+    try:
+        args = parser.parse_args(argv)
+    finally:
+        for x in required:
+            x.required = True
     if args.config:
         sub = args.subparser
         options = {a.dest: a for a in sub._actions
@@ -137,9 +150,17 @@ def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
                           f"{', '.join(map(str, action.choices))}")
             values[action.dest] = (value.lower() in ("1", "true", "yes")
                                    if isinstance(action.default, bool) else value)
+        for group in sub._mutually_exclusive_groups:
+            set_here = [a.dest for a in group._group_actions if a.dest in values]
+            if len(set_here) > 1:
+                sub.error(f"{args.config}: {' and '.join(set_here)} are mutually exclusive")
+            if set_here:
+                group.required = False
+        for a in sub._actions:
+            if a.dest in values:
+                a.required = False
         sub.set_defaults(**values)
-        args = parser.parse_args(argv)
-    return args
+    return parser.parse_args(argv)
 
 
 def _psi_options(args) -> geo.PsiOptions:

@@ -57,8 +57,9 @@ class PsiOptions:
     """Accuracy/evaluation knobs shared by the counting entry points.
 
     V = None selects the default policy max(1000, x_scale); validate=True
-    adds a quarter-V pass whose difference is reported as the convergence
-    band (and triggers one V*=4 retry if the band exceeds tol * |value|).
+    also evaluates the quarter-V sum, in the same ideal walk, and reports
+    the difference as the convergence band (V*=4 retries, at most
+    MAX_RETRIES, while the band exceeds tol * |value|).
     The quarter-V band tracks the remaining family-average bias 0.615/sqrt(V)
     almost exactly, which is 1.9% at the policy floor V = 1000; the default
     tol sits above that so the default policy is retry-free and the
@@ -145,26 +146,26 @@ def _window_traces(lo: float, hi: float) -> trace_engine.TraceSet:
     return trace_engine.trace_set(lo, hi)
 
 
-def _raw_sum(traces: trace_engine.TraceSet, V: float, cutoff_mult: float):
-    """(sum of weight * G_V, per-trace G_V array)."""
-    gv = trace_engine.gv_per_trace(traces, V, cutoff_mult=cutoff_mult)
-    return float(np.dot(traces.weight, gv)), gv
-
-
 def _evaluate_window(lo: float, hi: float, opts: PsiOptions, x_scale: float):
-    """Shared driver: traces with thr in (lo, hi], validated smoothed sum."""
+    """Traces with thr in (lo, hi] and their validated smoothed sum (psi, intervals).
+
+    One sweep gives the V and quarter-V values together.  A retry sweeps at
+    4V alone: its quarter-V values are those of the sweep before (4V/4 is V
+    exactly).  The V returned is that of the last sweep.
+    """
     traces = _window_traces(lo, hi)
     V = opts.pick_v(x_scale)
-    for _ in range(MAX_RETRIES + 1):
-        raw, gv = _raw_sum(traces, V, opts.cutoff_mult)
-        if not opts.validate:
-            band = 0.0
-            break
-        raw_quarter, _ = _raw_sum(traces, V / 4.0, opts.cutoff_mult)
-        band = abs(raw - raw_quarter) * PSI_CONSTANT
-        if band <= opts.tol * max(abs(raw) * PSI_CONSTANT, 1.0):
+    if not opts.validate:
+        gv = trace_engine.gv_per_trace(traces, V, cutoff_mult=opts.cutoff_mult)
+        return traces, gv, float(np.dot(traces.weight, gv)), V, 0.0
+    gv, quarter = trace_engine.gv_sweep(traces, (V, V / 4.0), cutoff_mult=opts.cutoff_mult)
+    for retry in range(MAX_RETRIES + 1):
+        raw = float(np.dot(traces.weight, gv))
+        band = abs(raw - float(np.dot(traces.weight, quarter))) * PSI_CONSTANT
+        if retry == MAX_RETRIES or band <= opts.tol * max(abs(raw) * PSI_CONSTANT, 1.0):
             break
         V *= 4.0
+        quarter, gv = gv, trace_engine.gv_per_trace(traces, V, cutoff_mult=opts.cutoff_mult)
     return traces, gv, raw, V, band
 
 

@@ -28,6 +28,24 @@ sorted prime list that the scalar series in lfunctions use as well, so term
 order (hence floating-point rounding) is deterministic; a prime power whose
 product vector vanishes on every trace prunes its subtree.  Every vector
 builder is property-tested against the scalar quad_counts.lambda_.
+
+No work is done twice for an answer already known:
+
+  * orbit representatives: n and -n have the same delta, so the walk runs
+    over one trace per distinct delta and the values are scattered back.
+    Each value depends only on its own delta, so this is exact, and it holds
+    for any trace set, with or without the partner of a trace.
+  * two accumulators: `gv_sweep` evaluates several V in one walk to the
+    largest cutoff; the accumulator of each V takes the ideals of norm
+    <= cutoff_mult * V.  Restricted to that norm, the walk visits the ideals
+    of the walk to that cutoff in the same order with the same products, so
+    each sum is bit-identical to its own `gv_per_trace`.  The quarter-V
+    validation of geodesics rides along the V sweep this way.
+  * shared Legendre tables: the table mod p serves every prime ideal over
+    p.  Tables up to cache_norm are kept; of the larger ones the latest is
+    kept, which is the one the conjugate split ideal asks for next (a prime
+    above the square root of the cutoff is a leaf of the walk, so the walk
+    reaches the two ideals over p back to back).
 """
 
 from __future__ import annotations
@@ -234,13 +252,15 @@ class LambdaVectors:
         self.cache_norm = cache_norm
         self._cache: dict = {}
         self._chartabs: dict = {}
+        self._large_p = None   # the one table kept above cache_norm
 
     def _chartab(self, p: int) -> np.ndarray:
         tab = self._chartabs.get(p)
         if tab is None:
-            tab = _sq_char_table(p)
-            if p <= self.cache_norm:  # large tables are built per use
-                self._chartabs[p] = tab
+            if p > self.cache_norm:
+                self._chartabs.pop(self._large_p, None)
+                self._large_p = p
+            tab = self._chartabs[p] = _sq_char_table(p)
         return tab
 
     def _build(self, npj: int, pj, e: int) -> np.ndarray:
@@ -283,26 +303,53 @@ class LambdaVectors:
 # the ideal-major sweep
 # ---------------------------------------------------------------------------
 
+def _orbit_reps(traces: TraceSet):
+    """(reps, inverse): one trace per distinct n^2 - 4, and for each trace
+    the index of its representative, so that values[inverse] scatters back."""
+    _, first, inverse = np.unique(np.stack((traces.da, traces.db), axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    reps = TraceSet(lo=traces.lo, hi=traces.hi, na=traces.na[first],
+                    nb=traces.nb[first], weight=traces.weight[first],
+                    thr=traces.thr[first])
+    return reps, inverse.reshape(-1)
+
+
+def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT,
+             cache_norm: int = 32768) -> list:
+    """[G_V(n^2-4) for every trace in `traces`, for V in Vs] from one walk.
+
+    One gaussian.walk_ideals pass over the orbit representatives and all
+    ideals of norm <= cutoff_mult * max(Vs), with one accumulator per V that
+    takes the ideals of norm <= cutoff_mult * V; each array is bit-identical
+    to gv_per_trace at its V.  The running product over prime powers is a
+    float64 vector (lambda values at desk scale stay far below 2^53, so
+    products are exact).
+    """
+    if len(traces) == 0:
+        return [np.zeros(0) for _ in Vs]
+    reps, inverse = _orbit_reps(traces)
+    accs = [np.zeros(len(reps)) for _ in Vs]
+    # the walk visits the unit ideal whatever the cutoff
+    live = [(V, max(int(cutoff_mult * V), 1), acc) for V, acc in zip(Vs, accs) if V > 0]
+    if live:
+        prov = LambdaVectors(reps, cache_norm=cache_norm)
+
+        def extend(vec, npj, pj, e):
+            child = vec * prov.vec(npj, pj, e)
+            return child if child.any() else None
+
+        def term(nrm, vec):
+            for V, limit, acc in live:
+                if nrm <= limit:
+                    np.add(acc, vec * (math.exp(-nrm / V) / nrm), out=acc)
+
+        g.walk_ideals(max(limit for _, limit, _ in live), extend, term,
+                      root=np.ones(len(reps)))
+    return [acc[inverse] for acc in accs]
+
+
 def gv_per_trace(traces: TraceSet, V: float, cutoff_mult: float = CUTOFF_MULT,
                  cache_norm: int = 32768) -> np.ndarray:
-    """G_V(n^2-4) for every trace in `traces` (ideal convention).
-
-    One gaussian.walk_ideals pass over all ideals of norm <= cutoff_mult * V;
-    the running product over prime powers is a float64 vector (lambda values
-    at desk scale stay far below 2^53, so products are exact).
-    """
-    m = len(traces)
-    acc = np.zeros(m)
-    if m == 0 or V <= 0:
-        return acc
-    prov = LambdaVectors(traces, cache_norm=cache_norm)
-
-    def extend(vec, npj, pj, e):
-        child = vec * prov.vec(npj, pj, e)
-        return child if np.any(child) else None
-
-    def term(nrm, vec):
-        np.add(acc, vec * (math.exp(-nrm / V) / nrm), out=acc)
-
-    g.walk_ideals(int(cutoff_mult * V), extend, term, root=np.ones(m))
-    return acc
+    """G_V(n^2-4) for every trace in `traces` (ideal convention): the
+    one-V gv_sweep."""
+    return gv_sweep(traces, (V,), cutoff_mult, cache_norm)[0]

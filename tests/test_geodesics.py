@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from pgt import calibration as cal
 from pgt.errors import CutoffExceededError
 from pgt.gaussian import GaussianInt
-from pgt.geodesics import (KernelSpec, PsiOptions, psi, psi_profile,
-                           psi_short_interval, psi_smoothed, tower_stats,
-                           trace_terms, trace_threshold)
+from pgt.geodesics import (MAX_RETRIES, PSI_CONSTANT, KernelSpec, PsiOptions, psi,
+                           psi_profile, psi_short_interval, psi_smoothed,
+                           tower_stats, trace_terms, trace_threshold)
 from pgt import trace_engine
 
 G = GaussianInt
@@ -104,6 +104,23 @@ def test_psi_cap():
     for call in calls:
         with pytest.raises(CutoffExceededError):
             call()
+
+
+def test_v_used_is_the_v_of_the_last_sweep():
+    # tol = 1e-12 misses on every try: V = 50, 200, 800, and the value, band
+    # and v_used are all those of the V = 800 sweep
+    opts = PsiOptions(V=50.0, tol=1e-12)
+    count = psi(100.0, opts)
+    interval = psi_short_interval(200.0, 40.0, opts)
+    for result, value, (lo, hi) in ((count, count.psi, (1.0, 100.0)),
+                                    (interval, interval.difference, (200.0, 240.0))):
+        assert result.v_used == 50.0 * 4**MAX_RETRIES
+        ts = trace_engine.trace_set(lo, hi)
+        raw = float(np.dot(ts.weight, trace_engine.gv_per_trace(ts, result.v_used)))
+        quarter = float(np.dot(ts.weight, trace_engine.gv_per_trace(ts, result.v_used / 4.0)))
+        assert value == PSI_CONSTANT * raw
+        assert result.band == abs(raw - quarter) * PSI_CONSTANT
+        assert result.band > 1e-12 * value
 
 
 def test_short_interval_consistency_with_psi_difference():

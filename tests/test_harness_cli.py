@@ -186,3 +186,22 @@ def test_cli_config_precedence(capsys, tmp_path):
     cfg.write_text("trace=3\nv=500\n")
     assert main(["lfun", "--delta", "12", "--config", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["delta"] == "12"
+    # a required option, or a required group, may come from the file alone
+    assert main(["lfun", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["delta"] == "5"
+    cfg.write_text("x=100\nv=500\n")
+    assert main(["psi", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["x"] == 100.0
+    # still required when neither the command line nor the file sets it
+    cfg.write_text("v=500\n")
+    for argv in (["psi"], ["lfun"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "required" in capsys.readouterr().err
+    # the file may set one member of a mutually exclusive group, not two
+    cfg.write_text("trace=3\ndelta=5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["lfun", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "mutually exclusive" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Property tests: the vector lambda builders, the factored-ideal walker,
-the disk enumerator, and the orbit invariance of G_V."""
+the disk enumerator, the orbit invariance of G_V, and the orbit and
+two-accumulator sweep against one-trace, one-V sweeps."""
 
 import math
 
@@ -8,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from pgt.characters import is_perfect_square
 from pgt.gaussian import (CanonicalIdealRep, GaussianInt, canonical_pair,
-                          disk_rows, ideal_reps_upto, mul, prime_ideals_upto,
-                          walk_ideals)
+                          disk_rows, ideal_reps_upto, mul, norm,
+                          prime_ideals_upto, walk_ideals)
 from pgt.lfunctions import zagier_L1
 from pgt.quad_counts import lambda_, lambda_at_prime_power
-from pgt.trace_engine import LambdaVectors, TraceSet, gv_per_trace
+from pgt.trace_engine import LambdaVectors, TraceSet, gv_per_trace, gv_sweep
 
 G = GaussianInt
 PP_NORM_MAX = 2000
@@ -21,6 +22,14 @@ PP_NORM_MAX = 2000
 PRIME_POWERS = [(npi, pi, e)
                 for npi, pi in prime_ideals_upto(PP_NORM_MAX)
                 for e in range(1, 12) if npi**e <= PP_NORM_MAX]
+
+
+def _trace_set(pairs) -> TraceSet:
+    """The traces a + b*i for (a, b) in pairs, in that order."""
+    ones = np.ones(len(pairs))
+    return TraceSet(lo=1.0, hi=2.0, na=np.array([a for a, _ in pairs], dtype=np.int64),
+                    nb=np.array([b for _, b in pairs], dtype=np.int64),
+                    weight=ones, thr=ones)
 
 
 def _power(pi, e):
@@ -40,11 +49,7 @@ traces_st = st.lists(
 @settings(max_examples=8, deadline=None)
 @given(traces_st, st.integers(1, 2 * PP_NORM_MAX))
 def test_lambda_vectors_match_scalar_lambda(pairs, cache_norm):
-    na = np.array([a for a, _ in pairs], dtype=np.int64)
-    nb = np.array([b for _, b in pairs], dtype=np.int64)
-    ones = np.ones(len(pairs))
-    prov = LambdaVectors(TraceSet(lo=1.0, hi=2.0, na=na, nb=nb, weight=ones,
-                                  thr=ones), cache_norm=cache_norm)
+    prov = LambdaVectors(_trace_set(pairs), cache_norm=cache_norm)
     ns = [G(a, b) for a, b in pairs]
     for npi, pi, e in PRIME_POWERS:
         q = _power(pi, e)
@@ -95,15 +100,71 @@ orbit_st = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(
 @given(orbit_st, st.sampled_from([20.0, 75.0]))
 def test_gv_orbit_invariance(n, V):
     """G_V(n^2 - 4) is unchanged by n -> -n (same delta: bit-equal) and by
-    n -> conj(n) (conjugate ideals, reordered sum: equal to rounding)."""
+    n -> conj(n) (conjugate ideals, reordered sum: equal to rounding).
+
+    Each trace is swept alone: in one sweep n and -n share a representative,
+    so their equality there would hold by construction."""
     a, b = n
-    na = np.array([a, -a, a], dtype=np.int64)
-    nb = np.array([b, -b, -b], dtype=np.int64)
-    ones = np.ones(3)
-    gv = gv_per_trace(TraceSet(lo=1.0, hi=2.0, na=na, nb=nb, weight=ones, thr=ones), V)
+    gv = [gv_per_trace(_trace_set([m]), V)[0] for m in ((a, b), (-a, -b), (a, -b))]
     assert gv[1] == gv[0]
     assert abs(gv[2] - gv[0]) <= 1e-12 * abs(gv[0])
     scalar = [zagier_L1(m * m - G(4, 0), V, n=m).value
               for m in (G(a, b), G(-a, -b), G(a, -b))]
     assert scalar[1] == scalar[0]
     assert abs(scalar[2] - scalar[0]) <= 1e-12 * abs(scalar[0])
+
+
+# traces anywhere, on the real axis and on the imaginary axis (delta != 0)
+any_trace_st = st.one_of(
+    st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+    st.tuples(st.integers(-30, 30), st.just(0)),
+    st.tuples(st.just(0), st.integers(-30, 30)),
+).filter(lambda n: n not in ((2, 0), (-2, 0)))
+
+
+@st.composite
+def orbit_shaped_sets(draw):
+    """Trace lists mixing +-n pairs, lone traces and repeated traces, shuffled."""
+    pairs = []
+    for a, b in draw(st.lists(any_trace_st, min_size=1, max_size=5)):
+        pairs.append((a, b))
+        shape = draw(st.sampled_from(["lone", "pair", "repeat"]))
+        if shape == "pair":
+            pairs.append((-a, -b))
+        elif shape == "repeat":
+            pairs.append((a, b))
+    return draw(st.permutations(pairs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(orbit_shaped_sets(), st.sampled_from([0.05, 10.0, 30.0, 75.0]),
+       st.sampled_from([1, 60, 32768]))
+def test_gv_sweep_matches_single_trace_single_v_sweeps(pairs, V, cache_norm):
+    """One sweep per +-n orbit, scattered back, equals sweeping each trace
+    alone; the V / V/4 sweep with two accumulators equals two one-V sweeps.
+    Both bit for bit, with large Legendre tables shared or rebuilt."""
+    ts = _trace_set(pairs)
+    whole = gv_per_trace(ts, V, cache_norm=cache_norm)
+    alone = [gv_per_trace(_trace_set([p]), V, cache_norm=cache_norm)[0] for p in pairs]
+    assert whole.tobytes() == np.array(alone).tobytes()
+    fused = gv_sweep(ts, (V, V / 4.0), cache_norm=cache_norm)
+    assert fused[0].tobytes() == whole.tobytes()
+    assert fused[1].tobytes() == gv_per_trace(ts, V / 4.0, cache_norm=cache_norm).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(orbit_shaped_sets(), st.sampled_from([0.05, 3.0, 10.0, 30.0]),
+       st.sampled_from([1.0, 2.5]))
+def test_gv_sweep_matches_scalar_definition_at_small_cutoffs(pairs, V, cutoff_mult):
+    """Each accumulator of the V / V/4 sweep sums lambda_q e^(-N(q)/W)/N(q)
+    over exactly the ideals of norm <= cutoff_mult * W (the unit ideal
+    always), W its own V: small cutoffs make the boundary ideals count."""
+    ts = _trace_set(pairs)
+    for W, got in zip((V, V / 4.0), gv_sweep(ts, (V, V / 4.0), cutoff_mult=cutoff_mult)):
+        ideals = [(norm(q), CanonicalIdealRep(G(*q)))
+                  for q in ideal_reps_upto(max(int(cutoff_mult * W), 1))]
+        for (a, b), value in zip(pairs, got):
+            n = G(a, b)
+            terms = [lambda_(q, n * n - G(4, 0), n=n) * math.exp(-nq / W) / nq
+                     for nq, q in ideals]
+            assert abs(value - math.fsum(terms)) <= 1e-12 * sum(map(abs, terms)), (n, W)
