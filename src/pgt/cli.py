@@ -55,11 +55,11 @@ def parse_theta(text: str) -> Fraction:
     return Fraction(text)
 
 
-def parse_tol(text: str) -> float:
-    """An accuracy target: a float > 0."""
+def parse_positive(text: str) -> float:
+    """A tolerance or smoothing length: a finite float > 0."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
     return value
 
 
@@ -104,7 +104,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=parse_tol, default=None,
+    p.add_argument("--tol", type=parse_positive, default=None,
                    help="accuracy target (default: each command's own)")
 
 
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", help="weighted geodesic count up to x")
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--v", type=float, default=None, help="smoothing length override")
+    p.add_argument("--v", type=parse_positive, default=None, help="smoothing length override")
     _add_tol(p)
     _add_common(p)
     p.set_defaults(func=cmd_psi)
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--nu", type=float, default=0.7)
     p.add_argument("--y", type=float, default=None, help="explicit window length")
-    p.add_argument("--v", type=float, default=None)
+    p.add_argument("--v", type=parse_positive, default=None)
     _add_tol(p)
     _add_common(p)
     p.set_defaults(func=cmd_interval)
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smoothed", help="kernel-smoothed count")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
-    p.add_argument("--v", type=float, default=None)
+    p.add_argument("--v", type=parse_positive, default=None)
     _add_tol(p)
     _add_common(p)
     p.set_defaults(func=cmd_smoothed)
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--delta", type=parse_gaussian)
     grp.add_argument("--trace", type=parse_gaussian, help="trace n; delta = n^2-4")
-    p.add_argument("--v", type=float, default=None)
+    p.add_argument("--v", type=parse_positive, default=None)
     _add_tol(p)
     _add_common(p)
     p.set_defaults(func=cmd_lfun)

@@ -7,6 +7,7 @@ owns that conversion in its single global constant.)
 
 Objects:
 
+  smoothed_sums     the one evaluator of the smoothed series below.
   zeta_qi(s)        Dedekind zeta of Q(i), partial ideal sum + tail bound.
   L_chi(s, chi, V)  exponentially smoothed L(s, chi_D), with a convergence
                     band from doubling V.
@@ -27,10 +28,13 @@ Objects:
   normalization_sum the mu-square-weighted smoothed sum that tends to 1.
   R_V_estimate      empirical proxy for the smoothing remainder.
 
-The smoothed series are exact finite sums over N(q) <= 40 V, walked in
-factored form by gaussian.walk_ideals (one Python callback per prime power
-and per ideal); the neglected tail is exp(-40)-suppressed and the attached
-tail_estimate bounds it.
+Every smoothed series  sum_q a(q) e^(-N(q)/V) / N(q)  of the package --
+G_V here and in trace_engine, L_chi, normalization_sum -- is evaluated by
+one function, smoothed_sums, the only caller of gaussian.walk_ideals: a
+series supplies only how a(q) extends by a prime power, and one walk in
+factored form (one Python callback per prime power and per ideal) serves
+every V.  Each sum is exact over N(q) <= 40 V; the neglected tail is
+exp(-40)-suppressed and the attached tail_estimate bounds it.
 """
 
 from __future__ import annotations
@@ -139,37 +143,55 @@ def zeta_qi(s: complex, cutoff: int = 10**6) -> ZetaPartialSum:
 
 
 # ---------------------------------------------------------------------------
-# smoothed L(s, chi_D)
+# the smoothed-series evaluator, and smoothed L(s, chi_D)
 # ---------------------------------------------------------------------------
+
+def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None) -> list:
+    """[sum_q a(q) e^(-N(q)/V) / N(q) for V in Vs] from one ideal walk.
+
+    a(q) is built by `extend` from `root` at the unit ideal, as in
+    gaussian.walk_ideals (a scalar, or a numpy vector of several series).
+    One walk to the largest cutoff serves every V; the sum for V takes the
+    ideals of norm <= max(int(cutoff_mult * V), 1), which the walk visits in
+    the same order with the same products as a walk to that cutoff, so each
+    sum is bit-identical to the one-V call.  cutoff_mult defaults to
+    CUTOFF_MULT, read at call time.
+    """
+    if not all(0 < V < math.inf for V in Vs):
+        raise ValueError("V must be positive and finite")
+    mult = CUTOFF_MULT if cutoff_mult is None else cutoff_mult
+    limits = [max(int(mult * V), 1) for V in Vs]
+    sums = [root * 0.0 for _ in Vs]
+    live = list(zip(range(len(sums)), Vs, limits))
+
+    def term(nrm, val):
+        for k, V, limit in live:
+            if nrm <= limit:
+                sums[k] += val * (math.exp(-nrm / V) / nrm)
+
+    g.walk_ideals(max(limits), extend, term, root=root)
+    return sums
+
 
 def L_chi(s: complex, character: QuadraticCharacter, V: float,
           tol: float = 1e-4, doublings: int = 3) -> LChiValue:
     """Exponentially smoothed  sum_q chi_D(q) e^(-N(q)/V) / N(q)^s.
 
-    One factored sweep at the largest cutoff evaluates all V-doublings
-    simultaneously; the convergence band is the final doubling step.  A band
-    above tol sets converged=False (flag, not an exception).
+    One smoothed_sums walk evaluates all V-doublings; N(q)^(1-s) is
+    completely multiplicative, so it rides in the coefficients.  The
+    convergence band is the final doubling step.  A band above tol sets
+    converged=False (flag, not an exception).
     """
-    if V <= 0:
-        raise ValueError("V must be positive")
     vs = [V * 2.0**j for j in range(doublings + 1)]
-    limit = int(CUTOFF_MULT * vs[-1])
-    s = complex(s)
-    sums = [0.0 + 0.0j for _ in vs]
+    w = 1.0 - complex(s)
 
     def extend(val, npj, pj, e):
         v = character.value_at_prime(CanonicalIdealRep(GaussianInt.from_pair(pj)))
-        return val * v ** (e % 2) if v else None
+        return val * v ** (e % 2) * npj ** (e * w) if v else None
 
-    def term(nrm, val):
-        base = val * nrm ** (-s)
-        for k, vv in enumerate(vs):
-            if nrm <= CUTOFF_MULT * vv:
-                sums[k] += base * math.exp(-nrm / vv)
-
-    g.walk_ideals(limit, extend, term)
+    sums = smoothed_sums(vs, extend)
     band = abs(sums[-1] - sums[-2]) if doublings >= 1 else float("nan")
-    return LChiValue(value=sums[-1], band=float(band),
+    return LChiValue(value=complex(sums[-1]), band=float(band),
                      converged=bool(band <= tol), v_used=vs[-1])
 
 
@@ -265,22 +287,13 @@ def _tail_estimate(V: float) -> float:
     return 2.0 * math.sqrt(max(V, 1.0)) * math.exp(-CUTOFF_MULT)
 
 
-def zagier_L1(delta: GaussianInt, V: float,
-              n: GaussianInt | None = None) -> SmoothedValue:
-    """G_V(delta) = sum over ideals of lambda_q(delta) e^(-N(q)/V) / N(q).
-
-    delta must be a discriminant of trace form (n^2 - 4, not a perfect
-    square); prime-power lambda values come from
-    quad_counts.lambda_at_prime_power.  Exact finite sum over N(q) <= 40V.
-    """
+def _zagier_sums(delta: GaussianInt, n: GaussianInt | None, Vs) -> list:
+    """[G_V(delta) for V in Vs] from one smoothed_sums walk; n^2 - 4 = delta."""
     from .characters import is_perfect_square
     if is_perfect_square(delta):
         raise ValueError(f"delta = {delta} is a perfect square")
     if n is None:
         n = quad_counts.sqrt_perfect_square(delta + GaussianInt(4, 0))
-    if V <= 0:
-        raise ValueError("V must be positive")
-    limit = int(CUTOFF_MULT * V)
     memo: dict = {}
 
     def extend(val, npj, pj, e):
@@ -291,13 +304,19 @@ def zagier_L1(delta: GaussianInt, V: float,
             memo[key] = v
         return val * v if v else None
 
-    acc = [0.0]
+    return smoothed_sums(Vs, extend)
 
-    def term(nrm, val):
-        acc[0] += val * math.exp(-nrm / V) / nrm
 
-    g.walk_ideals(limit, extend, term)
-    return SmoothedValue(delta=delta, V=float(V), value=acc[0],
+def zagier_L1(delta: GaussianInt, V: float,
+              n: GaussianInt | None = None) -> SmoothedValue:
+    """G_V(delta) = sum over ideals of lambda_q(delta) e^(-N(q)/V) / N(q).
+
+    delta must be a discriminant of trace form (n^2 - 4, not a perfect
+    square); prime-power lambda values come from
+    quad_counts.lambda_at_prime_power.  Exact finite sum over N(q) <= 40V.
+    """
+    value, = _zagier_sums(delta, n, (V,))
+    return SmoothedValue(delta=delta, V=float(V), value=value,
                          tail_estimate=_tail_estimate(V))
 
 
@@ -308,18 +327,8 @@ def normalization_sum(V: float) -> float:
     """
     if V < 1:
         raise ValueError("V must be >= 1")
-    limit = max(int(CUTOFF_MULT * V), 2)
-
-    def extend(val, npj, pj, e):
-        return val * (1.0 if e % 2 == 0 else -1.0 / npj)
-
-    acc = [0.0]
-
-    def term(nrm, val):
-        acc[0] += val * math.exp(-nrm / V) / nrm
-
-    g.walk_ideals(limit, extend, term)
-    return acc[0]
+    return smoothed_sums((V,), lambda val, npj, pj, e:
+                         val * (1.0 if e % 2 == 0 else -1.0 / npj))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +345,6 @@ class RVEstimate:
     extrapolated: bool
     sigma_bound: float      # N(M) Q^(10(1-sigma)/(3-sigma)) + Card V^(sigma-1), single delta
     subconvex_bound: float  # V^(-1/2) Q^theta shape at sigma = 1/2
-    sigma_contour: float
     theta: float
 
 
@@ -349,36 +357,35 @@ def R_V_estimate(delta: GaussianInt, V: float, sigma: float = 0.5,
 
     The proxy is |G_V - G_{8V}|; when 40*8V exceeds the direct-summation
     budget the proxy is extrapolated from a doubling ladder inside the
-    budget (log-log fit, decay exponent clamped to [0.3, 1.5]).  The
+    budget (log-log fit, decay exponent clamped to [0.3, 1.5]).  One walk
+    gives the ladder and the 8V partner of each of its points.  The
     sigma-parameterized and subconvex bound shapes are evaluated for
     reporting alongside; they are bounds on sums over families, so for a
     single delta both Card and the tower count are 1.
     """
     if not 0.5 <= sigma < 1.0:
         raise ValueError("sigma must lie in [1/2, 1)")
-    Q = 2.0 + float(delta.norm())
-    sigma_bound = Q ** (10.0 * (1.0 - sigma) / (3.0 - sigma)) + V ** (sigma - 1.0)
-    subconvex_bound = V ** (-0.5) * Q ** theta
-
-    def proxy_at(v):
-        return abs(zagier_L1(delta, v).value - zagier_L1(delta, 8.0 * v).value)
-
-    if CUTOFF_MULT * 8.0 * V <= _RV_EXACT_LIMIT:
-        proxy = proxy_at(V)
-        extrapolated = False
-    else:
+    ladder = [V]  # a V that is not > 0 (NaN too) stays here, where it is rejected
+    if CUTOFF_MULT * 8.0 * V > _RV_EXACT_LIMIT:
         vmax = _RV_EXACT_LIMIT / (CUTOFF_MULT * 8.0)
         ladder = [vmax / 4.0, vmax / 2.0, vmax]
-        fit = fit_exponent((v, max(proxy_at(v), 1e-300)) for v in ladder)
+    sums = _zagier_sums(delta, None, ladder + [8.0 * v for v in ladder])
+    proxies = [abs(a - b) for a, b in zip(sums, sums[len(ladder):])]
+    extrapolated = len(ladder) > 1
+    if extrapolated:
+        fit = fit_exponent((v, max(p, 1e-300)) for v, p in zip(ladder, proxies))
         gamma = min(max(-fit.slope, 0.3), 1.5)
         lx, ly = np.log(fit.samples).T
         c = math.exp(float(np.mean(ly + gamma * lx)))
         proxy = c * V ** (-gamma)
-        extrapolated = True
+    else:
+        proxy = proxies[0]
+    Q = 2.0 + float(delta.norm())
+    sigma_bound = Q ** (10.0 * (1.0 - sigma) / (3.0 - sigma)) + V ** (sigma - 1.0)
+    subconvex_bound = V ** (-0.5) * Q ** theta
     return RVEstimate(delta=delta, V=float(V), proxy=float(proxy),
                       extrapolated=extrapolated, sigma_bound=float(sigma_bound),
-                      subconvex_bound=float(subconvex_bound),
-                      sigma_contour=sigma, theta=theta)
+                      subconvex_bound=float(subconvex_bound), theta=theta)
 
 
 def choose_V(delta: GaussianInt, tol: float = 1e-3, start: float | None = None,

@@ -22,12 +22,13 @@ computed at once:
     iteration mod 2^f (no loops in Python).
 
 The traces themselves are the gaussian.disk_rows points of an annulus in
-N(n), filtered and ordered by the vectorized `thresholds`.  The ideal
-enumeration is gaussian.walk_ideals, the depth-first walk over the
-sorted prime list that the scalar series in lfunctions use as well, so term
-order (hence floating-point rounding) is deterministic; a prime power whose
-product vector vanishes on every trace prunes its subtree.  Every vector
-builder is property-tested against the scalar quad_counts.lambda_.
+N(n), filtered and ordered by the vectorized `thresholds`.  The sum is
+lfunctions.smoothed_sums, the one evaluator of every smoothed series in
+the package, here with a vector root; its depth-first gaussian.walk_ideals
+over the sorted prime list fixes the term order (hence floating-point
+rounding), and a prime power whose product vector vanishes on every trace
+prunes its subtree.  Every vector builder is property-tested against the
+scalar quad_counts.lambda_.
 
 No work is done twice for an answer already known:
 
@@ -35,12 +36,9 @@ No work is done twice for an answer already known:
     over one trace per distinct delta and the values are scattered back.
     Each value depends only on its own delta, so this is exact, and it holds
     for any trace set, with or without the partner of a trace.
-  * two accumulators: `gv_sweep` evaluates several V in one walk to the
-    largest cutoff; the accumulator of each V takes the ideals of norm
-    <= cutoff_mult * V.  Restricted to that norm, the walk visits the ideals
-    of the walk to that cutoff in the same order with the same products, so
-    each sum is bit-identical to its own `gv_per_trace`.  The quarter-V
-    validation of geodesics rides along the V sweep this way.
+  * several V in one walk: `gv_sweep` hands its Vs to smoothed_sums, whose
+    accumulator for each V is bit-identical to its own `gv_per_trace`.  The
+    quarter-V validation of geodesics rides along the V sweep this way.
   * shared Legendre tables: the table mod p serves every prime ideal over
     p.  Tables up to cache_norm are kept; of the larger ones the latest is
     kept, which is the one the conjugate split ideal asks for next (a prime
@@ -50,13 +48,12 @@ No work is done twice for an answer already known:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gaussian as g
-from .lfunctions import CUTOFF_MULT
+from .lfunctions import CUTOFF_MULT, smoothed_sums
 
 
 # ---------------------------------------------------------------------------
@@ -318,34 +315,26 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT,
              cache_norm: int = 32768) -> list:
     """[G_V(n^2-4) for every trace in `traces`, for V in Vs] from one walk.
 
-    One gaussian.walk_ideals pass over the orbit representatives and all
-    ideals of norm <= cutoff_mult * max(Vs), with one accumulator per V that
-    takes the ideals of norm <= cutoff_mult * V; each array is bit-identical
-    to gv_per_trace at its V.  The running product over prime powers is a
+    One lfunctions.smoothed_sums walk over the orbit representatives, with
+    one accumulator per V; each array is bit-identical to gv_per_trace at
+    its V.  The running product over prime powers is a
     float64 vector (lambda values at desk scale stay far below 2^53, so
     products are exact).
     """
     if len(traces) == 0:
-        return [np.zeros(0) for _ in Vs]
+        # walk the unit ideal alone, so that V is still checked: a full walk
+        # would build a Legendre table for every prime up to the cutoff (21 s
+        # at V = 1e4) for an empty window such as (X, X+1]
+        cutoff_mult = 0.0
     reps, inverse = _orbit_reps(traces)
-    accs = [np.zeros(len(reps)) for _ in Vs]
-    # the walk visits the unit ideal whatever the cutoff
-    live = [(V, max(int(cutoff_mult * V), 1), acc) for V, acc in zip(Vs, accs) if V > 0]
-    if live:
-        prov = LambdaVectors(reps, cache_norm=cache_norm)
+    prov = LambdaVectors(reps, cache_norm=cache_norm)
 
-        def extend(vec, npj, pj, e):
-            child = vec * prov.vec(npj, pj, e)
-            return child if child.any() else None
+    def extend(vec, npj, pj, e):
+        child = vec * prov.vec(npj, pj, e)
+        return child if child.any() else None
 
-        def term(nrm, vec):
-            for V, limit, acc in live:
-                if nrm <= limit:
-                    np.add(acc, vec * (math.exp(-nrm / V) / nrm), out=acc)
-
-        g.walk_ideals(max(limit for _, limit, _ in live), extend, term,
-                      root=np.ones(len(reps)))
-    return [acc[inverse] for acc in accs]
+    sums = smoothed_sums(Vs, extend, root=np.ones(len(reps)), cutoff_mult=cutoff_mult)
+    return [acc[inverse] for acc in sums]
 
 
 def gv_per_trace(traces: TraceSet, V: float, cutoff_mult: float = CUTOFF_MULT,

@@ -87,6 +87,14 @@ def test_psi_monotone_and_positive():
     assert values == sorted(values)
 
 
+def test_psi_rejects_bad_v():
+    for V in (0.0, -5.0, math.nan):
+        with pytest.raises(ValueError):
+            psi(100, PsiOptions(V=V))
+        with pytest.raises(ValueError):  # (10003, 10004] holds no trace
+            psi_short_interval(10003.0, 1.0, PsiOptions(V=V))
+
+
 def test_psi_near_main_term():
     r = psi(1000.0)
     assert abs(r.psi / r.main - 1.0) < 0.05

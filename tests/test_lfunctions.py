@@ -1,15 +1,20 @@
 """Dirichlet series, the coefficient factorization, and smoothed values."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pgt
 from pgt.gaussian import GaussianInt, canonical_rep, canonical_pair, \
     ideal_reps_upto, divisor_pairs, mobius, norm, mul
 from pgt.characters import discriminant_split, quadratic_character, chi
 from pgt.harness import fit_exponent
+from pgt import lfunctions as lf
 from pgt.lfunctions import (L_chi, R_V_estimate, T_l_poly, choose_V,
-                            ideal_norm_counts, normalization_sum,
+                            ideal_norm_counts, normalization_sum, smoothed_sums,
                             szmidt_coefficient_check,
                             szmidt_product_coefficients, zagier_L1, zeta_qi)
 from pgt import trace_engine
@@ -80,6 +85,71 @@ def test_L_chi_trivial_character_reduces_to_zeta():
     direct = sum(c / m**2 * math.exp(-m / 50.0)
                  for m, c in enumerate(ideal_norm_counts(2000)) if c and m)
     assert got == pytest.approx(direct, rel=1e-12)
+
+
+def test_L_chi_off_the_real_axis_matches_direct_sum():
+    # N(q)^(1-s) rides in the coefficients; the direct sum takes N(q)^-s
+    # per ideal and chi from its own path
+    s, V = 0.75 + 0.5j, 20.0
+    char = quadratic_character(G(5, 0))
+    r = L_chi(s, char, V, doublings=1)
+    direct = {W: sum(chi(char, canonical_rep(G(*qp))) * math.exp(-norm(qp) / W)
+                     * norm(qp) ** (-s) for qp in ideal_reps_upto(int(40 * W)))
+              for W in (V, 2 * V)}
+    assert abs(direct[V] - direct[2 * V]) > 1e-3  # chi is not trivial here
+    assert abs(r.value - direct[2 * V]) <= 1e-12
+    assert abs(r.band - abs(direct[2 * V] - direct[V])) <= 1e-12
+
+
+def _ext(val, npj, pj, e):
+    # a multiplicative a(q) of mixed sign with non-dyadic values
+    return val * ((-1) ** e * 3.0 / (npj + e) if pj[1] else 0.5 ** e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(0.01, 150.0), min_size=1, max_size=4))
+def test_smoothed_sums_multi_v_is_one_v_bit_for_bit(Vs):
+    assert smoothed_sums(Vs, _ext) == [smoothed_sums([V], _ext)[0] for V in Vs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.01, 150.0))
+def test_smoothed_sums_unit_coefficients_match_norm_counts(V):
+    # a(q) = 1: sum over m of (#ideals of norm m) e^(-m/V)/m, the ideals
+    # counted by lattice points rather than walked
+    limit = max(int(40 * V), 1)
+    counts = ideal_norm_counts(limit)
+    want = math.fsum(int(c) * math.exp(-m / V) / m for m, c in enumerate(counts) if m and c)
+    got, = smoothed_sums([V], lambda val, npj, pj, e: val)
+    assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("V", [0.0, -1.0, math.nan, math.inf])
+def test_smoothed_series_reject_bad_v(V):
+    char = quadratic_character(G(5, 0))
+    for call in (lambda: smoothed_sums([10.0, V], _ext), lambda: zagier_L1(G(5, 0), V),
+                 lambda: L_chi(1.0, char, V), lambda: normalization_sum(V)):
+        with pytest.raises(ValueError):
+            call()
+    if not V > 0:
+        with pytest.raises(ValueError):
+            R_V_estimate(G(5, 0), V)
+
+
+def test_walk_ideals_has_one_caller():
+    # every smoothed series goes through smoothed_sums; a second walker
+    # call would fork the sum again
+    callers = []
+    for path in sorted(Path(pgt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}  # node -> innermost enclosing function (ast.walk is breadth first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update((node, fn.name) for node in ast.walk(fn))
+        callers += [(path.stem, scope.get(node, "<module>")) for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and "walk_ideals" in
+                    (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert callers == [("lfunctions", "smoothed_sums")]
 
 
 def test_character_sum_cancellation():
@@ -244,6 +314,26 @@ def test_R_V_estimate_huge_V_extrapolates_tiny():
     est = R_V_estimate(G(5, 0), 1e8)
     assert est.extrapolated
     assert est.proxy < 1e-6
+
+
+def test_R_V_estimate_is_zagier_differences(monkeypatch):
+    # the ladder and its 8V partners from one walk equal separate walks
+    delta = G(5, 0)
+    est = R_V_estimate(delta, 40.0)
+    assert not est.extrapolated
+    assert est.proxy == abs(zagier_L1(delta, 40.0).value - zagier_L1(delta, 320.0).value)
+    monkeypatch.setattr(lf, "_RV_EXACT_LIMIT", 40 * 8 * 50)
+    seen = []
+
+    def recording_fit(points):
+        seen.extend(points)
+        return fit_exponent(seen)
+
+    monkeypatch.setattr(lf, "fit_exponent", recording_fit)
+    assert R_V_estimate(delta, 1e3).extrapolated
+    want = [(v, max(abs(zagier_L1(delta, v).value - zagier_L1(delta, 8 * v).value), 1e-300))
+            for v in (12.5, 25.0, 50.0)]
+    assert seen == want
 
 
 def test_choose_V_converges():

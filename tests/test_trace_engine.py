@@ -5,6 +5,7 @@ two-accumulator sweep against one-trace, one-V sweeps."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgt.characters import is_perfect_square
@@ -12,6 +13,7 @@ from pgt.gaussian import (CanonicalIdealRep, GaussianInt, canonical_pair,
                           disk_rows, ideal_reps_upto, mul, norm,
                           prime_ideals_upto, walk_ideals)
 from pgt.lfunctions import zagier_L1
+from pgt import trace_engine
 from pgt.quad_counts import lambda_, lambda_at_prime_power
 from pgt.trace_engine import LambdaVectors, TraceSet, gv_per_trace, gv_sweep
 
@@ -150,6 +152,19 @@ def test_gv_sweep_matches_single_trace_single_v_sweeps(pairs, V, cache_norm):
     fused = gv_sweep(ts, (V, V / 4.0), cache_norm=cache_norm)
     assert fused[0].tobytes() == whole.tobytes()
     assert fused[1].tobytes() == gv_per_trace(ts, V / 4.0, cache_norm=cache_norm).tobytes()
+
+
+def test_gv_sweep_of_no_traces_builds_no_tables(monkeypatch):
+    # an empty window, e.g. (X, X+1] near X = 1e4, must not walk: the walk
+    # would build a Legendre table for every prime up to the cutoff
+    def no_table(p):
+        raise AssertionError(f"Legendre table mod {p} built for no traces")
+
+    monkeypatch.setattr(trace_engine, "_sq_char_table", no_table)
+    got = gv_sweep(_trace_set([]), (1e4, 2.5e3))
+    assert [a.shape for a in got] == [(0,), (0,)]
+    with pytest.raises(ValueError):  # V is checked all the same
+        gv_sweep(_trace_set([]), (1e4, 0.0))
 
 
 @settings(max_examples=20, deadline=None)
