@@ -56,7 +56,7 @@ def parse_theta(text: str) -> Fraction:
 
 
 def parse_positive(text: str) -> float:
-    """A tolerance or smoothing length: a finite float > 0."""
+    """A tolerance, smoothing length, threshold or window: a finite float > 0."""
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
@@ -347,24 +347,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("psi", help="weighted geodesic count up to x")
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=parse_positive, required=True)
     p.add_argument("--v", type=parse_positive, default=None, help="smoothing length override")
     _add_tol(p)
     _add_common(p)
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("interval", help="short-interval difference at y = x^nu")
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=parse_positive, required=True)
     p.add_argument("--nu", type=float, default=0.7)
-    p.add_argument("--y", type=float, default=None, help="explicit window length")
+    p.add_argument("--y", type=parse_positive, default=None, help="explicit window length")
     p.add_argument("--v", type=parse_positive, default=None)
     _add_tol(p)
     _add_common(p)
     p.set_defaults(func=cmd_interval)
 
     p = sub.add_parser("smoothed", help="kernel-smoothed count")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--x", type=parse_positive, required=True)
+    p.add_argument("--y", type=parse_positive, required=True)
     p.add_argument("--v", type=parse_positive, default=None)
     _add_tol(p)
     _add_common(p)

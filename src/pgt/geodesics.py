@@ -44,7 +44,7 @@ import numpy as np
 from .errors import CutoffExceededError
 from .gaussian import GaussianInt, canonical_pair, disk_rows
 from . import characters
-from .lfunctions import CUTOFF_MULT, SmoothedValue, _tail_estimate
+from .lfunctions import CUTOFF_MULT, SmoothedValue, _require_positive, _tail_estimate
 from . import trace_engine
 
 PSI_CONSTANT = 1.0 / math.pi   # multiplies the ideal-convention L1 sum
@@ -175,6 +175,7 @@ def psi(X: float, opts: PsiOptions | None = None) -> GeodesicCountResult:
     Exact trace enumeration (condition 1 < thr(n) <= X tested per trace),
     smoothed L1 values from one ideal-major sweep at a global V.
     """
+    _require_positive(X=X)
     if X < 10:
         raise ValueError("X must be >= 10")
     opts = opts or PsiOptions()
@@ -195,6 +196,7 @@ def psi_short_interval(X: float, Y: float,
     opts.V the interval sums are additive across a partition of (X, X+Y]
     up to float associativity (the trace sets partition exactly).
     """
+    _require_positive(X=X, Y=Y)
     if not 1 <= Y <= X:
         raise ValueError("need 1 <= Y <= X")
     opts = opts or PsiOptions()
@@ -209,6 +211,7 @@ def psi_short_interval(X: float, Y: float,
 
 def trace_terms(X: float, opts: PsiOptions | None = None) -> list[TraceTerm]:
     """Per-trace terms of psi(X) (thresholds, weights, smoothed L1 values)."""
+    _require_positive(X=X)
     opts = opts or PsiOptions()
     traces = _window_traces(1.0, float(X))
     V = opts.pick_v(X)
@@ -276,8 +279,7 @@ class KernelSpec:
     _grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.Y <= 0:
-            raise ValueError("Y must be positive")
+        _require_positive(Y=self.Y)
         m = 512
         self._grid = np.linspace(0.0, 1.0, m + 1)
         vals = [0.0]
@@ -328,6 +330,7 @@ def psi_smoothed(X: float, kernel: KernelSpec,
     Each trace contributes weight * L1 * (1 - cdf(thr - X)): full weight
     once thr <= X+Y, zero beyond X+2Y, quadrature cdf in between.
     """
+    _require_positive(X=X)
     opts = opts or PsiOptions()
     Y = kernel.Y
     hi = X + 2.0 * Y
@@ -352,6 +355,7 @@ def psi_profile(X: float, Y: float, opts: PsiOptions | None = None):
     One sweep covering thresholds up to X+2Y; useful for integrating
     u -> Psi(X+u) directly against a kernel.
     """
+    _require_positive(X=X, Y=Y)
     opts = opts or PsiOptions()
     hi = X + 2.0 * Y
     traces = _window_traces(1.0, hi)

@@ -146,6 +146,14 @@ def zeta_qi(s: complex, cutoff: int = 10**6) -> ZetaPartialSum:
 # the smoothed-series evaluator, and smoothed L(s, chi_D)
 # ---------------------------------------------------------------------------
 
+def _require_positive(**values) -> None:
+    """The one input check for smoothing lengths V and, in geodesics, the
+    thresholds X and window lengths Y: each finite and > 0 (NaN fails)."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None) -> list:
     """[sum_q a(q) e^(-N(q)/V) / N(q) for V in Vs] from one ideal walk.
 
@@ -157,8 +165,8 @@ def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None) -> list:
     sum is bit-identical to the one-V call.  cutoff_mult defaults to
     CUTOFF_MULT, read at call time.
     """
-    if not all(0 < V < math.inf for V in Vs):
-        raise ValueError("V must be positive and finite")
+    for V in Vs:
+        _require_positive(V=V)
     mult = CUTOFF_MULT if cutoff_mult is None else cutoff_mult
     limits = [max(int(mult * V), 1) for V in Vs]
     sums = [root * 0.0 for _ in Vs]
@@ -363,9 +371,10 @@ def R_V_estimate(delta: GaussianInt, V: float, sigma: float = 0.5,
     reporting alongside; they are bounds on sums over families, so for a
     single delta both Card and the tower count are 1.
     """
+    _require_positive(V=V)
     if not 0.5 <= sigma < 1.0:
         raise ValueError("sigma must lie in [1/2, 1)")
-    ladder = [V]  # a V that is not > 0 (NaN too) stays here, where it is rejected
+    ladder = [V]
     if CUTOFF_MULT * 8.0 * V > _RV_EXACT_LIMIT:
         vmax = _RV_EXACT_LIMIT / (CUTOFF_MULT * 8.0)
         ladder = [vmax / 4.0, vmax / 2.0, vmax]

@@ -32,22 +32,30 @@ scalar quad_counts.lambda_.
 
 No work is done twice for an answer already known:
 
-  * orbit representatives: n and -n have the same delta, so the walk runs
-    over one trace per distinct delta and the values are scattered back.
-    Each value depends only on its own delta, so this is exact, and it holds
-    for any trace set, with or without the partner of a trace.
+  * orbit representatives: n, -n, conj(n) and -conj(n) give delta and
+    conj(delta), and G_V(conj(delta)) = G_V(delta) because
+    lambda_q(conj(delta)) = lambda_{conj(q)}(delta) and N(conj(q)) = N(q).
+    So the walk runs over one trace per class {delta, conj(delta)}, the
+    member with Im(delta) >= 0, and the values are scattered back.  The
+    representative depends only on the class, so a value never depends on
+    which other traces share the set.  In floating point a trace with
+    Im(delta) < 0 gets conj(delta)'s walk, which adds the same terms in
+    another order: within ~1e-14 of walking delta itself.
   * several V in one walk: `gv_sweep` hands its Vs to smoothed_sums, whose
     accumulator for each V is bit-identical to its own `gv_per_trace`.  The
     quarter-V validation of geodesics rides along the V sweep this way.
-  * shared Legendre tables: the table mod p serves every prime ideal over
-    p.  Tables up to cache_norm are kept; of the larger ones the latest is
-    kept, which is the one the conjugate split ideal asks for next (a prime
-    above the square root of the cutoff is a leaf of the walk, so the walk
-    reaches the two ideals over p back to back).
+  * one Legendre table per rational prime: the table mod p fills the e = 1
+    vectors of both split ideals over p at once, and is kept only while the
+    walk can ask for a higher power over p (p^2 within the cutoff).
+  * a byte budget: vectors and kept tables are cached, least recently used
+    out first, up to cache_bytes (64 MiB by default), so a vector asked for
+    at many nodes of the walk is built once, whatever its norm, while the
+    budget holds it.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,7 +144,8 @@ def _sq_char_table(p: int) -> np.ndarray:
     """tab[r] = legendre(r, p) in {-1, 0, +1} for r in [0, p)."""
     tab = np.full(p, -1, dtype=np.int8)
     r = np.arange((p - 1) // 2 + 1, dtype=np.int64)
-    tab[(r * r) % p] = 1
+    r *= r
+    tab[r - (r // p) * p] = 1  # r % p, but floor division by a scalar is faster
     tab[0] = 0
     return tab
 
@@ -241,23 +250,52 @@ def even_lambda_table(e: int):
     return out, ring
 
 
-class LambdaVectors:
-    """Per-trace lambda_{pi^e}(n^2-4) vectors with a norm-bounded cache."""
+# 64 MiB holds every vector of psi(1e4) at V = 1000 (38 MB).  psi(1e4) at
+# V = 1e4 needs 280 MB; within 64 MiB it builds twice the Legendre tables
+# and takes ~15% longer than with every vector held
+CACHE_BYTES = 1 << 26
 
-    def __init__(self, traces: TraceSet, cache_norm: int = 32768):
+
+class LambdaVectors:
+    """Per-trace lambda_{pi^e}(n^2-4) vectors, cached under a byte budget.
+
+    The cache holds vectors and Legendre tables, least recently used first
+    out, and never more than cache_bytes.  A table is cached only when the
+    walk to `limit` can ask for it again, i.e. when a second power over its
+    prime lies within limit (p*p <= limit); a larger split prime's table
+    serves the e = 1 vectors of both ideals over p, built together.
+    """
+
+    def __init__(self, traces: TraceSet, limit: float, cache_bytes: int = CACHE_BYTES):
         self.tr = traces
-        self.cache_norm = cache_norm
-        self._cache: dict = {}
-        self._chartabs: dict = {}
-        self._large_p = None   # the one table kept above cache_norm
+        self.limit = limit
+        self.cache_bytes = cache_bytes
+        self.cached_bytes = 0
+        self._cache: OrderedDict = OrderedDict()
+
+    def _get(self, key):
+        hit = self._cache.get(key)
+        if hit is not None:
+            self._cache.move_to_end(key)
+        return hit
+
+    def _put(self, key, arr: np.ndarray) -> None:
+        old = self._cache.pop(key, None)
+        if old is not None:
+            self.cached_bytes -= old.nbytes
+        if arr.nbytes > self.cache_bytes:
+            return
+        while self.cached_bytes + arr.nbytes > self.cache_bytes:
+            self.cached_bytes -= self._cache.popitem(last=False)[1].nbytes
+        self._cache[key] = arr
+        self.cached_bytes += arr.nbytes
 
     def _chartab(self, p: int) -> np.ndarray:
-        tab = self._chartabs.get(p)
+        tab = self._get(p)
         if tab is None:
-            if p > self.cache_norm:
-                self._chartabs.pop(self._large_p, None)
-                self._large_p = p
-            tab = self._chartabs[p] = _sq_char_table(p)
+            tab = _sq_char_table(p)
+            if p * p <= self.limit:
+                self._put(p, tab)
         return tab
 
     def _build(self, npj: int, pj, e: int) -> np.ndarray:
@@ -279,20 +317,20 @@ class LambdaVectors:
         tab = self._chartab(p)
         t = _t_for_split(pj, p)
         if e == 1:
-            d = (tr.da + t * tr.db) % p
-            return tab[d]
+            # i = t (mod pi) and i = -t (mod conj(pi)), whose canonical
+            # pair is (b, a): one table serves both ideals over p
+            self._put((pj[::-1], 1), tab[(tr.da - t * tr.db) % p])
+            return tab[(tr.da + t * tr.db) % p]
         v, ca, cb = _valuation_divide(tr.da, tr.db, pj[0], pj[1], p, e)
         s = tab[(ca + t * cb) % p]
         return _pattern_from_valuation(e, v, s, p)
 
     def vec(self, npj: int, pj, e: int) -> np.ndarray:
         key = (pj, e)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._build(npj, pj, e)
-        if npj**e <= self.cache_norm:
-            self._cache[key] = out
+        out = self._get(key)
+        if out is None:
+            out = self._build(npj, pj, e)
+            self._put(key, out)
         return out
 
 
@@ -301,25 +339,31 @@ class LambdaVectors:
 # ---------------------------------------------------------------------------
 
 def _orbit_reps(traces: TraceSet):
-    """(reps, inverse): one trace per distinct n^2 - 4, and for each trace
-    the index of its representative, so that values[inverse] scatters back."""
-    _, first, inverse = np.unique(np.stack((traces.da, traces.db), axis=1), axis=0,
-                                  return_index=True, return_inverse=True)
-    reps = TraceSet(lo=traces.lo, hi=traces.hi, na=traces.na[first],
-                    nb=traces.nb[first], weight=traces.weight[first],
-                    thr=traces.thr[first])
+    """(reps, inverse): one trace per class {delta, conj(delta)} of
+    delta = n^2 - 4, and for each trace the index of its representative, so
+    that values[inverse] scatters back.
+
+    The representative is the member with Im(delta) >= 0: a trace with
+    db < 0 is swept as conj(n) = (na, -nb).  It depends only on the class.
+    """
+    _, first, inverse = np.unique(np.stack((traces.da, np.abs(traces.db)), axis=1),
+                                  axis=0, return_index=True, return_inverse=True)
+    nb = np.where(traces.db < 0, -traces.nb, traces.nb)
+    reps = TraceSet(lo=traces.lo, hi=traces.hi, na=traces.na[first], nb=nb[first],
+                    weight=traces.weight[first], thr=traces.thr[first])
     return reps, inverse.reshape(-1)
 
 
 def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT,
-             cache_norm: int = 32768) -> list:
+             cache_bytes: int = CACHE_BYTES) -> list:
     """[G_V(n^2-4) for every trace in `traces`, for V in Vs] from one walk.
 
     One lfunctions.smoothed_sums walk over the orbit representatives, with
     one accumulator per V; each array is bit-identical to gv_per_trace at
     its V.  The running product over prime powers is a
     float64 vector (lambda values at desk scale stay far below 2^53, so
-    products are exact).
+    products are exact).  cache_bytes bounds the LambdaVectors cache; the
+    values do not depend on it.
     """
     if len(traces) == 0:
         # walk the unit ideal alone, so that V is still checked: a full walk
@@ -327,7 +371,7 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT,
         # at V = 1e4) for an empty window such as (X, X+1]
         cutoff_mult = 0.0
     reps, inverse = _orbit_reps(traces)
-    prov = LambdaVectors(reps, cache_norm=cache_norm)
+    prov = LambdaVectors(reps, cutoff_mult * max(Vs), cache_bytes=cache_bytes)
 
     def extend(vec, npj, pj, e):
         child = vec * prov.vec(npj, pj, e)
@@ -338,7 +382,7 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT,
 
 
 def gv_per_trace(traces: TraceSet, V: float, cutoff_mult: float = CUTOFF_MULT,
-                 cache_norm: int = 32768) -> np.ndarray:
+                 cache_bytes: int = CACHE_BYTES) -> np.ndarray:
     """G_V(n^2-4) for every trace in `traces` (ideal convention): the
     one-V gv_sweep."""
-    return gv_sweep(traces, (V,), cutoff_mult, cache_norm)[0]
+    return gv_sweep(traces, (V,), cutoff_mult, cache_bytes)[0]

@@ -95,6 +95,25 @@ def test_psi_rejects_bad_v():
             psi_short_interval(10003.0, 1.0, PsiOptions(V=V))
 
 
+def test_counting_entry_points_reject_bad_x_and_y():
+    # X and Y must be finite and positive at every counting entry point:
+    # psi(nan) used to die in int(), psi_profile(100, -10) returned the
+    # profile up to 80, psi_smoothed(-50, ...) returned 0.0 and KernelSpec
+    # took nan and inf
+    nan, inf = math.nan, math.inf
+    calls = [lambda: psi(nan), lambda: psi(inf), lambda: psi(-20.0),
+             lambda: psi_short_interval(nan, 5.0), lambda: psi_short_interval(100.0, nan),
+             lambda: psi_short_interval(inf, 5.0),
+             lambda: psi_smoothed(-50.0, KernelSpec(Y=10.0)),
+             lambda: psi_smoothed(nan, KernelSpec(Y=10.0)),
+             lambda: psi_profile(100.0, -10.0), lambda: psi_profile(nan, 10.0),
+             lambda: trace_terms(nan), lambda: trace_terms(-5.0),
+             lambda: KernelSpec(Y=nan), lambda: KernelSpec(Y=inf), lambda: KernelSpec(Y=0.0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            call()
+
+
 def test_psi_near_main_term():
     r = psi(1000.0)
     assert abs(r.psi / r.main - 1.0) < 0.05

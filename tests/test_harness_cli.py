@@ -49,7 +49,10 @@ def test_cli_rejects_bad_tol_and_seed(capsys):
     for bad in (["psi", "--x", "100", "--tol", "0"], ["circle", "--seed", "-1"],
                 ["circle", "--seed", str(2**64)], ["psi", "--x", "100", "--v", "0"],
                 ["interval", "--x", "100", "--v", "nan"], ["lfun", "--trace", "3", "--v", "0"],
-                ["smoothed", "--x", "100", "--y", "10", "--v", "inf"]):
+                ["smoothed", "--x", "100", "--y", "10", "--v", "inf"],
+                ["psi", "--x", "nan"], ["psi", "--x", "-100"], ["interval", "--x", "inf"],
+                ["interval", "--x", "100", "--y", "-3"],
+                ["smoothed", "--x", "1000", "--y", "nan"]):
         with pytest.raises(SystemExit) as exc:
             main(bad)
         assert exc.value.code == 2

@@ -1,6 +1,6 @@
-"""Property tests: the vector lambda builders, the factored-ideal walker,
-the disk enumerator, the orbit invariance of G_V, and the orbit and
-two-accumulator sweep against one-trace, one-V sweeps."""
+"""Property tests: the vector lambda builders and their byte-budgeted cache,
+the factored-ideal walker, the disk enumerator, the orbit invariance of G_V,
+and the orbit and two-accumulator sweep against one-trace, one-V sweeps."""
 
 import math
 
@@ -15,7 +15,8 @@ from pgt.gaussian import (CanonicalIdealRep, GaussianInt, canonical_pair,
 from pgt.lfunctions import zagier_L1
 from pgt import trace_engine
 from pgt.quad_counts import lambda_, lambda_at_prime_power
-from pgt.trace_engine import LambdaVectors, TraceSet, gv_per_trace, gv_sweep
+from pgt.trace_engine import (CACHE_BYTES, LambdaVectors, TraceSet, gv_per_trace,
+                              gv_sweep, trace_set)
 
 G = GaussianInt
 PP_NORM_MAX = 2000
@@ -48,18 +49,56 @@ traces_st = st.lists(
     min_size=1, max_size=4, unique=True)
 
 
-@settings(max_examples=8, deadline=None)
-@given(traces_st, st.integers(1, 2 * PP_NORM_MAX))
-def test_lambda_vectors_match_scalar_lambda(pairs, cache_norm):
-    prov = LambdaVectors(_trace_set(pairs), cache_norm=cache_norm)
+def _budgets(n):
+    """Cache budgets for n traces: below one int8 vector (n bytes), between
+    it and one float64 vector, above both, and the default."""
+    return [n - 1, n + 1, 4 * n, 8 * n + 1, 64 * n, CACHE_BYTES]
+
+
+@settings(max_examples=12, deadline=None)
+@given(traces_st, st.data(), st.booleans())
+def test_lambda_vectors_match_scalar_lambda(pairs, data, descending):
+    cache_bytes = data.draw(st.sampled_from(_budgets(len(pairs))))
+    prov = LambdaVectors(_trace_set(pairs), PP_NORM_MAX, cache_bytes=cache_bytes)
     ns = [G(a, b) for a, b in pairs]
-    for npi, pi, e in PRIME_POWERS:
+    # PRIME_POWERS lists pi = (a, b) before its conjugate (b, a) when a < b;
+    # descending asks for the conjugate first, whose e = 1 build fills pi's
+    for npi, pi, e in (PRIME_POWERS[::-1] if descending else PRIME_POWERS):
         q = _power(pi, e)
         want = [lambda_at_prime_power(pi, e, n * n - G(4, 0), n) for n in ns]
-        # second call: served from the cache when N(pi^e) <= cache_norm
+        # second call: served from the cache when the budget holds the vector
         for _ in range(2):
             assert prov.vec(npi, pi, e).tolist() == want, (pi, e, pairs)
         assert want == [lambda_(q, n * n - G(4, 0), n=n) for n in ns], (pi, e)
+
+
+@settings(max_examples=12, deadline=None)
+@given(traces_st, st.randoms(use_true_random=False))
+def test_lambda_vector_cache_stays_within_its_budget(pairs, rng):
+    asks = PRIME_POWERS * 3
+    rng.shuffle(asks)
+    for cache_bytes in _budgets(len(pairs)):
+        prov = LambdaVectors(_trace_set(pairs), PP_NORM_MAX, cache_bytes=cache_bytes)
+        for npi, pi, e in asks:
+            prov.vec(npi, pi, e)
+            held = sum(a.nbytes for a in prov._cache.values())
+            assert prov.cached_bytes == held <= cache_bytes, cache_bytes
+
+
+def test_one_legendre_table_per_rational_prime(monkeypatch):
+    # a budget that holds every vector: each odd prime the walk to 40V
+    # reaches gets one table, which serves both split ideals over p and,
+    # below the square root of the cutoff, their higher powers
+    built = []
+    real = trace_engine._sq_char_table
+    monkeypatch.setattr(trace_engine, "_sq_char_table", lambda p: built.append(p) or real(p))
+    V = 2000.0
+    gv_sweep(trace_set(2000.0, 2100.0), (V,), cache_bytes=1 << 30)
+    limit = int(40 * V)
+    # the rational prime under each odd prime ideal: p for inert (p), N for split
+    reached = {pi[0] if pi[1] == 0 else npi for npi, pi in prime_ideals_upto(limit)
+               if pi != (1, 1)}
+    assert sorted(built) == sorted(reached)
 
 
 @settings(max_examples=25, deadline=None)
@@ -101,15 +140,17 @@ orbit_st = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(
 @settings(max_examples=10, deadline=None)
 @given(orbit_st, st.sampled_from([20.0, 75.0]))
 def test_gv_orbit_invariance(n, V):
-    """G_V(n^2 - 4) is unchanged by n -> -n (same delta: bit-equal) and by
-    n -> conj(n) (conjugate ideals, reordered sum: equal to rounding).
+    """G_V(n^2 - 4) is unchanged by n -> -n (same delta) and by n -> conj(n)
+    (conjugate ideals).  The vector sweep walks conj(delta) as delta, so it
+    is bit-equal on both; the scalar walk reorders the sum under conj, so
+    it is equal to rounding there.
 
-    Each trace is swept alone: in one sweep n and -n share a representative,
+    Each trace is swept alone: in one sweep the four share a representative,
     so their equality there would hold by construction."""
     a, b = n
     gv = [gv_per_trace(_trace_set([m]), V)[0] for m in ((a, b), (-a, -b), (a, -b))]
     assert gv[1] == gv[0]
-    assert abs(gv[2] - gv[0]) <= 1e-12 * abs(gv[0])
+    assert gv[2] == gv[0]
     scalar = [zagier_L1(m * m - G(4, 0), V, n=m).value
               for m in (G(a, b), G(-a, -b), G(a, -b))]
     assert scalar[1] == scalar[0]
@@ -126,13 +167,16 @@ any_trace_st = st.one_of(
 
 @st.composite
 def orbit_shaped_sets(draw):
-    """Trace lists mixing +-n pairs, lone traces and repeated traces, shuffled."""
+    """Trace lists mixing +-n pairs, whole {+-n, +-conj(n)} orbits, lone
+    traces and repeated traces, shuffled."""
     pairs = []
     for a, b in draw(st.lists(any_trace_st, min_size=1, max_size=5)):
         pairs.append((a, b))
-        shape = draw(st.sampled_from(["lone", "pair", "repeat"]))
-        if shape == "pair":
+        shape = draw(st.sampled_from(["lone", "pair", "conj", "repeat"]))
+        if shape in ("pair", "conj"):
             pairs.append((-a, -b))
+        if shape == "conj":
+            pairs += [(a, -b), (-a, b)]
         elif shape == "repeat":
             pairs.append((a, b))
     return draw(st.permutations(pairs))
@@ -140,18 +184,19 @@ def orbit_shaped_sets(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(orbit_shaped_sets(), st.sampled_from([0.05, 10.0, 30.0, 75.0]),
-       st.sampled_from([1, 60, 32768]))
-def test_gv_sweep_matches_single_trace_single_v_sweeps(pairs, V, cache_norm):
-    """One sweep per +-n orbit, scattered back, equals sweeping each trace
-    alone; the V / V/4 sweep with two accumulators equals two one-V sweeps.
-    Both bit for bit, with large Legendre tables shared or rebuilt."""
+       st.sampled_from([0, 60, CACHE_BYTES]))
+def test_gv_sweep_matches_single_trace_single_v_sweeps(pairs, V, cache_bytes):
+    """One sweep per {+-n, +-conj(n)} orbit, scattered back, equals sweeping
+    each trace alone; the V / V/4 sweep with two accumulators equals two
+    one-V sweeps.  Both bit for bit, with vectors and Legendre tables cached
+    or rebuilt."""
     ts = _trace_set(pairs)
-    whole = gv_per_trace(ts, V, cache_norm=cache_norm)
-    alone = [gv_per_trace(_trace_set([p]), V, cache_norm=cache_norm)[0] for p in pairs]
+    whole = gv_per_trace(ts, V, cache_bytes=cache_bytes)
+    alone = [gv_per_trace(_trace_set([p]), V, cache_bytes=cache_bytes)[0] for p in pairs]
     assert whole.tobytes() == np.array(alone).tobytes()
-    fused = gv_sweep(ts, (V, V / 4.0), cache_norm=cache_norm)
+    fused = gv_sweep(ts, (V, V / 4.0), cache_bytes=cache_bytes)
     assert fused[0].tobytes() == whole.tobytes()
-    assert fused[1].tobytes() == gv_per_trace(ts, V / 4.0, cache_norm=cache_norm).tobytes()
+    assert fused[1].tobytes() == gv_per_trace(ts, V / 4.0, cache_bytes=cache_bytes).tobytes()
 
 
 def test_gv_sweep_of_no_traces_builds_no_tables(monkeypatch):
