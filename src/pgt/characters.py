@@ -5,7 +5,11 @@ Euler criterion
 
     (x / pi) = x^((N(pi)-1)/2)  mod pi   in {0, +1, -1},
 
-by square-and-multiply in Z[i]/(pi) with rounded-division reduction.  The
+computed as one rational pow in the residue field Z[i]/(pi) = F_p or F_q^2
+(gaussian.euler_symbol).  Primality is checked once, at the public entry
+points residue_symbol and QuadraticCharacter.value_at_prime; the series
+walks and the pinning oracle pass primes from factorizations and prime
+lists straight to the cached lookup.  The
 character chi_D attached to a discriminant delta ~ D l^2 is the completely
 multiplicative function on ideals with
 
@@ -105,7 +109,8 @@ class QuadraticCharacter:
 
     Values at odd primes come from the Euler criterion with D on top; the
     value at (1+i) and the unit normalization of D were pinned by the
-    coefficient-matching oracle.  Evaluations at odd primes are cached; the
+    coefficient-matching oracle.  Evaluations at odd primes are cached,
+    starting from the symbols the pinning computed for this candidate; the
     cache only ever receives identical values for a key, so concurrent
     readers are safe.
     """
@@ -118,6 +123,8 @@ class QuadraticCharacter:
     _prime_cache: dict = field(default_factory=dict, repr=False)
 
     def value_at_prime(self, pi: CanonicalIdealRep) -> int:
+        if not g.is_prime_ideal(pi):
+            raise NotPrimeError(f"{pi} is not a Gaussian prime")
         return _prime_value(self.D.pair, self.even_value, self._prime_cache, pi.pair)
 
 
@@ -142,13 +149,13 @@ def _prime_value(D_pair, even_value, cache, pi) -> int:
     """chi_D at the prime pair pi for the character (D, even_value).
 
     `cache` maps odd prime pairs to their residue symbols with D on top.
+    pi comes from a factorization or a prime list, so it is not checked.
     """
-    if g.norm(pi) == 2:
+    if pi == (1, 1):
         return even_value
     v = cache.get(pi)
     if v is None:
-        v = residue_symbol(GaussianInt.from_pair(D_pair),
-                           CanonicalIdealRep(GaussianInt.from_pair(pi)))
+        v = g.euler_symbol(D_pair, pi)
         cache[pi] = v
     return v
 
@@ -211,7 +218,8 @@ def _pin_candidates(delta: GaussianInt, n: GaussianInt | None):
     """Search (even exponent a, unit u, even_value) consistent with lambda data.
 
     Returns (survivors, report_data); survivors are tuples
-    (a, u_pair, ev, D_pair, l_pair).
+    (a, u_pair, ev, D_pair, l_pair), and report_data["caches"] maps each
+    candidate to the residue symbols its checks computed.
     """
     fac = g.factor_pair_cached(delta.pair)
     e0 = 0
@@ -273,12 +281,13 @@ def _pin_candidates(delta: GaussianInt, n: GaussianInt | None):
 
     cutoff = _PIN_BASE_CUTOFF
     survivors = candidates
+    caches = {cand: {} for cand in candidates}
     while True:
         qs = validation_set(cutoff)
         kept = []
         for cand in survivors:
             a, u, ev, D_pair, l_pair = cand
-            cache: dict = {}
+            cache = caches[cand]
             tcoeffs = _t_coefficients(D_pair, ev, l_pair, cache)
             ok = True
             for qpair in qs:
@@ -298,6 +307,7 @@ def _pin_candidates(delta: GaussianInt, n: GaussianInt | None):
         "checked_norm": cutoff,
         "even_depth": even_depth,
         "split_prime_used": split_probe,
+        "caches": caches,
     }
     return survivors, meta
 
@@ -335,7 +345,8 @@ def _pin_full(delta: GaussianInt, n: GaussianInt | None = None):
         l=CanonicalIdealRep(GaussianInt.from_pair(l_pair)),
     )
     char = QuadraticCharacter(D=split.D, even_value=ev, unit_value=1,
-                              validated=True, report=report)
+                              validated=True, report=report,
+                              _prime_cache=meta["caches"][survivors[0]])
     return split, char
 
 

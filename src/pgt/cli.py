@@ -16,13 +16,15 @@ import sys
 from fractions import Fraction
 
 from . import exponents as ex
+from . import gaussian as g
 from . import geodesics as geo
 from . import lattice
 from . import lfunctions as lf
 from . import quad_counts as qc
 from . import spectral as spec_mod
 from .acceptance import run_all
-from .characters import discriminant_split, quadratic_character
+from .characters import discriminant_split, is_perfect_square, quadratic_character
+from .errors import OverflowGuardError
 from .gaussian import GaussianInt, canonical_rep
 from .harness import parse_config_file, write_csv, write_json
 
@@ -32,7 +34,7 @@ def parse_gaussian(text: str) -> GaussianInt:
     s = text.strip().replace(" ", "")
     m = re.fullmatch(r"([+-]?\d+)", s)
     if m:
-        return GaussianInt(int(m.group(1)), 0)
+        return _gaussian(int(m.group(1)), 0, repr(text))
     m = re.fullmatch(r"([+-]?\d*)i", s)
     if m:
         part = m.group(1)
@@ -40,15 +42,52 @@ def parse_gaussian(text: str) -> GaussianInt:
             return GaussianInt(0, 1)
         if part == "-":
             return GaussianInt(0, -1)
-        return GaussianInt(0, int(part))
+        return _gaussian(0, int(part), repr(text))
     m = re.fullmatch(r"([+-]?\d+)([+-]\d*)i", s)
     if m:
         re_part = int(m.group(1))
         im_text = m.group(2)
         if im_text in ("+", "-"):
             im_text += "1"
-        return GaussianInt(re_part, int(im_text))
+        return _gaussian(re_part, int(im_text), repr(text))
     raise argparse.ArgumentTypeError(f"cannot parse Gaussian integer {text!r}")
+
+
+def _gaussian(re_part: int, im_part: int, what: str) -> GaussianInt:
+    try:
+        return GaussianInt(re_part, im_part)
+    except OverflowGuardError:
+        raise argparse.ArgumentTypeError(
+            f"components must lie below 2^31 in size, got {what}") from None
+
+
+def parse_discriminant(text: str) -> GaussianInt:
+    """--delta: a Gaussian integer that is neither zero nor a perfect square."""
+    delta = parse_gaussian(text)
+    if is_perfect_square(delta):
+        raise argparse.ArgumentTypeError(
+            f"delta must be nonzero and not a perfect square, got {text!r}")
+    return delta
+
+
+def parse_trace(text: str) -> GaussianInt:
+    """--trace: a Gaussian integer n whose delta = n^2 - 4 passes parse_discriminant."""
+    n = parse_gaussian(text)
+    re_part, im_part = g.sub(g.mul(n.pair, n.pair), (4, 0))
+    if is_perfect_square(_gaussian(re_part, im_part, f"n^2 - 4 for n = {text!r}")):
+        raise argparse.ArgumentTypeError(
+            f"delta = n^2 - 4 must be nonzero and not a perfect square, got n = {text!r}")
+    return n
+
+
+def parse_modulus(text: str) -> GaussianInt:
+    """--c of kloosterman: nonzero, with norm within the enumeration cutoff."""
+    c = parse_gaussian(text)
+    if c.is_zero() or c.norm() > qc.KLOOSTERMAN_NORM_CUTOFF:
+        raise argparse.ArgumentTypeError(
+            f"modulus must be nonzero with norm <= {qc.KLOOSTERMAN_NORM_CUTOFF}, "
+            f"got {text!r}")
+    return c
 
 
 def parse_theta(text: str) -> Fraction:
@@ -372,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lfun", help="smoothed form L-value and its factorization")
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--delta", type=parse_gaussian)
-    grp.add_argument("--trace", type=parse_gaussian, help="trace n; delta = n^2-4")
+    grp.add_argument("--delta", type=parse_discriminant)
+    grp.add_argument("--trace", type=parse_trace, help="trace n; delta = n^2-4")
     p.add_argument("--v", type=parse_positive, default=None)
     _add_tol(p)
     _add_common(p)
@@ -389,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kloosterman", help="one Kloosterman sum and its Weil ratio")
     p.add_argument("--m", type=parse_gaussian, required=True)
     p.add_argument("--n", type=parse_gaussian, required=True)
-    p.add_argument("--c", type=parse_gaussian, required=True)
+    p.add_argument("--c", type=parse_modulus, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_kloosterman)
 

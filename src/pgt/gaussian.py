@@ -139,27 +139,43 @@ def invert_mod(a, m):
     return reduce_mod(mul(x, conj(g)), m)
 
 
+def i_mod_split(pi, p: int) -> int:
+    """t in [0, p) with i = t (mod pi), for pi = a+bi a split prime over p.
+
+    pi = 0 (mod pi) gives i = -a/b, so t = -a * b^-1 mod p, and the ring map
+    Z[i]/(pi) -> Z/p sends x0 + x1*i to x0 + x1*t.  Any unit associate of pi
+    gives the same t.
+    """
+    a, b = pi
+    t = (-a * pow(b, -1, p)) % p
+    if (t * t + 1) % p:
+        raise ArithmeticError(f"bad split data for {pi}")
+    return t
+
+
 def euler_symbol(x, pi) -> int:
     """Quadratic residue symbol (x / pi) of a pair x at an odd prime pair pi.
 
-    Euler criterion x^((N(pi)-1)/2) mod pi in {0, +1, -1}, by
-    square-and-multiply with rounded-division reduction.  pi is not checked
-    for primality; callers pass primes.
+    Euler criterion x^((N(pi)-1)/2) mod pi in {0, +1, -1}, as one rational
+    pow in the residue field.  A split pi over p maps x to x0 + x1*t mod p
+    (i_mod_split); an inert pi, an associate of (q), maps x to N(x) mod q,
+    since the Frobenius gives x^(q+1) = N(x) and so
+    x^((q^2-1)/2) = N(x)^((q-1)/2).  pi may be any unit associate; it is not
+    checked for primality, callers pass primes.
     """
-    r = reduce_mod(x, pi)
-    if divides(pi, r):
+    a, b = pi
+    if a and b:
+        p = a * a + b * b
+        r = (x[0] + x[1] * i_mod_split(pi, p)) % p
+    else:
+        p = abs(a + b)
+        r = (x[0] * x[0] + x[1] * x[1]) % p
+    if r == 0:
         return 0
-    acc = (1, 0)
-    base = r
-    e = (norm(pi) - 1) // 2
-    while e:
-        if e & 1:
-            acc = reduce_mod(mul(acc, base), pi)
-        base = reduce_mod(mul(base, base), pi)
-        e >>= 1
-    if divides(pi, sub(acc, (1, 0))):
+    s = pow(r, (p - 1) // 2, p)
+    if s == 1:
         return 1
-    if divides(pi, add(acc, (1, 0))):
+    if s == p - 1:
         return -1
     raise ArithmeticError(f"Euler criterion returned a non-square-root at {pi}")
 

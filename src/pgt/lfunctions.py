@@ -49,7 +49,8 @@ from .gaussian import CanonicalIdealRep, GaussianInt
 from . import quad_counts
 from .harness import fit_exponent
 from .characters import QuadraticCharacter, quadratic_character, \
-    discriminant_split, _product_coefficient, _t_coefficients, _validated_args
+    discriminant_split, _prime_value, _product_coefficient, _t_coefficients, \
+    _validated_args
 
 CUTOFF_MULT = 40.0  # smoothed series run over N(q) <= CUTOFF_MULT * V
 
@@ -188,13 +189,16 @@ def L_chi(s: complex, character: QuadraticCharacter, V: float,
     One smoothed_sums walk evaluates all V-doublings; N(q)^(1-s) is
     completely multiplicative, so it rides in the coefficients.  The
     convergence band is the final doubling step.  A band above tol sets
-    converged=False (flag, not an exception).
+    converged=False (flag, not an exception).  The walk hands its prime
+    pairs straight to the character's cached symbol lookup, so no prime is
+    tested for primality here.
     """
     vs = [V * 2.0**j for j in range(doublings + 1)]
     w = 1.0 - complex(s)
+    D_pair, ev, cache = character.D.pair, character.even_value, character._prime_cache
 
     def extend(val, npj, pj, e):
-        v = character.value_at_prime(CanonicalIdealRep(GaussianInt.from_pair(pj)))
+        v = _prime_value(D_pair, ev, cache, pj)
         return val * v ** (e % 2) * npj ** (e * w) if v else None
 
     sums = smoothed_sums(vs, extend)

@@ -16,9 +16,12 @@ at each prime power).
 
 The phase <m, a/c> equals an exact integer divided by N(c), so every
 exponential here is a root of unity evaluated from an exact rational angle;
-sums are accumulated by harness.compensated_sum (Kahan summation).  The
-trace partial sums run over gaussian.disk_rows, one residue-class bincount
-per row.
+sums are accumulated by harness.compensated_sum (Kahan summation).  For a
+primitive c the unit group is that of Z/N(c), so units and inverses are
+rational gcd and pow; other moduli keep one Gaussian Euclid pass per
+residue.  The brute-force rho_q is one int64 numpy predicate over the whole
+of Z[i]/(2q).  The trace partial sums run over gaussian.disk_rows, one
+residue-class bincount per row.
 """
 
 from __future__ import annotations
@@ -44,23 +47,27 @@ _ROOT_ENUM_CUTOFF = 2**20       # largest prime norm for root enumeration
 # ---------------------------------------------------------------------------
 
 def rho_bruteforce(q: CanonicalIdealRep, delta: GaussianInt) -> int:
-    """Count x mod (2q) with x^2 = delta (mod 4q) by full enumeration."""
+    """Count x mod (2q) with x^2 = delta (mod 4q) by full enumeration.
+
+    Every residue x = x0 + x1*i of the HNF transversal of Z[i]/(2q) is tested
+    at once, as int64 arrays: 4q | w = x^2 - delta iff both components of
+    w * conj(4q) vanish mod N(4q).  No int64 overflows: x0, x1 < N(2q) <= 1e6,
+    the components of 4q are below 2e3 in size and those of delta below 2^31,
+    so every product is below 2^63.  Shares no code with rho_fast.
+    """
     qp = q.pair
     twoq = g.mul((2, 0), qp)
-    fourq = g.mul((4, 0), qp)
+    f0, f1 = g.mul((4, 0), qp)
     if g.norm(twoq) > RHO_BRUTE_NORM_CUTOFF:
         raise CutoffExceededError(f"N(2q) = {g.norm(twoq)} exceeds brute-force cutoff")
-    n4 = g.norm(fourq)
-    f0, f1 = fourq
+    n4 = f0 * f0 + f1 * f1
     da, db = delta.pair
-    count = 0
-    for (x0, x1) in ResidueRing(twoq).representatives():
-        wa = x0 * x0 - x1 * x1 - da
-        wb = 2 * x0 * x1 - db
-        # 4q | w  iff  w * conj(4q) = 0 componentwise mod N(4q)
-        if (wa * f0 + wb * f1) % n4 == 0 and (wb * f0 - wa * f1) % n4 == 0:
-            count += 1
-    return count
+    ring = ResidueRing(twoq)
+    x0, x1 = np.divmod(np.arange(ring.n_elements, dtype=np.int64), ring.d2)
+    wa = x0 * x0 - x1 * x1 - da
+    wb = 2 * x0 * x1 - db
+    hit = ((wa * f0 + wb * f1) % n4 == 0) & ((wb * f0 - wa * f1) % n4 == 0)
+    return int(np.count_nonzero(hit))
 
 
 def _roots_mod_prime(pi, n):
@@ -357,8 +364,13 @@ def rho_table(q: CanonicalIdealRep):
 def kloosterman(m: GaussianInt, n: GaussianInt, c: CanonicalIdealRep) -> KloostermanValue:
     """S(m, n, c) by exact enumeration of the unit group of Z[i]/(c).
 
-    Each phase is an exact integer over N(c); accumulation is Kahan-compensated
-    separately in the real and imaginary parts.
+    For a primitive c (coprime components) the transversal is the integers
+    0..N(c)-1 and Z[i]/(c) = Z/N(c), so a unit is an x with gcd(x, N(c)) = 1
+    and its inverse is pow(x, -1, N(c)).  For any other c one extended
+    Euclid pass per residue both tests the unit and inverts it.  Each phase
+    is an exact integer over N(c), the same for any representative of the
+    inverse; accumulation is Kahan-compensated separately in the real and
+    imaginary parts, in transversal order.
     """
     nc = c.norm()
     if nc > KLOOSTERMAN_NORM_CUTOFF:
@@ -369,15 +381,24 @@ def kloosterman(m: GaussianInt, n: GaussianInt, c: CanonicalIdealRep) -> Klooste
     mp, np_ = m.pair, n.pair
     tau = 2.0 * math.pi / nc
 
-    def terms():
+    def phases():
+        if ring.d2 == 1:
+            # <v, x/c> = x * <v, 1/c> for an integer x
+            am = _phase_int(mp, (1, 0), cbar, nc)
+            an = _phase_int(np_, (1, 0), cbar, nc)
+            for x in range(nc):
+                if math.gcd(x, nc) == 1:
+                    yield (x * am + pow(x, -1, nc) * an) % nc
+            return
         for a in ring.representatives():
-            if g.norm(g.gcd_pair(a, cp)) != 1:
+            try:
+                ainv = g.invert_mod(a, cp)
+            except ZeroDivisionError:
                 continue
-            ainv = g.invert_mod(a, cp)
-            ang = tau * ((_phase_int(mp, a, cbar, nc) + _phase_int(np_, ainv, cbar, nc)) % nc)
-            yield complex(math.cos(ang), math.sin(ang))
+            yield (_phase_int(mp, a, cbar, nc) + _phase_int(np_, ainv, cbar, nc)) % nc
 
-    return KloostermanValue(m=m, n=n, c=c, value=compensated_sum(terms()))
+    terms = (complex(math.cos(tau * k), math.sin(tau * k)) for k in phases())
+    return KloostermanValue(m=m, n=n, c=c, value=compensated_sum(terms))
 
 
 def weil_ratio(m: GaussianInt, n: GaussianInt, c: CanonicalIdealRep,

@@ -11,10 +11,12 @@ ideal-major:
 where for each prime power the vector lambda_{pi^e}(.) over all traces is
 computed at once:
 
-  * split pi over p:  Z[i]/(pi^e) = Z/p^e via i -> t, t^2 = -1 (mod p^e);
-    for e = 1 the value is the Legendre symbol of (n^2-4 mod p) from a
-    marked square table; for e >= 2 it follows the valuation pattern
-    N^(v/2) s^(e-v) (see quad_counts.lambda_at_prime_power).
+  * split pi over p:  Z[i]/(pi) = Z/p via the ring map i -> t of
+    gaussian.i_mod_split (the one the scalar Euler criterion uses); for
+    e = 1 the value is the Legendre symbol of (n^2-4 mod pi) read from a
+    marked square table mod p; for e >= 2 the unit part of n^2-4 is mapped
+    the same way and the value follows the valuation pattern N^(v/2) s^(e-v)
+    (see quad_counts.lambda_at_prime_power).
   * inert p:          the symbol is legendre(N(x) mod p) since the norm is
     the Frobenius trace map to F_p; same valuation pattern for e >= 2.
   * pi = (1+i):       an explicit table over Z[i]/((1+i)^e), built from the
@@ -148,15 +150,6 @@ def _sq_char_table(p: int) -> np.ndarray:
     tab[r - (r // p) * p] = 1  # r % p, but floor division by a scalar is faster
     tab[0] = 0
     return tab
-
-
-def _t_for_split(pi, p: int) -> int:
-    """t with i = t (mod pi); pi = a+bi a split prime over p."""
-    a, b = pi
-    t = (-a * pow(b, -1, p)) % p
-    if (t * t + 1) % p:
-        raise ArithmeticError(f"bad split data for {pi}")
-    return t
 
 
 def _pattern_from_valuation(e: int, v: np.ndarray, s: np.ndarray, N: int) -> np.ndarray:
@@ -315,7 +308,7 @@ class LambdaVectors:
             return _pattern_from_valuation(e, v, s, p * p)
         p = npj
         tab = self._chartab(p)
-        t = _t_for_split(pj, p)
+        t = g.i_mod_split(pj, p)
         if e == 1:
             # i = t (mod pi) and i = -t (mod conj(pi)), whose canonical
             # pair is (b, a): one table serves both ideals over p

@@ -1,7 +1,9 @@
 """Residue symbols, discriminant splits, and the pinned character."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from pgt import gaussian as g
 from pgt.errors import NotPrimeError, PinningError
 from pgt.gaussian import (GaussianInt, ResidueRing, canonical_rep,
                           canonical_pair, factor_pair_cached, gcd_pair,
@@ -65,6 +67,64 @@ def test_residue_symbol_rejects_even_and_composite():
         residue_symbol(G(1, 0), canonical_rep(G(1, 1)))
     with pytest.raises(NotPrimeError):
         residue_symbol(G(1, 0), canonical_rep(G(3, 1)))  # norm 10, not prime
+
+
+def _euler_symbol_reference(x, pi) -> int:
+    """(x / pi) by square-and-multiply in Z[i]/(pi) with rounded-division
+    reduction: the Gaussian Euclid arithmetic that euler_symbol replaced."""
+    r = g.reduce_mod(x, pi)
+    if g.divides(pi, r):
+        return 0
+    acc, base, e = (1, 0), r, (norm(pi) - 1) // 2
+    while e:
+        if e & 1:
+            acc = g.reduce_mod(mul(acc, base), pi)
+        base = g.reduce_mod(mul(base, base), pi)
+        e >>= 1
+    if g.divides(pi, g.sub(acc, (1, 0))):
+        return 1
+    assert g.divides(pi, g.add(acc, (1, 0)))
+    return -1
+
+
+_ODD_PRIMES = [pp for npi, pp in prime_ideals_upto(10**5) if npi != 2]
+_SPLIT = [pp for pp in _ODD_PRIMES if pp[1] != 0]
+_INERT = [pp for pp in _ODD_PRIMES if pp[1] == 0]
+_COMPONENT = st.integers(-(2**31 - 1), 2**31 - 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pp=st.one_of(st.sampled_from(_SPLIT), st.sampled_from(_INERT)),
+       unit=st.sampled_from(g.UNIT_PAIRS), x=st.tuples(_COMPONENT, _COMPONENT),
+       multiple=st.booleans())
+@example(pp=(230, 217), unit=(0, -1), x=(2**31 - 1, -(2**31 - 1)), multiple=False)
+@example(pp=(311, 0), unit=(-1, 0), x=(-(2**31 - 1), 2**31 - 1), multiple=False)
+@example(pp=(3, 0), unit=(0, 1), x=(1, 1), multiple=True)
+def test_euler_symbol_matches_square_and_multiply(pp, unit, x, multiple):
+    # split and inert primes of norm <= 1e5, each unit associate of pi, x with
+    # components up to 2^31, and multiples of pi (symbol 0)
+    pi = mul(unit, pp)
+    if multiple:
+        x = mul(pi, (x[0] % 4099, x[1] % 4099))
+    want = _euler_symbol_reference(x, pi)
+    assert g.euler_symbol(x, pi) == want
+    if multiple:
+        assert want == 0
+
+
+def test_i_mod_split_is_a_ring_map():
+    # i -> t sends pi to 0 and respects products, for every associate
+    for npi, pp in prime_ideals_upto(2000):
+        if pp[1] == 0 or npi == 2:
+            continue
+        for u in g.UNIT_PAIRS:
+            pi = mul(u, pp)
+            t = g.i_mod_split(pi, npi)
+            assert (pi[0] + pi[1] * t) % npi == 0
+            for a, b in ((3, -7), (12, 5)):
+                prod = mul((a, 1), (b, 2))
+                assert (prod[0] + prod[1] * t) % npi == \
+                    (a + t) * (b + 2 * t) % npi
 
 
 def test_perfect_square_detection():
@@ -150,6 +210,16 @@ def test_unvalidated_character_rejected():
     raw = QuadraticCharacter(D=G(5, 0), even_value=-1, validated=False)
     with pytest.raises(PinningError):
         chi(raw, canonical_rep(G(3, 0)))
+
+
+def test_value_at_prime_checks_primality():
+    # the public lookup keeps the check that the series walks skip
+    char = quadratic_character(G(5, 0))
+    pi = canonical_rep(G(2, 1))
+    assert char.value_at_prime(pi) == residue_symbol(char.D, pi)
+    assert char.value_at_prime(canonical_rep(G(1, 1))) == char.even_value
+    with pytest.raises(NotPrimeError):
+        char.value_at_prime(canonical_rep(G(3, 1)))  # norm 10, not prime
 
 
 def test_pinning_unique_for_acceptance_deltas():

@@ -52,7 +52,13 @@ def test_cli_rejects_bad_tol_and_seed(capsys):
                 ["smoothed", "--x", "100", "--y", "10", "--v", "inf"],
                 ["psi", "--x", "nan"], ["psi", "--x", "-100"], ["interval", "--x", "inf"],
                 ["interval", "--x", "100", "--y", "-3"],
-                ["smoothed", "--x", "1000", "--y", "nan"]):
+                ["smoothed", "--x", "1000", "--y", "nan"],
+                ["lfun", "--delta", "0"], ["lfun", "--delta", "9"],
+                ["lfun", "--trace", "0"], ["lfun", "--trace", "2"],
+                ["kloosterman", "--m", "1", "--n", "1", "--c", "0"],
+                ["kloosterman", "--m", "1", "--n", "1", "--c", "1001"],
+                ["lfun", "--trace", "99999"],
+                ["kloosterman", "--m", str(2**31), "--n", "1", "--c", "3"]):
         with pytest.raises(SystemExit) as exc:
             main(bad)
         assert exc.value.code == 2

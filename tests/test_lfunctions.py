@@ -60,6 +60,30 @@ def test_L_chi_v_stability():
     assert r.band < 1e-6
 
 
+def test_L_chi_walk_runs_no_primality_test(monkeypatch):
+    # the walk hands prime pairs from its prime list to the pinned
+    # character's cached lookup: no Miller-Rabin, and each odd prime's symbol
+    # computed at most once, none that the pinning already computed
+    from pgt import characters, gaussian
+    monkeypatch.setattr(characters, "_split_memo", {})
+    char = quadratic_character(G(7, 3) * G(7, 3) - G(4, 0))
+    pinned = set(char._prime_cache)
+    assert pinned
+    primality, symbols = [], []
+    is_prime_int, euler_symbol = gaussian.is_prime_int, gaussian.euler_symbol
+    monkeypatch.setattr(gaussian, "is_prime_int",
+                        lambda n: primality.append(n) or is_prime_int(n))
+    monkeypatch.setattr(gaussian, "euler_symbol",
+                        lambda x, pi: symbols.append(pi) or euler_symbol(x, pi))
+    V, doublings = 25.0, 2
+    L_chi(1.0, char, V, doublings=doublings)
+    limit = int(lf.CUTOFF_MULT * V * 2**doublings)
+    reached = {pp for npi, pp in gaussian.prime_ideals_upto(limit) if npi != 2}
+    assert primality == []
+    assert len(symbols) == len(set(symbols))
+    assert set(symbols) == reached - pinned
+
+
 def test_L_chi_doubling_steps_decreasing():
     # consecutive V-doublings shrink (down to the float noise floor, where
     # this character's smoothed values already sit at V = a few hundred)

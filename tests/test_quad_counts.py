@@ -4,7 +4,9 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from pgt import gaussian as g
 from pgt.errors import CutoffExceededError
 from pgt.gaussian import (GaussianInt, ResidueRing, canonical_rep,
                           canonical_pair, euler_phi, divisor_count,
@@ -14,6 +16,7 @@ from pgt.quad_counts import (build_rho_lambda_table,
                              lambda_, lambda_at_prime_power,
                              lambda_partial_sum, rho_bruteforce, rho_fast,
                              rho_table, sqrt_perfect_square, weil_ratio)
+from pgt.harness import compensated_sum
 
 G = GaussianInt
 ONE = canonical_rep(G(1, 0))
@@ -73,6 +76,42 @@ def test_rho_multiplicative_over_coprime():
         r2 = rho_fast(canonical_rep(G(*q2)), n)
         r12 = rho_fast(canonical_rep(G(*canonical_pair(mul(q1, q2)))), n)
         assert r12 == r1 * r2
+
+
+def _rho_reference(q, delta) -> int:
+    """rho_q(delta) by a Python loop over the transversal of Z[i]/(2q)."""
+    twoq, (f0, f1) = mul((2, 0), q.pair), mul((4, 0), q.pair)
+    n4 = f0 * f0 + f1 * f1
+    da, db = delta.pair
+    count = 0
+    for (x0, x1) in ResidueRing(twoq).representatives():
+        wa = x0 * x0 - x1 * x1 - da
+        wb = 2 * x0 * x1 - db
+        if (wa * f0 + wb * f1) % n4 == 0 and (wb * f0 - wa * f1) % n4 == 0:
+            count += 1
+    return count
+
+
+_BIG = 2**31 - 1
+_NEAR_BIG = st.one_of(st.integers(-_BIG, _BIG), st.integers(_BIG - 64, _BIG),
+                      st.integers(-_BIG, 64 - _BIG))
+
+
+@settings(max_examples=60, deadline=None)
+@given(qp=st.sampled_from(ideal_reps_upto(300)), delta=st.tuples(_NEAR_BIG, _NEAR_BIG),
+       square=st.booleans())
+@example(qp=(250, 1), delta=(_BIG, -_BIG), square=False)   # N(2q) = 250004
+@example(qp=(250, 1), delta=(-_BIG, _BIG - 1), square=False)
+@example(qp=(1, 0), delta=(0, 0), square=False)
+def test_rho_bruteforce_matches_scalar_loop(qp, delta, square):
+    # the int64 predicate against the scalar loop, with delta components up
+    # to 2^31 - 1 in size; square=True makes delta a square mod 4q, so the
+    # count is nonzero
+    if square:
+        r = (delta[0] % 32768, delta[1] % 32768)
+        delta = mul(r, r)
+    q, d = canonical_rep(G(*qp)), G(*delta)
+    assert rho_bruteforce(q, d) == _rho_reference(q, d)
 
 
 def test_rho_bruteforce_cutoff():
@@ -192,6 +231,49 @@ def test_kloosterman_identity_examples():
         q = canonical_rep(G(*rng.choice(reps)))
         k = G(rng.randint(-5, 5), rng.randint(-5, 5))
         assert kloosterman_identity_check(q, k) <= 1e-8, (q, k)
+
+
+def _kloosterman_reference(m, n, c) -> complex:
+    """S(m, n, c) over the transversal: a unit test by gcd_pair, then an
+    inverse by invert_mod, for every residue."""
+    nc, cp = c.norm(), c.pair
+    cbar = (cp[0], -cp[1])
+    tau = 2.0 * math.pi / nc
+
+    def phase(v, x):
+        t = mul(x, cbar)
+        return (v[0] * t[0] + v[1] * t[1]) % nc
+
+    terms = []
+    for a in ResidueRing(cp).representatives():
+        if norm(g.gcd_pair(a, cp)) != 1:
+            continue
+        ainv = g.invert_mod(a, cp)
+        ang = tau * ((phase(m.pair, a) + phase(n.pair, ainv)) % nc)
+        terms.append(complex(math.cos(ang), math.sin(ang)))
+    return compensated_sum(terms)
+
+
+def test_kloosterman_bit_for_bit_against_reference(monkeypatch):
+    # every modulus of norm <= 200, primitive or not; a primitive modulus
+    # never reaches the Gaussian Euclid inverse
+    calls = []
+    invert_mod = g.invert_mod
+    rng = random.Random(41)
+    for qp in ideal_reps_upto(200):
+        c = canonical_rep(G(*qp))
+        for _ in range(2):
+            m = G(rng.randint(-40, 40), rng.randint(-40, 40))
+            n = G(rng.randint(-40, 40), rng.randint(-40, 40))
+            want = _kloosterman_reference(m, n, c)
+            calls.clear()
+            monkeypatch.setattr(g, "invert_mod",
+                                lambda a, mod: calls.append(a) or invert_mod(a, mod))
+            got = kloosterman(m, n, c).value
+            monkeypatch.setattr(g, "invert_mod", invert_mod)
+            assert got == want, (qp, m, n)
+            primitive = math.gcd(*qp) == 1
+            assert (len(calls) == 0) if primitive else (len(calls) == c.norm()), qp
 
 
 def test_kloosterman_cutoff():
