@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -649,35 +650,64 @@ def prime_ideals_upto(limit: int):
     return out
 
 
-def walk_ideals(limit: int, extend, term, root=1) -> None:
-    """Visit every ideal of norm <= limit in factored form, depth first.
+def walk_ideals(primes, limits, extend, term, leaves, root=1) -> None:
+    """Reach every ideal of norm <= L, for each L in `limits`, in factored form.
 
-    The value of an ideal is built one prime power at a time:
-    extend(value_q, N(pi), pi_pair, e) returns the value of q * pi^e, or None
-    to prune that ideal together with every ideal the walk reaches through it.
-    term(N(q), value_q) consumes each visited ideal, starting with the unit
-    ideal, whose value is `root`.  Deterministic order: primes ascending by
-    (norm, re), exponents ascending, so sums accumulated by `term` round the
-    same way on every run.
+    `primes` is prime_ideals_upto(max(limits)).  One depth-first walk to the
+    largest limit serves every limit.  The value of an ideal is built one
+    prime power at a time: extend(value_q, N(pi), pi_pair, e) returns the
+    value of q * pi^e, or None to prune that ideal together with every ideal
+    the walk reaches through it.
+
+    The walk goes from q * pi_j on to the primes after pi_j.  When even
+    q * pi_j * pi_(j+1) lies beyond L, q * pi_j is a prime leaf of q for L:
+    the walk does not build it, since its value is value_q times the value
+    at pi_j (the walk assumes a multiplicative value), and the prime leaves
+    of q are the primes j of one contiguous range.  For each L (index k in
+    `limits`) every ideal of norm <= L is reached exactly once, either
+      * as a visited ideal, term(k, N(q), value_q), called before q's
+        subtree; the unit ideal, whose value is `root`, comes first; or
+      * as one prime of a leaf range, leaves(k, N(q), value_q, lo, hi) for
+        the ideals q * pi_j, lo <= j < hi, called after q's subtree.
+    extend runs once per visited ideal other than the unit, and once per
+    pruned one.  Deterministic order: primes ascending by (norm, re),
+    exponents ascending, so sums accumulated by the callbacks round the same
+    way on every run, and for each L exactly as in a walk to L alone.
     """
-    primes = prime_ideals_upto(limit)
+    top = max(limits)
+    norms = [npj for npj, _ in primes]
+    # N(pi_j) N(pi_(j+1)): q * pi_j is a prime leaf for L when N(q) times it exceeds L
+    pairs = [a * b for a, b in zip(norms, norms[1:])] + [math.inf]
 
-    def rec(i, nrm, val):
-        term(nrm, val)
+    def rec(i, nrm, val, reach):
+        # reach: the least norm of a multiple the walk goes on to (N(q) for
+        # a power e >= 2); q is a prime leaf of every limit below it
+        for k, limit in enumerate(limits):
+            if reach <= limit:
+                term(k, nrm, val)
         for j in range(i, len(primes)):
             npj, pj = primes[j]
-            nn = nrm * npj
-            if nn > limit:
+            if nrm * npj * npj > top:
                 break
-            e = 1
-            while nn <= limit:
+            # when q * pi_j is a prime leaf, only its powers e >= 2 are visited
+            e, nn = (1, nrm * npj) if nrm * pairs[j] <= top else (2, nrm * npj * npj)
+            while nn <= top:
                 child = extend(val, npj, pj, e)
                 if child is not None:
-                    rec(j + 1, nn, child)
+                    rec(j + 1, nn, child, nrm * pairs[j] if e == 1 else nn)
                 e += 1
                 nn *= npj
+        for k, limit in enumerate(limits):
+            m = limit // nrm
+            lo = max(i, bisect_right(pairs, m))
+            hi = bisect_right(norms, m)
+            if lo < hi:
+                leaves(k, nrm, val, lo, hi)
 
-    rec(0, 1, root)
+    try:
+        rec(0, 1, root, 1)
+    finally:
+        del rec  # rec refers to itself: drop the cycle, and what extend holds, now
 
 
 def disk_rows(lo: float, hi: float):

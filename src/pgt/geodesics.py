@@ -71,6 +71,9 @@ class PsiOptions:
     validate: bool = True
     cutoff_mult: float = CUTOFF_MULT
 
+    def __post_init__(self):
+        _require_positive(cutoff_mult=self.cutoff_mult)
+
     def pick_v(self, x_scale: float) -> float:
         if self.V is not None:
             return float(self.V)

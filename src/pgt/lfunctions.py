@@ -32,9 +32,11 @@ Every smoothed series  sum_q a(q) e^(-N(q)/V) / N(q)  of the package --
 G_V here and in trace_engine, L_chi, normalization_sum -- is evaluated by
 one function, smoothed_sums, the only caller of gaussian.walk_ideals: a
 series supplies only how a(q) extends by a prime power, and one walk in
-factored form (one Python callback per prime power and per ideal) serves
-every V.  Each sum is exact over N(q) <= 40 V; the neglected tail is
-exp(-40)-suppressed and the attached tail_estimate bounds it.
+factored form serves every V.  The walk makes one Python callback per
+ideal with a multiple in range and per higher prime power; the prime
+leaves q * pi below each such ideal q are summed in one numpy step.  Each
+sum is exact over N(q) <= 40 V; the neglected tail is exp(-40)-suppressed
+and the attached tail_estimate bounds it.
 """
 
 from __future__ import annotations
@@ -155,30 +157,70 @@ def _require_positive(**values) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None) -> list:
+def _row_sum(w, rows):
+    """sum_j w[j] * rows[j] along the first axis.
+
+    einsum sums each column of a two-dimensional `rows` in the order of j,
+    so one column's sum does not depend on the others; numpy reduces a
+    single column as one contiguous vector, in another order, so that column
+    is summed as the first of two equal ones.
+    """
+    if rows.ndim == 2 and rows.shape[1] == 1:
+        return np.einsum("j,jm->m", w, np.repeat(rows, 2, axis=1))[:1]
+    return np.einsum("j,j...->...", w, rows)
+
+
+def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None, rows=None) -> list:
     """[sum_q a(q) e^(-N(q)/V) / N(q) for V in Vs] from one ideal walk.
 
-    a(q) is built by `extend` from `root` at the unit ideal, as in
-    gaussian.walk_ideals (a scalar, or a numpy vector of several series).
+    a(q) is multiplicative, built by `extend` from `root` at the unit ideal
+    as in gaussian.walk_ideals (a scalar, or a numpy vector of several
+    series).  The walk visits only the ideals with a multiple in range and
+    the prime powers pi^e, e >= 2; at each visited q it adds the prime
+    leaves q * pi_j in one step,
+
+        val_q * sum_j a(pi_j) e^(-N(q) N(pi_j)/V) / (N(q) N(pi_j)),
+
+    over the contiguous range of primes that are leaves for V's own cutoff.
+    rows(primes, lo, hi) gives a(pi_j) for primes[lo:hi] along the first
+    axis, as consecutive pieces; by default one piece of a table filled by
+    extend(1.0, N(pi), pi, 1), once per prime.
+
     One walk to the largest cutoff serves every V; the sum for V takes the
-    ideals of norm <= max(int(cutoff_mult * V), 1), which the walk visits in
-    the same order with the same products as a walk to that cutoff, so each
-    sum is bit-identical to the one-V call.  cutoff_mult defaults to
+    ideals of norm <= max(int(cutoff_mult * V), 1), visited and added in the
+    same order, with the same products, as a walk to that cutoff alone, so
+    each sum is bit-identical to the one-V call.  cutoff_mult defaults to
     CUTOFF_MULT, read at call time.
     """
     for V in Vs:
         _require_positive(V=V)
     mult = CUTOFF_MULT if cutoff_mult is None else cutoff_mult
+    _require_positive(cutoff_mult=mult)
     limits = [max(int(mult * V), 1) for V in Vs]
+    primes = g.prime_ideals_upto(max(limits))
+    norms = np.array([npj for npj, _ in primes], dtype=np.float64)
+    if rows is None:
+        table = np.array([0.0 if a is None else a
+                          for a in (extend(1.0, npj, pj, 1) for npj, pj in primes)])
+
+        def rows(primes, lo, hi):
+            return [table[lo:hi]]
+
     sums = [root * 0.0 for _ in Vs]
-    live = list(zip(range(len(sums)), Vs, limits))
 
-    def term(nrm, val):
-        for k, V, limit in live:
-            if nrm <= limit:
-                sums[k] += val * (math.exp(-nrm / V) / nrm)
+    def term(k, nrm, val):
+        sums[k] += val * (math.exp(-nrm / Vs[k]) / nrm)
 
-    g.walk_ideals(max(limits), extend, term, root=root)
+    def leaves(k, nrm, val, lo, hi):
+        nn = nrm * norms[lo:hi]
+        w = np.exp(-nn / Vs[k]) / nn
+        total, at = 0.0, 0
+        for piece in rows(primes, lo, hi):
+            total = total + _row_sum(w[at:at + len(piece)], piece)
+            at += len(piece)
+        sums[k] += val * total
+
+    g.walk_ideals(primes, limits, extend, term, leaves, root=root)
     return sums
 
 

@@ -13,10 +13,11 @@ computed at once:
 
   * split pi over p:  Z[i]/(pi) = Z/p via the ring map i -> t of
     gaussian.i_mod_split (the one the scalar Euler criterion uses); for
-    e = 1 the value is the Legendre symbol of (n^2-4 mod pi) read from a
-    marked square table mod p; for e >= 2 the unit part of n^2-4 is mapped
-    the same way and the value follows the valuation pattern N^(v/2) s^(e-v)
-    (see quad_counts.lambda_at_prime_power).
+    e = 1 the value is the Legendre symbol of (n^2-4 mod pi), read from a
+    marked square table mod p or, for p large against the number of traces,
+    by Euler's criterion on the residues themselves; for e >= 2 the unit
+    part of n^2-4 is mapped the same way and the value follows the
+    valuation pattern N^(v/2) s^(e-v) (see quad_counts.lambda_at_prime_power).
   * inert p:          the symbol is legendre(N(x) mod p) since the norm is
     the Frobenius trace map to F_p; same valuation pattern for e >= 2.
   * pi = (1+i):       an explicit table over Z[i]/((1+i)^e), built from the
@@ -26,11 +27,16 @@ computed at once:
 The traces themselves are the gaussian.disk_rows points of an annulus in
 N(n), filtered and ordered by the vectorized `thresholds`.  The sum is
 lfunctions.smoothed_sums, the one evaluator of every smoothed series in
-the package, here with a vector root; its depth-first gaussian.walk_ideals
+the package, here with a vector root.  Its depth-first gaussian.walk_ideals
 over the sorted prime list fixes the term order (hence floating-point
 rounding), and a prime power whose product vector vanishes on every trace
-prunes its subtree.  Every vector builder is property-tested against the
-scalar quad_counts.lambda_.
+prunes its subtree.  The walk visits only the ideals with a multiple in
+range (1,248 of 31,407 at the 40,000 cutoff of V = 1000) and the higher
+prime powers; the prime leaves q * pi_j of an ideal q are summed in one
+step, one int8 row lambda_pi_j(n^2-4) per prime, as
+val_q * sum_j w_j row_j with w_j = e^(-N(q) N(pi_j)/V) / (N(q) N(pi_j)).
+Every vector and row builder is property-tested against the scalar
+quad_counts.lambda_.
 
 No work is done twice for an answer already known:
 
@@ -40,19 +46,22 @@ No work is done twice for an answer already known:
     So the walk runs over one trace per class {delta, conj(delta)}, the
     member with Im(delta) >= 0, and the values are scattered back.  The
     representative depends only on the class, so a value never depends on
-    which other traces share the set.  In floating point a trace with
-    Im(delta) < 0 gets conj(delta)'s walk, which adds the same terms in
-    another order: within ~1e-14 of walking delta itself.
+    which other traces share the set: each column of a leaf sum is summed
+    in the order of the primes, whatever the other columns.  In floating
+    point a trace with Im(delta) < 0 gets conj(delta)'s walk, which adds
+    the same terms in another order: within ~1e-14 of walking delta itself.
   * several V in one walk: `gv_sweep` hands its Vs to smoothed_sums, whose
     accumulator for each V is bit-identical to its own `gv_per_trace`.  The
     quarter-V validation of geodesics rides along the V sweep this way.
-  * one Legendre table per rational prime: the table mod p fills the e = 1
-    vectors of both split ideals over p at once, and is kept only while the
-    walk can ask for a higher power over p (p^2 within the cutoff).
-  * a byte budget: vectors and kept tables are cached, least recently used
-    out first, up to cache_bytes (64 MiB by default), so a vector asked for
-    at many nodes of the walk is built once, whatever its norm, while the
-    budget holds it.
+  * one symbol build per rational prime: a Legendre table mod p, or Euler's
+    criterion on the residues of its traces when p^2 lies beyond the cutoff
+    and p is large against the number of traces, fills the rows of both
+    split ideals over p at once; a table is kept only while the walk can
+    ask for a higher power over p (p^2 within the cutoff).
+  * a byte budget: vectors, kept tables and blocks of prime rows are
+    cached, least recently used out first, up to cache_bytes (64 MiB by
+    default), so a row or vector asked for at many nodes of the walk is
+    built once, whatever its norm, while the budget holds it.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gaussian as g
-from .lfunctions import CUTOFF_MULT, smoothed_sums
+from .lfunctions import CUTOFF_MULT, _require_positive, smoothed_sums
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +151,42 @@ def trace_set(lo: float, hi: float) -> TraceSet:
 # per-prime-power lambda vectors
 # ---------------------------------------------------------------------------
 
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x % p for an int64 array and an int p > 0: floor division by a
+    scalar is several times faster than numpy's %."""
+    return x - (x // p) * p
+
+
 def _sq_char_table(p: int) -> np.ndarray:
     """tab[r] = legendre(r, p) in {-1, 0, +1} for r in [0, p)."""
     tab = np.full(p, -1, dtype=np.int8)
     r = np.arange((p - 1) // 2 + 1, dtype=np.int64)
-    r *= r
-    tab[r - (r // p) * p] = 1  # r % p, but floor division by a scalar is faster
+    tab[_mod(r * r, p)] = 1
     tab[0] = 0
     return tab
+
+
+def _euler_rows(res: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Legendre symbols (res / p) as int8, by Euler's criterion res^((p-1)/2).
+
+    res is an int64 residue matrix with 0 <= res < p, one row per prime
+    ideal; p is the int64 column of the rows' rational primes.  Square and
+    multiply, vectorized over the matrix, each multiply on the rows whose
+    exponent bit is set: every factor is below p, so each product stays
+    below p^2 < 2^62 in int64 for p < 2^31 (the cutoffs the walk reaches are
+    far below).  The power is 0, 1 or p - 1.
+    """
+    e = (p[:, 0] - 1) // 2
+    out = np.ones_like(res)
+    base = res
+    while True:
+        odd = np.flatnonzero(e & 1)
+        out[odd] = out[odd] * base[odd] % p[odd]
+        e = e >> 1
+        if not e.any():
+            break
+        base = base * base % p
+    return (out - p * (out > 1)).astype(np.int8)
 
 
 def _pattern_from_valuation(e: int, v: np.ndarray, s: np.ndarray, N: int) -> np.ndarray:
@@ -243,20 +280,56 @@ def even_lambda_table(e: int):
     return out, ring
 
 
-# 64 MiB holds every vector of psi(1e4) at V = 1000 (38 MB).  psi(1e4) at
-# V = 1e4 needs 280 MB; within 64 MiB it builds twice the Legendre tables
-# and takes ~15% longer than with every vector held
+# 64 MiB holds every row and vector of psi(1e4) at V = 1000 (4,195 prime
+# rows of 7,950 orbit representatives, 33 MB).  psi(1e4) at V = 1e4 needs
+# 257 MiB of rows; within 64 MiB the least recently used blocks go out and
+# are rebuilt when a later node of the walk asks for them again
 CACHE_BYTES = 1 << 26
+
+# leaf rows are built and cached in blocks of this many consecutive primes
+# of the walk (one more where a block would cut a conjugate pair); a fixed
+# count, so that the pieces a range is summed in depend neither on the
+# traces nor on the cutoff
+ROW_BLOCK = 64
+
+# a rational prime's rows come from Euler's criterion once
+# p > EULER_PER_TABLE_ENTRY * traces * bits(p): on 2 vCPUs a Legendre table
+# costs ~3.3 ns per residue mod p, Euler ~22 ns per trace and bit of p for
+# the two rows of a split p
+EULER_PER_TABLE_ENTRY = 6
+
+
+def _residues(tr: TraceSet, npj: int, pj):
+    """(p, [n^2-4 mod pi]) for an inert pi = (p), whose map to Z/p is the
+    norm; (p, [n^2-4 mod pi, n^2-4 mod conj(pi)]) for a split pi over p,
+    since i = t (mod pi) and i = -t (mod conj(pi)), whose canonical pair is
+    pi's reversed."""
+    if pj[1] == 0:
+        p = pj[0]
+        return p, [_mod(_mod(tr.da, p) ** 2 + _mod(tr.db, p) ** 2, p)]
+    t = g.i_mod_split(pj, npj)
+    return npj, [_mod(tr.da + t * tr.db, npj), _mod(tr.da - t * tr.db, npj)]
+
+
+def _block_start(primes, k: int) -> int:
+    """Index of the first prime of row block k: k * ROW_BLOCK, moved past
+    the first prime of a conjugate pair (both have the same norm)."""
+    s = min(k * ROW_BLOCK, len(primes))
+    return s + (0 < s < len(primes) and primes[s][0] == primes[s - 1][0])
 
 
 class LambdaVectors:
-    """Per-trace lambda_{pi^e}(n^2-4) vectors, cached under a byte budget.
+    """Per-trace lambda_{pi^e}(n^2-4) vectors and prime rows, cached under
+    a byte budget.
 
-    The cache holds vectors and Legendre tables, least recently used first
-    out, and never more than cache_bytes.  A table is cached only when the
-    walk to `limit` can ask for it again, i.e. when a second power over its
-    prime lies within limit (p*p <= limit); a larger split prime's table
-    serves the e = 1 vectors of both ideals over p, built together.
+    The cache holds vectors, Legendre tables and blocks of prime rows, least
+    recently used first out, and never more than cache_bytes.  A table is
+    cached only when the walk to `limit` can ask for it again, i.e. when a
+    second power over its prime lies within limit (p*p <= limit); a larger
+    split prime's symbol serves the rows of both ideals over p, built
+    together.  Each rational prime's symbols come from one build: its
+    Legendre table (p bytes), or, when p*p > limit and p is large against
+    the number of traces, Euler's criterion on the traces' residues.
     """
 
     def __init__(self, traces: TraceSet, limit: float, cache_bytes: int = CACHE_BYTES):
@@ -297,25 +370,21 @@ class LambdaVectors:
         if pj == (1, 1):
             tab, ring = even_lambda_table(e)
             return tab[ring.index_arrays(tr.na, tr.nb)]
+        if e == 1:
+            p, res = _residues(tr, npj, pj)
+            rows = self._chartab(p)[np.stack(res)]
+            if len(rows) == 2:  # one table serves both ideals over p
+                self._put((pj[::-1], 1), rows[1])
+            return rows[0]
         if pj[1] == 0:  # inert p, norm p^2
             p = pj[0]
-            tab = self._chartab(p)
-            if e == 1:
-                nrm = (tr.da % p) ** 2 + (tr.db % p) ** 2
-                return tab[nrm % p]
             v, ca, cb = _valuation_divide(tr.da, tr.db, p, 0, p * p, e)
-            s = tab[((ca % p) ** 2 + (cb % p) ** 2) % p]
+            s = self._chartab(p)[_mod(_mod(ca, p) ** 2 + _mod(cb, p) ** 2, p)]
             return _pattern_from_valuation(e, v, s, p * p)
         p = npj
-        tab = self._chartab(p)
         t = g.i_mod_split(pj, p)
-        if e == 1:
-            # i = t (mod pi) and i = -t (mod conj(pi)), whose canonical
-            # pair is (b, a): one table serves both ideals over p
-            self._put((pj[::-1], 1), tab[(tr.da - t * tr.db) % p])
-            return tab[(tr.da + t * tr.db) % p]
         v, ca, cb = _valuation_divide(tr.da, tr.db, pj[0], pj[1], p, e)
-        s = tab[(ca + t * cb) % p]
+        s = self._chartab(p)[_mod(ca + t * cb, p)]
         return _pattern_from_valuation(e, v, s, p)
 
     def vec(self, npj: int, pj, e: int) -> np.ndarray:
@@ -325,6 +394,49 @@ class LambdaVectors:
             out = self._build(npj, pj, e)
             self._put(key, out)
         return out
+
+    def _prime_rows(self, primes, a: int, b: int) -> np.ndarray:
+        """int8 rows lambda_pi(n^2-4) (e = 1) for primes[a:b], a conjugate
+        pair never cut; Euler's criterion runs once over all its rows."""
+        tr = self.tr
+        out = np.empty((b - a, len(tr)), dtype=np.int8)
+        at, res, mods = [], [], []
+        j = a
+        while j < b:
+            npj, pj = primes[j]
+            if pj == (1, 1):
+                out[j - a] = self._build(npj, pj, 1)
+                j += 1
+                continue
+            p, r = _residues(tr, npj, pj)  # a split pj is followed by its conjugate
+            if p * p > self.limit and p > EULER_PER_TABLE_ENTRY * len(tr) * p.bit_length():
+                at += range(j - a, j - a + len(r))
+                res += r
+                mods += [p] * len(r)
+            else:
+                out[j - a:j - a + len(r)] = self._chartab(p)[np.stack(r)]
+            j += len(r)
+        if at:
+            out[at] = _euler_rows(np.stack(res), np.array(mods, dtype=np.int64)[:, None])
+        return out
+
+    def rows(self, primes, lo: int, hi: int):
+        """The e = 1 rows of primes[lo:hi] (primes: the walk's prime list,
+        prime_ideals_upto(limit)) as consecutive pieces, one per block,
+        built as they are consumed: an evicted block is not held for the
+        rest of the range."""
+        k = lo // ROW_BLOCK
+        if lo < _block_start(primes, k):
+            k -= 1
+        a = _block_start(primes, k)
+        while a < hi:
+            b = _block_start(primes, k + 1)
+            block = self._get(("rows", a))
+            if block is None:
+                block = self._prime_rows(primes, a, b)
+                self._put(("rows", a), block)
+            yield block[max(lo, a) - a:min(hi, b) - a]
+            k, a = k + 1, b
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +465,21 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT,
 
     One lfunctions.smoothed_sums walk over the orbit representatives, with
     one accumulator per V; each array is bit-identical to gv_per_trace at
-    its V.  The running product over prime powers is a
-    float64 vector (lambda values at desk scale stay far below 2^53, so
-    products are exact).  cache_bytes bounds the LambdaVectors cache; the
-    values do not depend on it.
+    its V.  The running product over prime powers is a float64 vector
+    (lambda values at desk scale stay far below 2^53, so products are
+    exact); the prime leaves below it come from LambdaVectors.rows.
+    cache_bytes bounds the LambdaVectors cache, rows included; the values
+    do not depend on it.  cutoff_mult and every V must be positive and
+    finite.
     """
     if len(traces) == 0:
-        # walk the unit ideal alone, so that V is still checked: a full walk
-        # would build a Legendre table for every prime up to the cutoff (21 s
-        # at V = 1e4) for an empty window such as (X, X+1]
-        cutoff_mult = 0.0
+        # no walk, which would build the rows of every prime up to the
+        # cutoff for an empty window such as (X, X+1]; the inputs are
+        # checked all the same
+        for V in Vs:
+            _require_positive(V=V)
+        _require_positive(cutoff_mult=cutoff_mult)
+        return [np.zeros(0) for _ in Vs]
     reps, inverse = _orbit_reps(traces)
     prov = LambdaVectors(reps, cutoff_mult * max(Vs), cache_bytes=cache_bytes)
 
@@ -370,7 +487,8 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT,
         child = vec * prov.vec(npj, pj, e)
         return child if child.any() else None
 
-    sums = smoothed_sums(Vs, extend, root=np.ones(len(reps)), cutoff_mult=cutoff_mult)
+    sums = smoothed_sums(Vs, extend, root=np.ones(len(reps)), cutoff_mult=cutoff_mult,
+                         rows=prov.rows)
     return [acc[inverse] for acc in sums]
 
 

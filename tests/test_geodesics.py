@@ -95,6 +95,14 @@ def test_psi_rejects_bad_v():
             psi_short_interval(10003.0, 1.0, PsiOptions(V=V))
 
 
+@pytest.mark.parametrize("cutoff_mult", [0.0, -1.0, math.nan, math.inf])
+def test_psi_options_reject_bad_cutoff_mult(cutoff_mult):
+    # psi(100, PsiOptions(cutoff_mult=-1.0)) used to sum the unit ideal
+    # alone (psi 5039.08 against 4858.98), and nan to die in int()
+    with pytest.raises(ValueError):
+        psi(100, PsiOptions(cutoff_mult=cutoff_mult))
+
+
 def test_counting_entry_points_reject_bad_x_and_y():
     # X and Y must be finite and positive at every counting entry point:
     # psi(nan) used to die in int(), psi_profile(100, -10) returned the

@@ -160,6 +160,13 @@ def test_smoothed_series_reject_bad_v(V):
             call()
 
 
+@pytest.mark.parametrize("cutoff_mult", [0.0, -1.0, math.nan, math.inf])
+def test_smoothed_sums_rejects_bad_cutoff_mult(cutoff_mult):
+    # -1 used to sum the unit ideal alone, nan to die in int()
+    with pytest.raises(ValueError):
+        smoothed_sums([10.0], _ext, cutoff_mult=cutoff_mult)
+
+
 def test_walk_ideals_has_one_caller():
     # every smoothed series goes through smoothed_sums; a second walker
     # call would fork the sum again

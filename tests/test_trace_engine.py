@@ -2,6 +2,7 @@
 the factored-ideal walker, the disk enumerator, the orbit invariance of G_V,
 and the orbit and two-accumulator sweep against one-trace, one-V sweeps."""
 
+import gc
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from pgt.characters import is_perfect_square
 from pgt.gaussian import (CanonicalIdealRep, GaussianInt, canonical_pair,
                           disk_rows, ideal_reps_upto, mul, norm,
                           prime_ideals_upto, walk_ideals)
-from pgt.lfunctions import zagier_L1
+from pgt.lfunctions import smoothed_sums, zagier_L1
 from pgt import trace_engine
 from pgt.quad_counts import lambda_, lambda_at_prime_power
 from pgt.trace_engine import (CACHE_BYTES, LambdaVectors, TraceSet, gv_per_trace,
@@ -85,35 +86,139 @@ def test_lambda_vector_cache_stays_within_its_budget(pairs, rng):
             assert prov.cached_bytes == held <= cache_bytes, cache_bytes
 
 
-def test_one_legendre_table_per_rational_prime(monkeypatch):
-    # a budget that holds every vector: each odd prime the walk to 40V
-    # reaches gets one table, which serves both split ideals over p and,
-    # below the square root of the cutoff, their higher powers
-    built = []
-    real = trace_engine._sq_char_table
-    monkeypatch.setattr(trace_engine, "_sq_char_table", lambda p: built.append(p) or real(p))
+def test_one_symbol_build_per_rational_prime(monkeypatch):
+    # a budget that holds every row and vector: each odd prime the walk to
+    # 40V reaches gets one symbol build, never both kinds, never twice:
+    # either its Legendre table, which serves both split ideals over p and,
+    # below the square root of the cutoff, their higher powers, or Euler's
+    # criterion on the rows of its ideals (both of a split p in one call)
+    tables, euler = [], []
+    real_table, real_euler = trace_engine._sq_char_table, trace_engine._euler_rows
+
+    def counted_euler(res, p):
+        ps = p[:, 0].tolist()
+        for q in set(ps):
+            assert ps.count(q) == (2 if q % 4 == 1 else 1), q
+        euler.extend(set(ps))
+        return real_euler(res, p)
+
+    monkeypatch.setattr(trace_engine, "_sq_char_table",
+                        lambda p: tables.append(p) or real_table(p))
+    monkeypatch.setattr(trace_engine, "_euler_rows", counted_euler)
     V = 2000.0
     gv_sweep(trace_set(2000.0, 2100.0), (V,), cache_bytes=1 << 30)
     limit = int(40 * V)
     # the rational prime under each odd prime ideal: p for inert (p), N for split
     reached = {pi[0] if pi[1] == 0 else npi for npi, pi in prime_ideals_upto(limit)
                if pi != (1, 1)}
-    assert sorted(built) == sorted(reached)
+    assert tables and euler  # both sides of the crossover
+    assert sorted(tables + euler) == sorted(reached)
+
+
+def test_walk_extends_only_ideals_with_multiples_in_range(monkeypatch):
+    # the walk builds a prime leaf q * pi (q * pi * pi' beyond the cutoff)
+    # only as one row of a batch: of the 31,406 ideals of norm <= 40,000
+    # other than the unit, gv_per_trace at V = 1000 extends 1,247; of the
+    # 102,771 at the deep cutoff 130,854, it extends 2,840 (no product
+    # vanishes on all 81 representatives, so nothing is pruned)
+    calls = []
+    real = LambdaVectors.vec
+    monkeypatch.setattr(LambdaVectors, "vec", lambda self, *a: calls.append(a) or real(self, *a))
+    traces = trace_set(1000.0, 1100.0)
+    for V, extended in ((1000.0, 1247), (130854.5 / 40, 2840)):
+        calls.clear()
+        gv_per_trace(traces, V)
+        assert len(calls) == extended, V
+
+
+# 1, 2 and 40 traces: Euler's criterion pays from p ~ 6 m log2(p) on
+ROW_TRACES = {1: [(7, 3)], 2: [(7, 3), (-11, 5)],
+              40: [(a, b) for a in range(-9, 11, 3) for b in range(1, 12, 2)][:40]}
+
+
+@pytest.mark.parametrize("m", sorted(ROW_TRACES))
+def test_euler_rows_equal_table_rows_and_scalar_lambda(monkeypatch, m):
+    # every prime ideal of norm <= 2e4, split, inert and (1+i), with every
+    # row by Euler, every row by table, and at the default crossover; the
+    # cache's limit of 1 lets Euler's criterion take any odd prime
+    pairs = ROW_TRACES[m]
+    assert len(pairs) == m
+    tr = _trace_set(pairs)
+    primes = prime_ideals_upto(20000)
+    built = []
+    real_table, real_euler = trace_engine._sq_char_table, trace_engine._euler_rows
+    monkeypatch.setattr(trace_engine, "_sq_char_table",
+                        lambda p: built.append("table") or real_table(p))
+    monkeypatch.setattr(trace_engine, "_euler_rows",
+                        lambda res, p: built.append("euler") or real_euler(res, p))
+
+    def rows(per_entry):
+        monkeypatch.setattr(trace_engine, "EULER_PER_TABLE_ENTRY", per_entry)
+        built.clear()
+        out = np.concatenate(list(LambdaVectors(tr, 1.0).rows(primes, 0, len(primes))))
+        return out, set(built)
+
+    default, how_d = rows(trace_engine.EULER_PER_TABLE_ENTRY)
+    (euler, how_e), (table, how_t) = rows(0), rows(math.inf)
+    assert how_e == {"euler"} and how_t == {"table"} and how_d == {"euler", "table"}
+    assert euler.dtype == table.dtype == np.int8
+    assert euler.tobytes() == table.tobytes() == default.tobytes()
+    ns = [G(a, b) for a, b in pairs]
+    want = [[lambda_at_prime_power(pi, 1, n * n - G(4, 0), n) for n in ns] for _, pi in primes]
+    assert table.tolist() == want
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 3000))
-def test_walk_ideals_visits_each_ideal_once(limit):
-    seen = []
+@given(st.integers(1, 3000), st.integers(1, 3000))
+def test_walk_ideals_visits_each_ideal_once(limit, other):
+    # for each limit, every ideal of norm <= limit is reached exactly once:
+    # as a visited ideal, or as one prime of one leaf range
+    limits = [limit, other]
+    primes = prime_ideals_upto(max(limits))
+    seen = [[], []]
 
     def extend(val, npj, pj, e):
         for _ in range(e):
             val = mul(val, pj)
         return val
 
-    walk_ideals(limit, extend, lambda nrm, val: seen.append(canonical_pair(val)),
-                root=(1, 0))
-    assert sorted(seen) == sorted(ideal_reps_upto(limit))
+    def leaves(k, nrm, val, lo, hi):
+        seen[k] += [canonical_pair(mul(val, pj)) for _, pj in primes[lo:hi]]
+
+    walk_ideals(primes, limits, extend,
+                lambda k, nrm, val: seen[k].append(canonical_pair(val)), leaves, root=(1, 0))
+    for k, L in enumerate(limits):
+        assert sorted(seen[k]) == sorted(ideal_reps_upto(L))
+
+
+def test_sweep_and_series_leave_no_reference_cycles():
+    # the walker's recursion refers to itself; were the cycle kept, each walk
+    # would hold extend, and with it the whole LambdaVectors cache, until the
+    # next cyclic collection
+    gc.collect()
+    gc.disable()
+    try:
+        gv_sweep(_trace_set([(3, 1), (5, 2)]), (30.0, 7.5))
+        smoothed_sums([30.0], lambda val, npj, pj, e: val * 0.5 ** e)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+BAD_CUTOFF_MULTS = [0.0, -1.0, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda ts, c: gv_sweep(ts, (30.0, 7.5), cutoff_mult=c),
+    lambda ts, c: gv_per_trace(ts, 30.0, cutoff_mult=c),
+    lambda ts, c: gv_sweep(_trace_set([]), (30.0,), cutoff_mult=c),
+], ids=["gv_sweep", "gv_per_trace", "gv_sweep_of_no_traces"])
+def test_sweeps_reject_bad_cutoff_mult(sweep):
+    # a cutoff_mult of -1 used to walk the unit ideal alone, and nan to die
+    # in int()
+    for cutoff_mult in BAD_CUTOFF_MULTS:
+        with pytest.raises(ValueError):
+            sweep(_trace_set([(3, 1)]), cutoff_mult)
 
 
 @settings(max_examples=60, deadline=None)
