@@ -14,6 +14,10 @@ Conventions used everywhere in this package:
 
 Hot loops in other modules work on plain (re, im) integer pairs through the
 mul/norm/... helpers below; the GaussianInt dataclass is the API-level type.
+ResidueRing.reduce also takes numpy int64 arrays of components, which is how
+whole transversals are multiplied at once.  The prime ideals come from one
+rational sieve per process (prime_ideals_upto keeps its largest list), and
+the prime above a split p from an integer Euclid (split_prime_above).
 """
 
 from __future__ import annotations
@@ -410,9 +414,23 @@ def sqrt_minus_one_mod(p: int) -> int:
 
 @lru_cache(maxsize=65536)
 def split_prime_above(p: int):
-    """Canonical Gaussian prime pair above a split rational prime p = 1 (mod 4)."""
+    """Canonical Gaussian prime pair above a split rational prime p = 1 (mod 4):
+    the one that divides t + i, t = sqrt_minus_one_mod(p), as gcd(p, t + i).
+
+    Hermite-Serret: the integer Euclid on (p, t) reaches p = a^2 + b^2 at its
+    first remainder a below sqrt(p).  Of the two canonical primes over p,
+    a+bi and b+ai, the one dividing t + i is a+bi exactly when
+    (t + i)(a - bi) = (ta + b) + (a - tb)i is divisible by p.
+    """
     t = sqrt_minus_one_mod(p)
-    return gcd_pair((p, 0), (t, 1))
+    r0, r1 = p, t
+    while r1 * r1 > p:
+        r0, r1 = r1, r0 % r1
+    a = r1
+    b = math.isqrt(p - a * a)
+    if a * a + b * b != p:
+        raise ArithmeticError(f"{p} is not a sum of two squares")
+    return (a, b) if (t * a + b) % p == 0 else (b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +617,8 @@ class ResidueRing:
         self.eoff = (x * m0 - y * m1) % self.d1
 
     def reduce(self, a):
-        """Canonical representative (x, y) of a mod (m)."""
+        """Canonical representative (x, y) of a mod (m); the components of a
+        may be ints or numpy integer arrays (elementwise)."""
         k = a[1] // self.d2
         y = a[1] - k * self.d2
         x = (a[0] - k * self.eoff) % self.d1
@@ -611,9 +630,7 @@ class ResidueRing:
 
     def index_arrays(self, a, b):
         """Vectorized index for numpy integer arrays of components (a, b)."""
-        k = b // self.d2
-        y = b - k * self.d2
-        x = (a - k * self.eoff) % self.d1
+        x, y = self.reduce((a, b))
         return x * self.d2 + y
 
     def representatives(self):
@@ -621,13 +638,8 @@ class ResidueRing:
         return [(x, y) for x in range(self.d1) for y in range(self.d2)]
 
 
-def prime_ideals_upto(limit: int):
-    """Canonical Gaussian primes of norm <= limit as (norm, (re, im)) tuples.
-
-    Sorted by (norm, re).  p = 2 contributes (1+i); split p = 1 (mod 4)
-    contribute both conjugate primes; inert p = 3 (mod 4) contribute (p) with
-    norm p^2.
-    """
+def _sieve_prime_ideals(limit: int):
+    """prime_ideals_upto(limit), sieved afresh."""
     out = []
     if limit >= 2:
         out.append((2, (1, 1)))
@@ -642,12 +654,32 @@ def prime_ideals_upto(limit: int):
                 continue
             if p % 4 == 1:
                 pi = split_prime_above(p)
-                out.append((p, canonical_pair(pi)))
+                out.append((p, pi))
                 out.append((p, canonical_pair(conj(pi))))
             elif p * p <= limit:
                 out.append((p * p, (p, 0)))
     out.sort(key=lambda t: (t[0], t[1][0]))
     return out
+
+
+# (limit, primes): the largest list sieved so far, replaced by one assignment
+_sieved = (-1, [])
+
+
+def prime_ideals_upto(limit: int):
+    """Canonical Gaussian primes of norm <= limit as (norm, (re, im)) tuples.
+
+    Sorted by (norm, re).  p = 2 contributes (1+i); split p = 1 (mod 4)
+    contribute both conjugate primes; inert p = 3 (mod 4) contribute (p) with
+    norm p^2.  The process keeps the largest list it has sieved and answers
+    smaller limits with a new list of its prefix; threads that race on a new
+    largest limit each sieve it once.
+    """
+    global _sieved
+    top, primes = _sieved
+    if limit > top:
+        top, primes = _sieved = (limit, _sieve_prime_ideals(limit))
+    return primes[:bisect_right(primes, limit, key=lambda t: t[0])]
 
 
 def walk_ideals(primes, limits, extend, term, leaves, root=1) -> None:

@@ -16,12 +16,12 @@ at each prime power).
 
 The phase <m, a/c> equals an exact integer divided by N(c), so every
 exponential here is a root of unity evaluated from an exact rational angle;
-sums are accumulated by harness.compensated_sum (Kahan summation).  For a
-primitive c the unit group is that of Z/N(c), so units and inverses are
-rational gcd and pow; other moduli keep one Gaussian Euclid pass per
-residue.  The brute-force rho_q is one int64 numpy predicate over the whole
-of Z[i]/(2q).  The trace partial sums run over gaussian.disk_rows, one
-residue-class bincount per row.
+sums are accumulated by harness.compensated_sum (Kahan summation).  A
+Kloosterman sum is one int64 numpy pass over the transversal of Z[i]/(c),
+primitive or not: the power a^(phi(c)-1) both tests each residue a for a
+unit and inverts it.  The brute-force rho_q is one int64 numpy predicate
+over the whole of Z[i]/(2q).  The trace partial sums run over
+gaussian.disk_rows, one residue-class bincount per row.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .harness import compensated_sum
 
 RHO_BRUTE_NORM_CUTOFF = 10**6   # refuse brute enumeration beyond N(2q) > 1e6
 KLOOSTERMAN_NORM_CUTOFF = 10**6
+KLOOSTERMAN_CHUNK = 1 << 16     # residues per vector pass of kloosterman
 _ROOT_ENUM_CUTOFF = 2**20       # largest prime norm for root enumeration
 
 
@@ -334,10 +335,25 @@ class KloostermanValue:
     value: complex
 
 
-def _phase_int(v, x, cbar, nc):
-    """Exact numerator of <v, x/c> = (v, x*conj(c))/N(c), reduced mod N(c)."""
-    t = g.mul(x, cbar)
-    return (v[0] * t[0] + v[1] * t[1]) % nc
+def _phases(v, c, nc, x, y):
+    """Exact numerators of <v, a/c> = <v, a*conj(c)>/N(c), reduced mod N(c),
+    at the residues a = x + y*i given as int64 arrays of components.
+
+    <v, a*conj(c)> = Re(conj(v*c) * a), so with w = v*c reduced mod N(c)
+    the numerator is w0*x + w1*y mod N(c).  v may have components up to
+    2^31 - 1; w is formed in Python integers and reduced before any array
+    product, so for 0 <= x, y < N(c) <= 1e6 every product stays below 1e12.
+    """
+    w0, w1 = g.mul(v, c)
+    return ((w0 % nc) * x + (w1 % nc) * y) % nc
+
+
+def _ring_mul(ring, a, b):
+    """Product of two arrays of residues (x, y) of ring, reduced to the
+    transversal.  On the transversal (x < d1, y < d2, d1*d2 = N(m) <= 1e6)
+    every int64 term of the product and of ring.reduce stays below 2^42."""
+    (x1, y1), (x2, y2) = a, b
+    return ring.reduce((x1 * x2 - y1 * y2, x1 * y2 + y1 * x2))
 
 
 _rho_table_memo: dict = {}
@@ -364,38 +380,39 @@ def rho_table(q: CanonicalIdealRep):
 def kloosterman(m: GaussianInt, n: GaussianInt, c: CanonicalIdealRep) -> KloostermanValue:
     """S(m, n, c) by exact enumeration of the unit group of Z[i]/(c).
 
-    For a primitive c (coprime components) the transversal is the integers
-    0..N(c)-1 and Z[i]/(c) = Z/N(c), so a unit is an x with gcd(x, N(c)) = 1
-    and its inverse is pow(x, -1, N(c)).  For any other c one extended
-    Euclid pass per residue both tests the unit and inverts it.  Each phase
-    is an exact integer over N(c), the same for any representative of the
+    One vector pass over the HNF transversal, KLOOSTERMAN_CHUNK residues at
+    a time: each residue a is raised to e = phi(c) - 1 by square-and-multiply
+    in Z[i]/(c) (_ring_mul).  a is a unit exactly when a * a^e = 1, and then
+    a^e is its inverse (the unit group has order phi(c)).  At c = 1 and
+    c = 1+i, where e = 0, the pass takes a^1 instead, which is the inverse
+    of the one unit there, 1 (at c = 1, where 0 = 1, S = 1).  Each phase is
+    an exact integer over N(c), the same for any representative of the
     inverse; accumulation is Kahan-compensated separately in the real and
-    imaginary parts, in transversal order.
+    imaginary parts, in transversal order, with math.cos and math.sin per
+    term.
     """
     nc = c.norm()
     if nc > KLOOSTERMAN_NORM_CUTOFF:
         raise CutoffExceededError(f"N(c) = {nc} exceeds Kloosterman cutoff")
     cp = c.pair
-    cbar = g.conj(cp)
     ring = ResidueRing(cp)
-    mp, np_ = m.pair, n.pair
+    one = ring.reduce((1, 0))
+    e = g.euler_phi(c) - 1
     tau = 2.0 * math.pi / nc
 
     def phases():
-        if ring.d2 == 1:
-            # <v, x/c> = x * <v, 1/c> for an integer x
-            am = _phase_int(mp, (1, 0), cbar, nc)
-            an = _phase_int(np_, (1, 0), cbar, nc)
-            for x in range(nc):
-                if math.gcd(x, nc) == 1:
-                    yield (x * am + pow(x, -1, nc) * an) % nc
-            return
-        for a in ring.representatives():
-            try:
-                ainv = g.invert_mod(a, cp)
-            except ZeroDivisionError:
-                continue
-            yield (_phase_int(mp, a, cbar, nc) + _phase_int(np_, ainv, cbar, nc)) % nc
+        for lo in range(0, nc, KLOOSTERMAN_CHUNK):
+            a = np.divmod(np.arange(lo, min(lo + KLOOSTERMAN_CHUNK, nc), dtype=np.int64),
+                          ring.d2)
+            inv = a
+            for bit in bin(e)[3:]:  # a^e, from the leading bit of e down
+                inv = _ring_mul(ring, inv, inv)
+                if bit == "1":
+                    inv = _ring_mul(ring, inv, a)
+            x, y = _ring_mul(ring, a, inv)
+            unit = (x == one[0]) & (y == one[1])
+            yield from ((_phases(m.pair, cp, nc, a[0][unit], a[1][unit])
+                         + _phases(n.pair, cp, nc, inv[0][unit], inv[1][unit])) % nc).tolist()
 
     terms = (complex(math.cos(tau * k), math.sin(tau * k)) for k in phases())
     return KloostermanValue(m=m, n=n, c=c, value=compensated_sum(terms))
@@ -416,16 +433,18 @@ def kloosterman_identity_check(q: CanonicalIdealRep, k: GaussianInt) -> float:
     """|sum_b rho_q(b^2-4) e(<k, b qbar/N(q)>) - S(k, k, q)|.
 
     The left side uses the Hensel root-count rho; the right side enumerates
-    units and their inverses, so the two sides share no code path.
+    units and their inverses, so the two sides share only the exact phase
+    numerators (_phases).
     """
     nq = q.norm()
     if nq > 10**4:
         raise CutoffExceededError(f"N(q) = {nq} exceeds identity-check cutoff")
     qp = q.pair
-    qbar = g.conj(qp)
     ring, rho_values = rho_table(q)
-    kp = k.pair
+    rho = np.asarray(rho_values, dtype=np.int64)
+    b = np.flatnonzero(rho)
+    x, y = np.divmod(b, ring.d2)
     tau = 2.0 * math.pi / nq
-    lhs = compensated_sum(cmath.rect(rho, tau * _phase_int(kp, b, qbar, nq))
-                          for b, rho in zip(ring.representatives(), rho_values) if rho)
+    phases = _phases(k.pair, qp, nq, x, y).tolist()
+    lhs = compensated_sum(cmath.rect(r, tau * ph) for r, ph in zip(rho[b].tolist(), phases))
     return abs(lhs - kloosterman(k, k, q).value)

@@ -3,14 +3,17 @@ multiplicative functions, residue rings."""
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 
+from pgt import gaussian
 from pgt.errors import OverflowGuardError, ZeroInputError
 from pgt.gaussian import (GaussianInt, ResidueRing,
                           canonical_rep, divisors, divisor_count, euler_phi,
                           factor, gcd, ideal_reps_upto, is_prime_ideal,
-                          mobius, prime_ideals_upto, sigma_xi,
+                          mobius, prime_ideals_upto, sigma_xi, split_prime_above,
                           canonical_pair, divides, gcd_pair, mul, norm)
 
 G = GaussianInt
@@ -239,3 +242,69 @@ def test_prime_ideals_upto():
     for n, p in primes:
         assert norm(p) == n
         assert is_prime_ideal(canonical_rep(G(*p)))
+
+
+def test_prime_ideals_upto_answers_from_the_largest_sieve(monkeypatch):
+    # each limit gets what a fresh sieve gives, whichever larger limit was
+    # sieved before, in a list the caller may change without harm
+    fresh = gaussian._sieve_prime_ideals
+    sieved = []
+    monkeypatch.setattr(gaussian, "_sieved", (-1, []))
+    monkeypatch.setattr(gaussian, "_sieve_prime_ideals",
+                        lambda limit: sieved.append(limit) or fresh(limit))
+    tops = [2000, 150_000]
+    for k, top in enumerate(tops):
+        prime_ideals_upto(top)
+        for limit in [*range(2001), 40_000, 130_854, 149_999, 150_000]:
+            if limit <= top:
+                assert prime_ideals_upto(limit) == fresh(limit), (top, limit)
+        assert sieved == tops[:k + 1]
+    got = prime_ideals_upto(150_000)
+    got.clear()
+    prime_ideals_upto(50).append((2, (1, 1)))
+    assert prime_ideals_upto(50) == fresh(50)
+    assert prime_ideals_upto(150_000) == fresh(150_000)
+    assert sieved == tops
+
+
+def test_prime_ideals_upto_under_racing_threads(monkeypatch):
+    # threads that grow the kept list under each other still each get the
+    # list a fresh sieve gives
+    fresh = {limit: gaussian._sieve_prime_ideals(limit) for limit in range(0, 3001, 97)}
+    monkeypatch.setattr(gaussian, "_sieved", (-1, []))
+    bad = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            limit = rng.choice(list(fresh))
+            if prime_ideals_upto(limit) != fresh[limit]:
+                bad.append(limit)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+
+
+def test_split_prime_above_matches_gaussian_euclid():
+    # the integer Euclid on (p, t) picks the same canonical prime as
+    # gcd(p, t + i), at every split p <= 4e5
+    limit = 4 * 10**5
+    sieve = bytearray([1]) * (limit + 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    splits = [p for p in range(5, limit + 1, 4) if sieve[p]]
+    assert len(splits) == 16_900
+    for p in splits:
+        t = gaussian.sqrt_minus_one_mod(p)
+        assert split_prime_above(p) == gcd_pair((p, 0), (t, 1)), p

@@ -6,12 +6,12 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pgt import gaussian as g
+from pgt import gaussian as g, quad_counts as qc
 from pgt.errors import CutoffExceededError
 from pgt.gaussian import (GaussianInt, ResidueRing, canonical_rep,
                           canonical_pair, euler_phi, divisor_count,
                           ideal_reps_upto, mul, norm)
-from pgt.quad_counts import (build_rho_lambda_table,
+from pgt.quad_counts import (KLOOSTERMAN_NORM_CUTOFF, build_rho_lambda_table,
                              kloosterman, kloosterman_identity_check,
                              lambda_, lambda_at_prime_power,
                              lambda_partial_sum, rho_bruteforce, rho_fast,
@@ -255,25 +255,52 @@ def _kloosterman_reference(m, n, c) -> complex:
 
 
 def test_kloosterman_bit_for_bit_against_reference(monkeypatch):
-    # every modulus of norm <= 200, primitive or not; a primitive modulus
-    # never reaches the Gaussian Euclid inverse
+    # every modulus of norm <= 200, primitive or not; no modulus reaches the
+    # Gaussian Euclid inverse
     calls = []
     invert_mod = g.invert_mod
+    monkeypatch.setattr(g, "invert_mod",
+                        lambda a, mod: calls.append(a) or invert_mod(a, mod))
     rng = random.Random(41)
     for qp in ideal_reps_upto(200):
         c = canonical_rep(G(*qp))
         for _ in range(2):
             m = G(rng.randint(-40, 40), rng.randint(-40, 40))
             n = G(rng.randint(-40, 40), rng.randint(-40, 40))
-            want = _kloosterman_reference(m, n, c)
             calls.clear()
-            monkeypatch.setattr(g, "invert_mod",
-                                lambda a, mod: calls.append(a) or invert_mod(a, mod))
             got = kloosterman(m, n, c).value
-            monkeypatch.setattr(g, "invert_mod", invert_mod)
-            assert got == want, (qp, m, n)
-            primitive = math.gcd(*qp) == 1
-            assert (len(calls) == 0) if primitive else (len(calls) == c.norm()), qp
+            assert not calls, qp
+            assert got == _kloosterman_reference(m, n, c), (qp, m, n)
+
+
+def test_kloosterman_extreme_components_bit_for_bit():
+    # the largest components a GaussianInt takes, +-(2^31 - 1), in m and n
+    big = 2**31 - 1
+    rng = random.Random(43)
+    for qp in [(1, 0), (1, 1), (3, 0), (2, 1), (4, 2), (6, 0), (7, 3), (10, 5)]:
+        c = canonical_rep(G(*qp))
+        for _ in range(3):
+            m = G(rng.choice([big, -big]), rng.choice([big, -big]))
+            n = G(rng.choice([big, -big]), rng.randint(-big, big))
+            assert kloosterman(m, n, c).value == _kloosterman_reference(m, n, c), (qp, m, n)
+
+
+def test_kloosterman_chunks_sum_as_one_pass(monkeypatch):
+    # the transversal walked a few residues at a time gives the same bits
+    monkeypatch.setattr(qc, "KLOOSTERMAN_CHUNK", 7)
+    rng = random.Random(47)
+    for qp in [(1, 0), (5, 0), (4, 2), (9, 3), (11, 4)]:
+        c = canonical_rep(G(*qp))
+        m = G(rng.randint(-40, 40), rng.randint(-40, 40))
+        n = G(rng.randint(-40, 40), rng.randint(-40, 40))
+        assert kloosterman(m, n, c).value == _kloosterman_reference(m, n, c), qp
+
+
+def test_kloosterman_phi_at_the_norm_cutoff():
+    # N(c) = 10^6, not primitive: walked in chunks, every term exactly 1
+    c = canonical_rep(G(600, 800))
+    assert c.norm() == KLOOSTERMAN_NORM_CUTOFF
+    assert kloosterman(G(0, 0), G(0, 0), c).value == euler_phi(c)
 
 
 def test_kloosterman_cutoff():
