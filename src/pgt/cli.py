@@ -2,9 +2,8 @@
 
 Subcommands: psi, interval, smoothed, lfun, circle, kloosterman, spectral,
 exponents, verify.  Output is JSON (schema-versioned) or CSV with named
-columns; given identical configuration (seed included) the output bytes are
-identical run to run.  Flag precedence: command line over --config file
-(key=value lines) over built-in defaults.
+columns; given identical options (seed included) the output bytes are
+identical run to run.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .acceptance import run_all
 from .characters import discriminant_split, is_perfect_square, quadratic_character
 from .errors import OverflowGuardError
 from .gaussian import GaussianInt, canonical_rep
-from .harness import parse_config_file, write_csv, write_json
+from .harness import write_csv, write_json
 
 
 def parse_gaussian(text: str) -> GaussianInt:
@@ -94,40 +93,55 @@ def parse_theta(text: str) -> Fraction:
     return Fraction(text)
 
 
-def parse_positive(text: str) -> float:
-    """A tolerance, smoothing length, threshold or window: a finite float > 0."""
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
+def in_range(lo, hi, *, kind=float, open_lo=False, open_hi=False):
+    """An argparse type: text read by kind whose value lies between lo and hi,
+    each end excluded when its open_ flag is set; nan lies in no range."""
+    def number(text):  # argparse names it in "invalid number value"
+        value = kind(text)
+        if not ((lo < value if open_lo else lo <= value)
+                and (value < hi if open_hi else value <= hi)):
+            shown = [f"{v:g}" if isinstance(v, float) else str(v) for v in (lo, hi)]
+            raise argparse.ArgumentTypeError(
+                f"must lie in {'(' if open_lo else '['}{shown[0]}, "
+                f"{shown[1]}{')' if open_hi else ']'}, got {text!r}")
+        return value
+    return number
 
 
-def parse_seed(text: str) -> int:
-    """A seed: an integer in [0, 2^64)."""
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2^64), got {text!r}")
-    return value
+# a tolerance, smoothing length, threshold or window: a finite float > 0
+parse_positive = in_range(0.0, math.inf, open_lo=True, open_hi=True)
+parse_seed = in_range(0, 2**64, kind=int, open_hi=True)
+parse_psi_x = in_range(10.0, geo.PSI_X_CAP)
+parse_m = in_range(0.0, lattice.CIRCLE_M_CAP, open_lo=True)
 
 
 def parse_grid(text: str) -> list:
-    """'1e3:1e6' = decades from 1e3 to 1e6; or comma-separated values."""
+    """'1e3:1e6' = decades from 1e3 to 1e6; or comma-separated values.
+
+    The bounds and values lie in (0, lattice.CIRCLE_M_CAP], and a grid has
+    at least two distinct values (the fit's least number).
+    """
     if ":" in text:
-        lo, hi = (float(x) for x in text.split(":", 1))
-        out = []
-        m = lo
+        m, hi = (parse_m(x) for x in text.split(":", 1))
+        grid = []
         while m <= hi * 1.0000001:
-            out.append(m)
+            grid.append(m)
             m *= 10.0
-        return out
-    return [float(x) for x in text.split(",")]
+    else:
+        grid = text.split(",")
+    grid = [parse_m(m) for m in grid]
+    if len(set(grid)) < 2:
+        raise argparse.ArgumentTypeError(
+            f"needs at least two distinct values, got {text!r}")
+    return grid
 
 
-def _emit(args, obj, rows=None, header=None) -> None:
+def _emit(args, obj, header, rows=None) -> None:
+    """Write obj as JSON, or as CSV: rows under header, by default the one
+    row of obj's values at the header's columns."""
     if args.format == "csv":
         if rows is None:
-            rows = [[obj[k] for k in sorted(obj)]]
-            header = sorted(obj)
+            rows = [[obj[k] for k in header]]
         text = write_csv(rows, header, args.output)
     else:
         text = write_json(obj, args.output)
@@ -138,68 +152,11 @@ def _emit(args, obj, rows=None, header=None) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, help="write to file instead of stdout")
-    p.add_argument("--config", default=None, help="key=value defaults file")
-    p.set_defaults(subparser=p)
 
 
 def _add_tol(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=parse_positive, default=None,
                    help="accuracy target (default: each command's own)")
-
-
-def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
-    """Parse argv; a --config file's values become the sub-command's defaults.
-
-    Only keys naming an option of the sub-command are read; others are
-    ignored.  argparse converts a string default through its option's own
-    type, the way it converts a command-line string, and the command line
-    still wins, also over the file's value for another member of the same
-    mutually exclusive group.  Values must lie in the option's choices, and
-    the file may set at most one member of a group.  A value from the file
-    satisfies a required option, or a required group it is a member of.
-    Flags (store_true) have no type, so their values are read as booleans.
-    """
-    subs = next(a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)).choices.values()
-    required = [x for p in subs for x in (*p._actions, *p._mutually_exclusive_groups)
-                if x.required]
-    # first pass: find the sub-command and its --config, requirements aside
-    for x in required:
-        x.required = False
-    try:
-        args = parser.parse_args(argv)
-    finally:
-        for x in required:
-            x.required = True
-    if args.config:
-        sub = args.subparser
-        options = {a.dest: a for a in sub._actions
-                   if a.option_strings and a.dest not in ("help", "config")}
-        for group in sub._mutually_exclusive_groups:
-            if any(getattr(args, a.dest) != a.default for a in group._group_actions):
-                for a in group._group_actions:
-                    options.pop(a.dest, None)
-        values = {}
-        for key, value in parse_config_file(args.config).items():
-            action = options.get(key.replace("-", "_"))
-            if action is None:
-                continue
-            if action.choices is not None and value not in action.choices:
-                sub.error(f"{args.config}: {key}={value!r} is not one of "
-                          f"{', '.join(map(str, action.choices))}")
-            values[action.dest] = (value.lower() in ("1", "true", "yes")
-                                   if isinstance(action.default, bool) else value)
-        for group in sub._mutually_exclusive_groups:
-            set_here = [a.dest for a in group._group_actions if a.dest in values]
-            if len(set_here) > 1:
-                sub.error(f"{args.config}: {' and '.join(set_here)} are mutually exclusive")
-            if set_here:
-                group.required = False
-        for a in sub._actions:
-            if a.dest in values:
-                a.required = False
-        sub.set_defaults(**values)
-    return parser.parse_args(argv)
 
 
 def _psi_options(args) -> geo.PsiOptions:
@@ -215,10 +172,7 @@ def cmd_psi(args) -> int:
         "command": "psi", "x": r.X, "psi": r.psi, "main": r.main,
         "remainder": r.remainder, "constant_used": r.constant_used,
         "v_used": r.v_used, "band": r.band, "n_terms": r.n_terms,
-    }, rows=[[r.X, r.psi, r.main, r.remainder, r.constant_used, r.v_used,
-              r.band, r.n_terms]],
-        header=["x", "psi", "main", "remainder", "constant_used", "v_used",
-                "band", "n_terms"])
+    }, ["x", "psi", "main", "remainder", "constant_used", "v_used", "band", "n_terms"])
     return 0
 
 
@@ -231,10 +185,8 @@ def cmd_interval(args) -> int:
         "difference": r.difference, "main": r.main, "remainder": r.remainder,
         "normalized_error": r.normalized_error, "v_used": r.v_used,
         "band": r.band, "n_terms": r.n_terms,
-    }, rows=[[r.X, r.Y, r.difference, r.main, r.remainder, r.normalized_error,
-              r.v_used, r.band, r.n_terms]],
-        header=["x", "y", "difference", "main", "remainder", "normalized_error",
-                "v_used", "band", "n_terms"])
+    }, ["x", "y", "difference", "main", "remainder", "normalized_error", "v_used",
+        "band", "n_terms"])
     return 0
 
 
@@ -246,8 +198,7 @@ def cmd_smoothed(args) -> int:
     _emit(args, {
         "command": "smoothed", "x": args.x, "y": args.y, "psi_smoothed": sm,
         "psi": lo.psi, "kernel_mass": kernel.mass,
-    }, rows=[[args.x, args.y, sm, lo.psi, kernel.mass]],
-        header=["x", "y", "psi_smoothed", "psi", "kernel_mass"])
+    }, ["x", "y", "psi_smoothed", "psi", "kernel_mass"])
     return 0
 
 
@@ -271,23 +222,19 @@ def cmd_lfun(args) -> int:
         "unit_value": char.unit_value, "v_used": V, "G_V": gv.value,
         "tail_estimate": gv.tail_estimate, "T_at_1": complex(tval).real,
         "L_at_1": lval.value.real, "product": complex(tval).real * lval.value.real,
-    }, rows=[[str(delta), str(split.D), str(split.l.value), char.even_value,
-              V, gv.value, complex(tval).real, lval.value.real]],
-        header=["delta", "D", "l", "even_value", "v_used", "G_V",
-                "T_at_1", "L_at_1"])
+    }, ["delta", "D", "l", "even_value", "v_used", "G_V", "T_at_1", "L_at_1"])
     return 0
 
 
 def cmd_circle(args) -> int:
-    grid = parse_grid(args.m_grid)
-    fit = lattice.eta_fit(grid, n_centers=args.centers, seed=args.seed)
+    fit = lattice.eta_fit(args.m_grid, n_centers=args.centers, seed=args.seed)
     rows = [[M, w] for M, w in fit.samples]
     rows.append(["fitted_exponent", fit.fitted_exponent])
     _emit(args, {
         "command": "circle", "samples": fit.samples,
         "fitted_exponent": fit.fitted_exponent, "constant": fit.constant,
         "seed": fit.seed, "n_centers": fit.n_centers,
-    }, rows=rows, header=["M", "max_remainder"])
+    }, ["M", "max_remainder"], rows)
     return 0
 
 
@@ -299,9 +246,7 @@ def cmd_kloosterman(args) -> int:
         "command": "kloosterman", "m": str(args.m), "n": str(args.n),
         "c": str(c.value), "value_re": kv.value.real, "value_im": kv.value.imag,
         "weil_ratio": ratio,
-    }, rows=[[str(args.m), str(args.n), str(c.value), kv.value.real,
-              kv.value.imag, ratio]],
-        header=["m", "n", "c", "value_re", "value_im", "weil_ratio"])
+    }, ["m", "n", "c", "value_re", "value_im", "weil_ratio"])
     return 0
 
 
@@ -321,9 +266,7 @@ def cmd_spectral(args) -> int:
     wexp = spec_mod.weyl_law_exponent(table)
     if wexp is not None:
         obj["weyl_exponent"] = wexp
-    _emit(args, obj,
-          rows=[[args.t, args.x, s.real, s.imag, abs(s)]],
-          header=["T", "x", "S_re", "S_im", "abs_S"])
+    _emit(args, obj, ["T", "x", "S_re", "S_im", "abs_S"])
     return 0
 
 
@@ -361,7 +304,7 @@ def cmd_exponents(args) -> int:
         rows.append(["nu", "", "", "", system["nu"]])
         rows.append(["beta", "", "", "", system["beta"]])
         rows.append(["pointwise_exponent", "", "", "", system["pointwise_exponent"]])
-    _emit(args, obj, rows=rows, header=["quantity", "nu", "eta", "sigma", "value"])
+    _emit(args, obj, ["quantity", "nu", "eta", "sigma", "value"], rows)
     return 0
 
 
@@ -386,15 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("psi", help="weighted geodesic count up to x")
-    p.add_argument("--x", type=parse_positive, required=True)
+    p.add_argument("--x", type=parse_psi_x, required=True)
     p.add_argument("--v", type=parse_positive, default=None, help="smoothing length override")
     _add_tol(p)
     _add_common(p)
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("interval", help="short-interval difference at y = x^nu")
-    p.add_argument("--x", type=parse_positive, required=True)
-    p.add_argument("--nu", type=float, default=0.7)
+    p.add_argument("--x", type=in_range(1.0, geo.PSI_X_CAP, open_lo=True), required=True)
+    p.add_argument("--nu", type=in_range(0.0, 1.0, open_lo=True), default=0.7)
     p.add_argument("--y", type=parse_positive, default=None, help="explicit window length")
     p.add_argument("--v", type=parse_positive, default=None)
     _add_tol(p)
@@ -402,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_interval)
 
     p = sub.add_parser("smoothed", help="kernel-smoothed count")
-    p.add_argument("--x", type=parse_positive, required=True)
+    p.add_argument("--x", type=parse_psi_x, required=True)
     p.add_argument("--y", type=parse_positive, required=True)
     p.add_argument("--v", type=parse_positive, default=None)
     _add_tol(p)
@@ -419,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lfun)
 
     p = sub.add_parser("circle", help="shifted-circle remainder sweep")
-    p.add_argument("--m-grid", default="1e3:1e6")
-    p.add_argument("--centers", type=int, default=100)
+    p.add_argument("--m-grid", type=parse_grid, default="1e3:1e6")
+    p.add_argument("--centers", type=in_range(1, math.inf, kind=int, open_hi=True),
+                   default=100)
     p.add_argument("--seed", type=parse_seed, default=7)
     _add_common(p)
     p.set_defaults(func=cmd_circle)
@@ -434,16 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="spectral exponential sum from a data file")
     p.add_argument("--file", required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--t", type=in_range(0.0, math.inf), required=True)
+    p.add_argument("--x", type=in_range(1.0, math.inf, open_hi=True), required=True)
     _add_common(p)
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("exponents", help="balancing equations and headline exponents")
     p.add_argument("--theta", type=parse_theta, default=None,
                    help="subconvexity exponent as a rational, e.g. 1/6")
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--nu", type=in_range(1.0 / 3.0, 1.0, open_lo=True), default=None)
+    p.add_argument("--eta", type=in_range(0.25, 0.5, open_lo=True), default=None)
     _add_common(p)
     p.set_defaults(func=cmd_exponents)
 
@@ -458,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = _parse(parser, sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -1,5 +1,5 @@
-"""Experiment plumbing: exponent fits, compensated sums, config files, and
-machine-readable output.
+"""Experiment plumbing: exponent fits, compensated sums, and machine-readable
+output.
 
 Every "fitted exponent" in the package goes through fit_exponent (least
 squares on log-log axes), every compensated sum through compensated_sum.
@@ -75,21 +75,6 @@ def compensated_sum(terms) -> complex:
         ci = (ti - si) - yi
         si = ti
     return complex(sr, si)
-
-
-def parse_config_file(path: str) -> dict:
-    """key=value lines; '#' comments; values kept as strings."""
-    out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ValueError(f"malformed config line: {text!r}")
-            key, _, value = text.partition("=")
-            out[key.strip()] = value.strip()
-    return out
 
 
 def write_csv(rows: list, header: list, path: str | None = None) -> str:

@@ -152,6 +152,8 @@ def eta_fit(m_grid, n_centers: int = 100, seed: int = 7) -> EtaFit:
     ms = sorted(set(float(m) for m in m_grid))
     if len(ms) < 2:
         raise ValueError("fit needs at least two distinct M values")
+    if n_centers < 1:
+        raise ValueError("fit needs at least one center")
     rng = random.Random(seed)
     centers = [(rng.random(), rng.random()) for _ in range(n_centers)]
     samples = []

@@ -1,14 +1,17 @@
-"""Exponent fitting, config handling, output formats, and the CLI surface."""
+"""Exponent fitting, compensated sums, output formats, and the CLI surface."""
 
+import ast
+import csv
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from pgt import calibration as cal
-from pgt.harness import (FitResult, compensated_sum, fit_exponent,
-                         parse_config_file, write_csv, write_json)
+from pgt import cli
+from pgt.harness import FitResult, compensated_sum, fit_exponent, write_csv, write_json
 from pgt.cli import main, parse_gaussian, parse_grid
 
 
@@ -58,7 +61,21 @@ def test_cli_rejects_bad_tol_and_seed(capsys):
                 ["kloosterman", "--m", "1", "--n", "1", "--c", "0"],
                 ["kloosterman", "--m", "1", "--n", "1", "--c", "1001"],
                 ["lfun", "--trace", "99999"],
-                ["kloosterman", "--m", str(2**31), "--n", "1", "--c", "3"]):
+                ["kloosterman", "--m", str(2**31), "--n", "1", "--c", "3"],
+                # a grid bound at or below 0 once multiplied 0 by 10 until
+                # memory ran out, and an infinite one never stopped
+                ["circle", "--m-grid", "0:1e3"], ["circle", "--m-grid=-1:1e3"],
+                ["circle", "--m-grid", "1e3:inf"], ["circle", "--m-grid", "1e3"],
+                ["circle", "--m-grid", "1e4:1e3"], ["circle", "--m-grid", "1e3,1e10"],
+                ["circle", "--m-grid", "1e3,nan"], ["circle", "--centers", "0"],
+                ["psi", "--x", "5"], ["smoothed", "--x", "5", "--y", "1"],
+                ["psi", "--x", "1e5"], ["interval", "--x", "100", "--nu", "2"],
+                ["interval", "--x", "100", "--nu", "nan"], ["interval", "--x", "1"],
+                ["exponents", "--nu", "5"], ["exponents", "--nu", "nan"],
+                ["exponents", "--nu", "0.7", "--eta", "0.9"],
+                ["spectral", "--file", "eig.txt", "--t", "nan", "--x", "100"],
+                ["spectral", "--file", "eig.txt", "--t", "-1", "--x", "100"],
+                ["spectral", "--file", "eig.txt", "--t", "6", "--x", "0.5"]):
         with pytest.raises(SystemExit) as exc:
             main(bad)
         assert exc.value.code == 2
@@ -82,16 +99,6 @@ def test_compensated_sum_matches_fsum_on_cancelling_sums():
         assert abs(getattr(plain, part) - want) > 10 * bound
     # real terms sum on the real part alone
     assert compensated_sum(re_terms) == complex(got.real, 0.0)
-
-
-def test_config_file_parsing(tmp_path):
-    p = tmp_path / "run.cfg"
-    p.write_text("# comment\nseed=11\ntol = 0.5\n")
-    assert parse_config_file(str(p)) == {"seed": "11", "tol": "0.5"}
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("just-a-token\n")
-    with pytest.raises(ValueError):
-        parse_config_file(str(bad))
 
 
 def test_json_schema_and_csv_header():
@@ -168,51 +175,38 @@ def test_cli_spectral(capsys, tmp_path):
     assert obj["S_re"] == pytest.approx(2.0)
 
 
-def test_cli_config_precedence(capsys, tmp_path):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("x=100\nv=500\n")
-    # config supplies x; the command line does not
-    assert main(["psi", "--x", "200", "--v", "500", "--config", str(cfg)]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["x"] == 200.0  # explicit flag wins over config
-    # values only the config sets go through each option's own type
-    cfg.write_text("tol=0.5\nv=500\n")
-    assert main(["psi", "--x", "100", "--config", str(cfg)]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["v_used"] == 500.0
-    assert main(["lfun", "--trace", "3", "--config", str(cfg)]) == 0
-    assert json.loads(capsys.readouterr().out)["v_used"] == 500.0
-    # keys naming no option of the sub-command are ignored
-    cfg.write_text("func=1\nsubparser=1\ncommand=psi\nconfig=elsewhere\nbogus=2\n")
-    assert main(["exponents", "--theta", "1/6", "--config", str(cfg)]) == 0
-    assert json.loads(capsys.readouterr().out)["command"] == "exponents"
-    # config values must lie in the option's choices
-    cfg.write_text("format=xml\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["exponents", "--theta", "1/6", "--config", str(cfg)])
-    assert exc.value.code == 2
-    assert "usage:" in capsys.readouterr().err
-    # the command line wins over the file for another member of its
-    # mutually exclusive group
-    cfg.write_text("trace=3\nv=500\n")
-    assert main(["lfun", "--delta", "12", "--config", str(cfg)]) == 0
-    assert json.loads(capsys.readouterr().out)["delta"] == "12"
-    # a required option, or a required group, may come from the file alone
-    assert main(["lfun", "--config", str(cfg)]) == 0
-    assert json.loads(capsys.readouterr().out)["delta"] == "5"
-    cfg.write_text("x=100\nv=500\n")
-    assert main(["psi", "--config", str(cfg)]) == 0
-    assert json.loads(capsys.readouterr().out)["x"] == 100.0
-    # still required when neither the command line nor the file sets it
-    cfg.write_text("v=500\n")
-    for argv in (["psi"], ["lfun"]):
+def test_cli_required_and_exclusive_options(capsys):
+    for argv, message in ((["psi"], "required"), (["lfun"], "required"),
+                          (["lfun", "--delta", "12", "--trace", "3"], "not allowed with"),
+                          (["psi", "--x", "100", "--config", "run.cfg"],
+                           "unrecognized arguments")):
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--config", str(cfg)])
+            main(argv)
         assert exc.value.code == 2
-        assert "required" in capsys.readouterr().err
-    # the file may set one member of a mutually exclusive group, not two
-    cfg.write_text("trace=3\ndelta=5\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["lfun", "--config", str(cfg)])
-    assert exc.value.code == 2
-    assert "mutually exclusive" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+
+def test_cli_csv_row_is_json_values(capsys, tmp_path):
+    eig = tmp_path / "eig.txt"
+    eig.write_text("# source: synthetic\n1.0\n2.0\n3.0\n")
+    for argv in (["psi", "--x", "100", "--v", "500"],
+                 ["interval", "--x", "400", "--nu", "0.7", "--v", "800"],
+                 ["smoothed", "--x", "200", "--y", "20", "--v", "500"],
+                 ["lfun", "--trace", "3", "--v", "800"],
+                 ["kloosterman", "--m", "1", "--n", "1+i", "--c", "11+3i"],
+                 ["spectral", "--file", str(eig), "--t", "2.5", "--x", "1"]):
+        assert main(argv) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--format", "csv"]) == 0
+        header, row = csv.reader(capsys.readouterr().out.splitlines())
+        assert row == [str(obj[k]) for k in header], argv
+
+
+def test_cli_reads_no_private_attribute():
+    # argparse's private internals (_actions, _mutually_exclusive_groups,
+    # _SubParsersAction) change between Python versions; the CLI parses
+    # with the public API alone
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = sorted({node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr.startswith("_")})
+    assert private == []

@@ -107,3 +107,7 @@ def test_eta_fit_deterministic_and_bounds():
 def test_eta_fit_needs_two_points():
     with pytest.raises(ValueError):
         eta_fit([1e4], n_centers=5, seed=1)
+    # and at least one center: with none, every sample read 0 and the fit
+    # returned exponent 0 with constant 1e-300
+    with pytest.raises(ValueError):
+        eta_fit([1e3, 1e4], n_centers=0, seed=1)
