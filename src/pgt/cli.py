@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="spectral exponential sum from a data file")
     p.add_argument("--file", required=True)
-    p.add_argument("--t", type=in_range(0.0, math.inf), required=True)
+    p.add_argument("--t", type=in_range(0.0, math.inf, open_hi=True), required=True)
     p.add_argument("--x", type=in_range(1.0, math.inf, open_hi=True), required=True)
     _add_common(p)
     p.set_defaults(func=cmd_spectral)

@@ -158,6 +158,20 @@ def i_mod_split(pi, p: int) -> int:
     return t
 
 
+def primary_associate(a, b):
+    """The primary associate x + yi of a + bi, for a + b odd (odd norm): the
+    one with x + yi = 1 (mod 2+2i), i.e. x odd, y even and x + y = 1 (mod 4).
+
+    Quadratic reciprocity in Z[i], [pi/w] = [w/pi], holds between distinct
+    primary primes.  Branch-free, so a and b may be ints or numpy integer
+    arrays (elementwise; int64 while |a| + |b| < 2^62).
+    """
+    swap = b & 1  # a even: take -i(a + bi) = b - ai
+    x, y = a + swap * (b - a), b - swap * (a + b)
+    sign = 1 - 2 * (((x + y) >> 1) & 1)  # x + y = 3 (mod 4): negate
+    return sign * x, sign * y
+
+
 def euler_symbol(x, pi) -> int:
     """Quadratic residue symbol (x / pi) of a pair x at an odd prime pair pi.
 

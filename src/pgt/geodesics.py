@@ -234,28 +234,32 @@ def trace_terms(X: float, opts: PsiOptions | None = None) -> list[TraceTerm]:
 # smoothing kernel
 # ---------------------------------------------------------------------------
 
-def _bump(t: float) -> float:
-    """exp(-1/(t(1-t))) on (0,1), 0 outside."""
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    return math.exp(-1.0 / (t * (1.0 - t)))
+def _bump(t):
+    """exp(-1/(t(1-t))) on (0,1), 0 outside; elementwise on an array."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.zeros(t.shape)
+    inside = (t > 0.0) & (t < 1.0)
+    ti = t[inside]
+    out[inside] = np.exp(-1.0 / (ti * (1.0 - ti)))
+    return out[()]
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _integrate(f, a: float, b: float, segments: int = 64) -> float:
-    """Composite 16-point Gauss-Legendre on [a, b]."""
-    if b <= a:
-        return 0.0
-    edges = np.linspace(a, b, segments + 1)
-    total = 0.0
-    for i in range(segments):
-        mid = 0.5 * (edges[i] + edges[i + 1])
-        half = 0.5 * (edges[i + 1] - edges[i])
-        total += half * sum(w * f(mid + half * x)
-                            for x, w in zip(_GL_NODES, _GL_WEIGHTS))
-    return total
+def _integrate(f, a, b, segments: int = 64):
+    """Composite 16-point Gauss-Legendre of f on [a, b] (0 where b <= a).
+
+    a and b are floats or arrays of one shape, one integral per element; f
+    maps an array of nodes to an array of values and is called once, on the
+    nodes of every integral.
+    """
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    edges = np.linspace(a, b, segments + 1, axis=-1)
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    vals = f(mid[..., None] + half[..., None] * _GL_NODES)
+    return np.where(b > a, (half * (vals @ _GL_WEIGHTS)).sum(axis=-1), 0.0)[()]
 
 
 _BUMP_MASS = None
@@ -264,7 +268,7 @@ _BUMP_MASS = None
 def _bump_mass() -> float:
     global _BUMP_MASS
     if _BUMP_MASS is None:
-        _BUMP_MASS = _integrate(_bump, 0.0, 1.0, segments=128)
+        _BUMP_MASS = float(_integrate(_bump, 0.0, 1.0, segments=128))
     return _BUMP_MASS
 
 
@@ -274,7 +278,8 @@ class KernelSpec:
 
     k(u) = exp(-1/(t(1-t))) / (I0 * Y), t = (u-Y)/Y, with I0 the mass of
     the unnormalized bump; the cdf is evaluated by composite quadrature
-    (cached prefix grid, absolute tolerance well below 1e-8).
+    (cached prefix grid, absolute tolerance well below 1e-8).  value and
+    cdf are elementwise on arrays of u.
     """
 
     Y: float
@@ -285,15 +290,12 @@ class KernelSpec:
         _require_positive(Y=self.Y)
         m = 512
         self._grid = np.linspace(0.0, 1.0, m + 1)
-        vals = [0.0]
-        for i in range(m):
-            vals.append(vals[-1] + _integrate(_bump, self._grid[i],
-                                              self._grid[i + 1], segments=4))
-        self._prefix = np.array(vals) / _bump_mass()
+        cells = _integrate(_bump, self._grid[:-1], self._grid[1:], segments=4)
+        self._prefix = np.concatenate(([0.0], np.cumsum(cells))) / _bump_mass()
         if abs(self._prefix[-1] - 1.0) > 1e-8:
             raise ValueError("kernel mass is off unit by more than 1e-8")
 
-    def value(self, u: float) -> float:
+    def value(self, u):
         t = (u - self.Y) / self.Y
         return _bump(t) / (_bump_mass() * self.Y)
 
@@ -302,28 +304,22 @@ class KernelSpec:
         """Total mass by quadrature; equals 1 up to quadrature error."""
         return float(self._prefix[-1])
 
-    def cdf(self, u: float) -> float:
-        """integral of k from -inf to u."""
-        t = (u - self.Y) / self.Y
-        if t <= 0.0:
-            return 0.0
-        if t >= 1.0:
-            return 1.0
-        pos = t * (len(self._grid) - 1)
-        i = min(int(pos), len(self._grid) - 2)
-        base = self._prefix[i]
-        part = _integrate(_bump, self._grid[i], t, segments=2) / _bump_mass()
-        return float(base + part)
+    def cdf(self, u):
+        """integral of k from -inf to u: 0 up to Y, 1 from 2Y on."""
+        t = (np.asarray(u, dtype=np.float64) - self.Y) / self.Y
+        inside = np.clip(t, 0.0, 1.0)
+        i = np.minimum((inside * (len(self._grid) - 1)).astype(np.int64), len(self._grid) - 2)
+        part = _integrate(_bump, self._grid[i], inside, segments=2) / _bump_mass()
+        return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, self._prefix[i] + part))[()]
 
     def derivative_l1(self) -> float:
-        """integral |k'(u)| du, numerically (= 2 max k for a unimodal bump)."""
+        """integral |k'(u)| du, numerically (= 2 max k for a unimodal bump).
+        Every quadrature node lies inside (Y, 2Y), where t(1-t) > 0."""
         def dk(u):
             t = (u - self.Y) / self.Y
-            if t <= 0.0 or t >= 1.0:
-                return 0.0
             inner = (2.0 * t - 1.0) / (t * (1.0 - t)) ** 2
-            return abs(_bump(t) * inner) / (_bump_mass() * self.Y**2)
-        return _integrate(dk, self.Y, 2.0 * self.Y, segments=256)
+            return np.abs(_bump(t) * inner) / (_bump_mass() * self.Y**2)
+        return float(_integrate(dk, self.Y, 2.0 * self.Y, segments=256))
 
 
 def psi_smoothed(X: float, kernel: KernelSpec,
@@ -331,7 +327,8 @@ def psi_smoothed(X: float, kernel: KernelSpec,
     """Psi(X, k) = integral Psi(X+u) k(u) du by exact sum-integral exchange.
 
     Each trace contributes weight * L1 * (1 - cdf(thr - X)): full weight
-    once thr <= X+Y, zero beyond X+2Y, quadrature cdf in between.
+    once thr <= X+Y, zero beyond X+2Y, quadrature cdf in between, one
+    kernel.cdf call over the traces of (X+Y, X+2Y].
     """
     _require_positive(X=X)
     opts = opts or PsiOptions()
@@ -340,16 +337,10 @@ def psi_smoothed(X: float, kernel: KernelSpec,
     traces = _window_traces(1.0, hi)
     V = opts.pick_v(hi)
     gv = trace_engine.gv_per_trace(traces, V, cutoff_mult=opts.cutoff_mult)
-    total = 0.0
-    for j in range(len(traces)):
-        thr = traces.thr[j]
-        if thr <= X + Y:
-            w = 1.0
-        else:
-            w = 1.0 - kernel.cdf(thr - X)
-        if w:
-            total += traces.weight[j] * gv[j] * w
-    return PSI_CONSTANT * total
+    w = np.ones(len(traces))
+    edge = traces.thr > X + Y
+    w[edge] = 1.0 - kernel.cdf(traces.thr[edge] - X)
+    return PSI_CONSTANT * float(np.sum(traces.weight * gv * w))
 
 
 def psi_profile(X: float, Y: float, opts: PsiOptions | None = None):

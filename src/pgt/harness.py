@@ -92,10 +92,15 @@ def write_csv(rows: list, header: list, path: str | None = None) -> str:
 
 
 def write_json(obj, path: str | None = None) -> str:
-    """Render an object to versioned JSON (schema field added at top level)."""
+    """Render an object to versioned JSON (schema field added at top level).
+
+    Standard JSON only: a nan or infinite value raises ValueError rather
+    than printing the non-standard NaN or Infinity.
+    """
     payload = {"schema": JSON_SCHEMA_VERSION}
     payload.update(obj)
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default,
+                      allow_nan=False) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

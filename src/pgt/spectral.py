@@ -156,15 +156,13 @@ def smoothed_spectral_side(table: EigenvalueTable, X: float, T: float,
     segments = max(64, int(8 * periods) + 1)
 
     def integrand(u):
-        base = 0.5 * (X + u) ** 2
-        if rs:
-            lxu = math.log(X + u)
-            osc = sum(((X + u) * complex(math.cos(r * lxu), math.sin(r * lxu))
-                       / complex(1.0, r)).real for r in rs)
-            base += 2.0 * osc
-        return base * kernel.value(u)
+        lxu = np.log(X + u)
+        osc = 0.0
+        for r in rs:
+            osc = osc + ((X + u) * np.exp(1j * r * lxu) / complex(1.0, r)).real
+        return (0.5 * (X + u) ** 2 + 2.0 * osc) * kernel.value(u)
 
-    val = _integrate(integrand, Y, 2.0 * Y, segments=segments)
+    val = float(_integrate(integrand, Y, 2.0 * Y, segments=segments))
     return SmoothedSpectralSide(X=float(X), T=float(T), Y=float(Y), value=val,
                                 regime_ok=T * Y > X ** (1.0 + xi))
 

@@ -14,10 +14,12 @@ computed at once:
   * split pi over p:  Z[i]/(pi) = Z/p via the ring map i -> t of
     gaussian.i_mod_split (the one the scalar Euler criterion uses); for
     e = 1 the value is the Legendre symbol of (n^2-4 mod pi), read from a
-    marked square table mod p or, for p large against the number of traces,
-    by Euler's criterion on the residues themselves; for e >= 2 the unit
-    part of n^2-4 is mapped the same way and the value follows the
-    valuation pattern N^(v/2) s^(e-v) (see quad_counts.lambda_at_prime_power).
+    marked square table mod p or, for p beyond the norms of the prime
+    factors of n^2-4 and large against the number of traces, by quadratic
+    reciprocity from the symbols of pi at those factors (_DeltaFactors);
+    for e >= 2 the unit part of n^2-4 is mapped the same way and the value
+    follows the valuation pattern N^(v/2) s^(e-v) (see
+    quad_counts.lambda_at_prime_power).
   * inert p:          the symbol is legendre(N(x) mod p) since the norm is
     the Frobenius trace map to F_p; same valuation pattern for e >= 2.
   * pi = (1+i):       an explicit table over Z[i]/((1+i)^e), built from the
@@ -53,11 +55,13 @@ No work is done twice for an answer already known:
   * several V in one walk: `gv_sweep` hands its Vs to smoothed_sums, whose
     accumulator for each V is bit-identical to its own `gv_per_trace`.  The
     quarter-V validation of geodesics rides along the V sweep this way.
-  * one symbol build per rational prime: a Legendre table mod p, or Euler's
-    criterion on the residues of its traces when p^2 lies beyond the cutoff
-    and p is large against the number of traces, fills the rows of both
-    split ideals over p at once; a table is kept only while the walk can
-    ask for a higher power over p (p^2 within the cutoff).
+  * one symbol build per rational prime: a Legendre table mod p, or the
+    local symbols of reciprocity when p^2 lies beyond the cutoff and p
+    beyond the factor bound and large against the number of traces, fills
+    the rows of both split ideals over p at once; a table is kept only while
+    the walk can ask for a higher power over p (p^2 within the cutoff).  The
+    n^2 - 4 are factored once per sweep, at the first prime that takes the
+    local symbols, and their factors' Legendre tables are built with them.
   * a byte budget: vectors, kept tables and blocks of prime rows are
     cached, least recently used out first, up to cache_bytes (64 MiB by
     default), so a row or vector asked for at many nodes of the walk is
@@ -166,29 +170,6 @@ def _sq_char_table(p: int) -> np.ndarray:
     return tab
 
 
-def _euler_rows(res: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Legendre symbols (res / p) as int8, by Euler's criterion res^((p-1)/2).
-
-    res is an int64 residue matrix with 0 <= res < p, one row per prime
-    ideal; p is the int64 column of the rows' rational primes.  Square and
-    multiply, vectorized over the matrix, each multiply on the rows whose
-    exponent bit is set: every factor is below p, so each product stays
-    below p^2 < 2^62 in int64 for p < 2^31 (the cutoffs the walk reaches are
-    far below).  The power is 0, 1 or p - 1.
-    """
-    e = (p[:, 0] - 1) // 2
-    out = np.ones_like(res)
-    base = res
-    while True:
-        odd = np.flatnonzero(e & 1)
-        out[odd] = out[odd] * base[odd] % p[odd]
-        e = e >> 1
-        if not e.any():
-            break
-        base = base * base % p
-    return (out - p * (out > 1)).astype(np.int8)
-
-
 def _pattern_from_valuation(e: int, v: np.ndarray, s: np.ndarray, N: int) -> np.ndarray:
     """Vector lambda_{pi^e} from capped valuation v and unit symbol s."""
     out = np.zeros(len(v), dtype=np.float64)
@@ -280,10 +261,111 @@ def even_lambda_table(e: int):
     return out, ring
 
 
+# ---------------------------------------------------------------------------
+# prime rows by quadratic reciprocity
+# ---------------------------------------------------------------------------
+
+def _supplements(a, b):
+    """The supplementary laws at a primary pi = a + bi over p = a^2 + b^2:
+    ([i/pi], [(1+i)/pi]) = ((-1)^((p-1)/4), (-1)^((a-b-b^2-1)/4)), for int64
+    arrays a, b (exact while p < 2^63)."""
+    return 1 - 2 * (((a * a + b * b) >> 2) & 1), 1 - 2 * (((a - b - b * b - 1) >> 2) & 1)
+
+
+class _DeltaFactors:
+    """delta = n^2 - 4 of each trace as u (1+i)^k prod w^e, over the primary
+    primes w of norm <= bound, and the quadratic symbols [delta/pi] at split
+    primes pi beyond it from the symbols at those factors.
+
+    Every prime factor of delta = (n - 2)(n + 2) has norm <= bound when bound
+    >= max N(n +- 2).  For pi primary over p > bound, reciprocity and the
+    supplementary laws give
+
+        [delta/pi] = [i/pi]^m [(1+i)/pi]^k prod_{e odd} [pi/w]     (u = i^m),
+
+    and [pi/w] is a + s_w b mod q in the Legendre table mod q for a split w
+    over q (i = s_w mod w), p mod q for an inert w = (q).  So the symbols of
+    pi form one row of a matrix over the columns w, with [i/pi] and
+    [(1+i)/pi] as two more columns, and each trace multiplies the columns of
+    its factor list.  The trial division is exact in int64 while
+    |delta| (1 + bound) < 2^62.
+    """
+
+    def __init__(self, traces: TraceSet, bound: int):
+        k, ca, cb = _valuation_divide(traces.da, traces.db, 1, 1, 2, 64)
+        at, col, q, s = [], [], [], []  # odd-exponent incidences; each column's q and s_w
+        for npi, pi in g.prime_ideals_upto(bound):
+            if pi == (1, 1):
+                continue
+            if pi[1]:
+                qw, sw = npi, g.i_mod_split(pi, npi)
+                hit = np.flatnonzero(_mod(ca + sw * cb, qw) == 0)
+            else:
+                qw, sw = pi[0], 0
+                hit = np.flatnonzero((_mod(ca, qw) == 0) & (_mod(cb, qw) == 0))
+            if len(hit) == 0:
+                continue
+            v, ca[hit], cb[hit] = _valuation_divide(ca[hit], cb[hit],
+                                                    *g.primary_associate(*pi), npi, 64)
+            odd = hit[v % 2 == 1]
+            if len(odd):
+                at.append(odd)
+                col.append(np.full(len(odd), len(q)))
+                q.append(qw)
+                s.append(sw)
+        if np.any(np.abs(ca) + np.abs(cb) != 1):
+            raise ArithmeticError(f"a prime factor of n^2 - 4 has norm beyond {bound}")
+        # the unit u = ca + cb*i is +-1 or +-i, and [-1/pi] = 1: u = +-i and
+        # an odd k list the columns [i/pi] and [(1+i)/pi]
+        for c, odd in enumerate((np.flatnonzero(cb), np.flatnonzero(k % 2))):
+            at.append(odd)
+            col.append(np.full(len(odd), len(q) + c))
+        self.q = np.array(q, dtype=np.int64)
+        self.s = np.array(s, dtype=np.int64)
+        self.inert = self.s == 0
+        # one int8 array of the Legendre tables mod each q, at offset off
+        qs, inv = np.unique(self.q, return_inverse=True)
+        base = np.cumsum(qs) - qs
+        self.off = base[inv.reshape(-1)]
+        self.tab = np.full(int(qs.sum()), -1, dtype=np.int8)
+        for qw, o in zip(qs.tolist(), base.tolist()):
+            r = np.arange((qw + 1) // 2, dtype=np.int64)
+            self.tab[o + _mod(r * r, qw)] = 1
+        self.tab[base] = 0
+        # the traces in descending order of factor count, trace j at position
+        # pos[j]: the f-th factors of the traces with more than f are cols[f],
+        # one per position of a prefix
+        at, col = np.concatenate(at), np.concatenate(col)
+        count = np.bincount(at, minlength=len(traces))
+        order = np.argsort(-count, kind="stable")
+        self.pos = np.argsort(order)
+        col = col[np.argsort(self.pos[at], kind="stable")]
+        count = count[order]
+        first = np.cumsum(count) - count
+        self.cols = [col[first[count > f] + f] for f in range(count.max(initial=0))]
+
+    def rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """int8 rows [delta/pi] over the traces, one per primary pi = a + bi
+        (int64 arrays) over a split p > bound.  The columns take
+        |a| + s_w |b| < sqrt(p) (1 + bound) in int64."""
+        top = a[:, None] + self.s * b[:, None]
+        top[:, self.inert] = (a * a + b * b)[:, None]
+        sym = np.empty((len(a), len(self.q) + 2), dtype=np.int8)
+        sym[:, :-2] = self.tab[self.off + _mod(top, self.q)]
+        sym[:, -2], sym[:, -1] = _supplements(a, b)
+        acc = np.ones((len(a), len(self.pos)), dtype=np.int8)
+        for w in self.cols:
+            acc[:, :len(w)] *= sym[:, w]
+        return acc[:, self.pos]
+
+
 # 64 MiB holds every row and vector of psi(1e4) at V = 1000 (4,195 prime
 # rows of 7,950 orbit representatives, 33 MB).  psi(1e4) at V = 1e4 needs
 # 257 MiB of rows; within 64 MiB the least recently used blocks go out and
-# are rebuilt when a later node of the walk asks for them again
+# are rebuilt when a later node of the walk asks for them again.  Above
+# p = 8 * 7,950 a rebuild takes the local symbols, whose cost does not grow
+# with p; below it, 15,819 Legendre tables serve 3,233 rational primes.
+# The call takes 8.5-10 s on 2 vCPUs, 5.1-5.5 s with a 1 GiB budget
 CACHE_BYTES = 1 << 26
 
 # leaf rows are built and cached in blocks of this many consecutive primes
@@ -292,11 +374,14 @@ CACHE_BYTES = 1 << 26
 # traces nor on the cutoff
 ROW_BLOCK = 64
 
-# a rational prime's rows come from Euler's criterion once
-# p > EULER_PER_TABLE_ENTRY * traces * bits(p): on 2 vCPUs a Legendre table
-# costs ~3.3 ns per residue mod p, Euler ~22 ns per trace and bit of p for
-# the two rows of a split p
-EULER_PER_TABLE_ENTRY = 6
+# a split p beyond the bound of the traces' prime factors and with p^2
+# beyond the cutoff takes its rows from reciprocity once
+# p > RECIPROCITY_PER_TRACE * traces.  Measured on 2 vCPUs at 7,950 traces,
+# a table row costs 65 us at p = 2 * traces, 126 us at 8 * traces and 514 us
+# at 16 * traces, a local row 64 to 80 us at any p.  At 5 or less,
+# psi(X ~ 1e4) at V = 1000 (~7,900 traces, cutoff 40,000) would cross, and
+# factoring its n^2 - 4 (0.1 s) would cost more than its rows save
+RECIPROCITY_PER_TRACE = 8
 
 
 def _residues(tr: TraceSet, npj: int, pj):
@@ -328,8 +413,9 @@ class LambdaVectors:
     second power over its prime lies within limit (p*p <= limit); a larger
     split prime's symbol serves the rows of both ideals over p, built
     together.  Each rational prime's symbols come from one build: its
-    Legendre table (p bytes), or, when p*p > limit and p is large against
-    the number of traces, Euler's criterion on the traces' residues.
+    Legendre table (p bytes), or, for a split p with p*p > limit, beyond
+    `bound` and large against the number of traces, the local symbols of
+    _DeltaFactors, which factors the traces' n^2 - 4 once.
     """
 
     def __init__(self, traces: TraceSet, limit: float, cache_bytes: int = CACHE_BYTES):
@@ -338,6 +424,9 @@ class LambdaVectors:
         self.cache_bytes = cache_bytes
         self.cached_bytes = 0
         self._cache: OrderedDict = OrderedDict()
+        # max N(n +- 2), a bound on the norm of every prime factor of n^2 - 4
+        self.bound = int(((np.abs(traces.na) + 2) ** 2 + traces.nb ** 2).max(initial=0))
+        self._factors = None
 
     def _get(self, key):
         hit = self._cache.get(key)
@@ -397,10 +486,16 @@ class LambdaVectors:
 
     def _prime_rows(self, primes, a: int, b: int) -> np.ndarray:
         """int8 rows lambda_pi(n^2-4) (e = 1) for primes[a:b], a conjugate
-        pair never cut; Euler's criterion runs once over all its rows."""
+        pair never cut.  A split p beyond self.bound, with p^2 beyond the
+        cutoff and p > RECIPROCITY_PER_TRACE * traces, takes both its rows
+        from reciprocity, in one _DeltaFactors.rows call for the block (the
+        traces' n^2 - 4 are factored at the first such p of the sweep); every
+        other prime reads a Legendre table, one per rational prime, at the
+        residues da + t db with t < p, exact in int64 while
+        |n^2 - 4| (1 + p) < 2^63."""
         tr = self.tr
         out = np.empty((b - a, len(tr)), dtype=np.int8)
-        at, res, mods = [], [], []
+        local = []
         j = a
         while j < b:
             npj, pj = primes[j]
@@ -408,16 +503,20 @@ class LambdaVectors:
                 out[j - a] = self._build(npj, pj, 1)
                 j += 1
                 continue
-            p, r = _residues(tr, npj, pj)  # a split pj is followed by its conjugate
-            if p * p > self.limit and p > EULER_PER_TABLE_ENTRY * len(tr) * p.bit_length():
-                at += range(j - a, j - a + len(r))
-                res += r
-                mods += [p] * len(r)
-            else:
-                out[j - a:j - a + len(r)] = self._chartab(p)[np.stack(r)]
+            # a split pj is followed by its conjugate
+            if (pj[1] and npj > self.bound and npj * npj > self.limit
+                    and npj > RECIPROCITY_PER_TRACE * len(tr)):
+                local += [j - a, j + 1 - a]
+                j += 2
+                continue
+            p, r = _residues(tr, npj, pj)
+            out[j - a:j - a + len(r)] = self._chartab(p)[np.stack(r)]
             j += len(r)
-        if at:
-            out[at] = _euler_rows(np.stack(res), np.array(mods, dtype=np.int64)[:, None])
+        if local:
+            if self._factors is None:
+                self._factors = _DeltaFactors(tr, self.bound)
+            pis = np.array([primes[a + j][1] for j in local], dtype=np.int64)
+            out[local] = self._factors.rows(*g.primary_associate(pis[:, 0], pis[:, 1]))
         return out
 
     def rows(self, primes, lo: int, hi: int):

@@ -259,6 +259,55 @@ def test_smoothed_matches_direct_quadrature():
     assert sm == pytest.approx(direct, rel=1e-6)
 
 
+def _loop_integrate(f, a, b, segments):
+    """Composite 16-point Gauss-Legendre on [a, b], one scalar f call per node."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(a, b, segments + 1)
+    total = 0.0
+    for i in range(segments):
+        mid, half = 0.5 * (edges[i] + edges[i + 1]), 0.5 * (edges[i + 1] - edges[i])
+        total += half * sum(w * f(mid + half * x) for x, w in zip(nodes, weights))
+    return total
+
+
+def _loop_bump(t):
+    return math.exp(-1.0 / (t * (1.0 - t))) if 0.0 < t < 1.0 else 0.0
+
+
+def test_kernel_and_smoothed_count_match_scalar_loops():
+    # the reference: the bump, its 512-cell prefix, the cdf and the smoothed
+    # count as scalar loops; the vectorized quadrature sums the same nodes in
+    # another order, so the match is to a few units of roundoff
+    X, Y = 300.0, 40.0
+    k = KernelSpec(Y=Y)
+    mass = _loop_integrate(_loop_bump, 0.0, 1.0, 128)
+    grid = np.linspace(0.0, 1.0, 513)
+    prefix = [0.0]
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        prefix.append(prefix[-1] + _loop_integrate(_loop_bump, lo, hi, 4))
+    prefix = np.array(prefix) / mass
+    assert np.max(np.abs(k._prefix - prefix)) <= 1e-14
+
+    def cdf(u):
+        t = (u - Y) / Y
+        if t <= 0.0 or t >= 1.0:
+            return float(t >= 1.0)
+        i = min(int(t * 512), 511)
+        return prefix[i] + _loop_integrate(_loop_bump, grid[i], t, 2) / mass
+
+    us = np.linspace(0.5 * Y, 2.5 * Y, 401)
+    want = [cdf(u) for u in us]
+    assert np.max(np.abs(k.cdf(us) - want)) <= 1e-14
+    assert [k.cdf(float(u)) for u in us] == k.cdf(us).tolist()
+    opts = PsiOptions(V=1200.0, validate=False)
+    traces = trace_engine.trace_set(1.0, X + 2.0 * Y)
+    gv = trace_engine.gv_per_trace(traces, 1200.0)
+    total = 0.0
+    for thr, weight, value in zip(traces.thr, traces.weight, gv):
+        total += weight * value * (1.0 - cdf(thr - X) if thr > X + Y else 1.0)
+    assert psi_smoothed(X, k, opts) == pytest.approx(PSI_CONSTANT * total, rel=1e-14)
+
+
 def test_tower_stats_shapes():
     ts = tower_stats(1000.0, 125.0)
     # N(n^2 - 4) <= (N(n) + 4)^2, so Q = 2 + max sits under (X+Y+4)^2 + 2

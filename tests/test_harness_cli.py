@@ -75,6 +75,8 @@ def test_cli_rejects_bad_tol_and_seed(capsys):
                 ["exponents", "--nu", "0.7", "--eta", "0.9"],
                 ["spectral", "--file", "eig.txt", "--t", "nan", "--x", "100"],
                 ["spectral", "--file", "eig.txt", "--t", "-1", "--x", "100"],
+                # T = inf counted every eigenvalue and printed "T": Infinity
+                ["spectral", "--file", "eig.txt", "--t", "inf", "--x", "100"],
                 ["spectral", "--file", "eig.txt", "--t", "6", "--x", "0.5"]):
         with pytest.raises(SystemExit) as exc:
             main(bad)
@@ -105,6 +107,10 @@ def test_json_schema_and_csv_header():
     text = write_json({"x": 1})
     obj = json.loads(text)
     assert obj["schema"] == 1 and obj["x"] == 1
+    # standard JSON only: no NaN or Infinity literals
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            write_json({"x": [1.0, bad]})
     csv_text = write_csv([[1, 2.5]], ["beta_nu", "normalized_error"])
     assert csv_text.splitlines()[0] == "beta_nu,normalized_error"
 

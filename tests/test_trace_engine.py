@@ -7,11 +7,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pgt.characters import is_perfect_square
-from pgt.gaussian import (CanonicalIdealRep, GaussianInt, canonical_pair,
-                          disk_rows, ideal_reps_upto, mul, norm,
+from pgt.gaussian import (UNIT_PAIRS, CanonicalIdealRep, GaussianInt, canonical_pair,
+                          disk_rows, euler_symbol, exact_div, factor_pair_cached,
+                          ideal_reps_upto, mul, norm, primary_associate,
                           prime_ideals_upto, walk_ideals)
 from pgt.lfunctions import smoothed_sums, zagier_L1
 from pgt import trace_engine
@@ -48,6 +49,14 @@ traces_st = st.lists(
     st.tuples(st.integers(-30, 30), st.integers(-30, 30))
     .filter(lambda n: n not in ((2, 0), (-2, 0))),
     min_size=1, max_size=4, unique=True)
+
+
+# traces anywhere, on the real axis and on the imaginary axis (delta != 0)
+any_trace_st = st.one_of(
+    st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+    st.tuples(st.integers(-30, 30), st.just(0)),
+    st.tuples(st.just(0), st.integers(-30, 30)),
+).filter(lambda n: n not in ((2, 0), (-2, 0)))
 
 
 def _budgets(n):
@@ -90,29 +99,29 @@ def test_one_symbol_build_per_rational_prime(monkeypatch):
     # a budget that holds every row and vector: each odd prime the walk to
     # 40V reaches gets one symbol build, never both kinds, never twice:
     # either its Legendre table, which serves both split ideals over p and,
-    # below the square root of the cutoff, their higher powers, or Euler's
-    # criterion on the rows of its ideals (both of a split p in one call)
-    tables, euler = [], []
-    real_table, real_euler = trace_engine._sq_char_table, trace_engine._euler_rows
+    # below the square root of the cutoff, their higher powers, or the
+    # local symbols of reciprocity for both split ideals over p, in one call
+    tables, local = [], []
+    real_table, real_rows = trace_engine._sq_char_table, trace_engine._DeltaFactors.rows
 
-    def counted_euler(res, p):
-        ps = p[:, 0].tolist()
-        for q in set(ps):
-            assert ps.count(q) == (2 if q % 4 == 1 else 1), q
-        euler.extend(set(ps))
-        return real_euler(res, p)
+    def counted_rows(self, a, b):
+        ps = (a * a + b * b).tolist()
+        for p in set(ps):
+            assert ps.count(p) == 2, p
+        local.extend(set(ps))
+        return real_rows(self, a, b)
 
     monkeypatch.setattr(trace_engine, "_sq_char_table",
                         lambda p: tables.append(p) or real_table(p))
-    monkeypatch.setattr(trace_engine, "_euler_rows", counted_euler)
+    monkeypatch.setattr(trace_engine._DeltaFactors, "rows", counted_rows)
     V = 2000.0
     gv_sweep(trace_set(2000.0, 2100.0), (V,), cache_bytes=1 << 30)
     limit = int(40 * V)
     # the rational prime under each odd prime ideal: p for inert (p), N for split
     reached = {pi[0] if pi[1] == 0 else npi for npi, pi in prime_ideals_upto(limit)
                if pi != (1, 1)}
-    assert tables and euler  # both sides of the crossover
-    assert sorted(tables + euler) == sorted(reached)
+    assert tables and local  # both sides of the crossover
+    assert sorted(tables + local) == sorted(reached)
 
 
 def test_walk_extends_only_ideals_with_multiples_in_range(monkeypatch):
@@ -131,41 +140,121 @@ def test_walk_extends_only_ideals_with_multiples_in_range(monkeypatch):
         assert len(calls) == extended, V
 
 
-# 1, 2 and 40 traces: Euler's criterion pays from p ~ 6 m log2(p) on
+# 1, 2 and 40 traces: the local symbols of reciprocity pay from
+# p ~ 8 m on, and never below the norm bound of the factors of n^2 - 4
 ROW_TRACES = {1: [(7, 3)], 2: [(7, 3), (-11, 5)],
               40: [(a, b) for a in range(-9, 11, 3) for b in range(1, 12, 2)][:40]}
 
 
 @pytest.mark.parametrize("m", sorted(ROW_TRACES))
-def test_euler_rows_equal_table_rows_and_scalar_lambda(monkeypatch, m):
+def test_reciprocity_rows_equal_table_rows_and_scalar_lambda(monkeypatch, m):
     # every prime ideal of norm <= 2e4, split, inert and (1+i), with every
-    # row by Euler, every row by table, and at the default crossover; the
-    # cache's limit of 1 lets Euler's criterion take any odd prime
+    # split row beyond the factor bound by reciprocity, every row by table,
+    # and at the default crossover; the cache's limit of 1 lets reciprocity
+    # take any split prime beyond the bound
     pairs = ROW_TRACES[m]
     assert len(pairs) == m
     tr = _trace_set(pairs)
     primes = prime_ideals_upto(20000)
     built = []
-    real_table, real_euler = trace_engine._sq_char_table, trace_engine._euler_rows
+    real_table, real_rows = trace_engine._sq_char_table, trace_engine._DeltaFactors.rows
     monkeypatch.setattr(trace_engine, "_sq_char_table",
                         lambda p: built.append("table") or real_table(p))
-    monkeypatch.setattr(trace_engine, "_euler_rows",
-                        lambda res, p: built.append("euler") or real_euler(res, p))
+    monkeypatch.setattr(trace_engine._DeltaFactors, "rows",
+                        lambda self, a, b: built.append("local") or real_rows(self, a, b))
 
-    def rows(per_entry):
-        monkeypatch.setattr(trace_engine, "EULER_PER_TABLE_ENTRY", per_entry)
+    def rows(per_trace):
+        monkeypatch.setattr(trace_engine, "RECIPROCITY_PER_TRACE", per_trace)
         built.clear()
         out = np.concatenate(list(LambdaVectors(tr, 1.0).rows(primes, 0, len(primes))))
         return out, set(built)
 
-    default, how_d = rows(trace_engine.EULER_PER_TABLE_ENTRY)
-    (euler, how_e), (table, how_t) = rows(0), rows(math.inf)
-    assert how_e == {"euler"} and how_t == {"table"} and how_d == {"euler", "table"}
-    assert euler.dtype == table.dtype == np.int8
-    assert euler.tobytes() == table.tobytes() == default.tobytes()
+    default, how_d = rows(trace_engine.RECIPROCITY_PER_TRACE)
+    (local, how_l), (table, how_t) = rows(0), rows(math.inf)
+    assert how_t == {"table"} and how_l == how_d == {"local", "table"}
+    assert local.dtype == table.dtype == np.int8
+    assert local.tobytes() == table.tobytes() == default.tobytes()
     ns = [G(a, b) for a, b in pairs]
     want = [[lambda_at_prime_power(pi, 1, n * n - G(4, 0), n) for n in ns] for _, pi in primes]
     assert table.tolist() == want
+
+
+def test_supplementary_laws_match_euler_symbol():
+    # [i/pi] = (-1)^((p-1)/4) and [(1+i)/pi] = (-1)^((a-b-b^2-1)/4) at the
+    # primary associate a + bi of every split prime of norm <= 2e5
+    split = [pi for _, pi in prime_ideals_upto(200000) if pi[0] and pi[1] and pi != (1, 1)]
+    a, b = primary_associate(np.array([pi[0] for pi in split]), np.array([pi[1] for pi in split]))
+    unit, two = trace_engine._supplements(a, b)
+    assert unit.tolist() == [euler_symbol((0, 1), pi) for pi in split]
+    assert two.tolist() == [euler_symbol((1, 1), pi) for pi in split]
+
+
+def test_primary_reciprocity_matches_euler_symbol():
+    # [w/pi] = [pi/w] for the primary associates of every pair of distinct
+    # odd prime ideals of norm <= 3000; the canonical associates break it
+    odd = [pi for _, pi in prime_ideals_upto(3000) if pi != (1, 1)]
+    for pi in odd:
+        x, y = primary_associate(*pi)
+        assert x % 2 == 1 and y % 2 == 0 and (x + y) % 4 == 1
+        assert canonical_pair((x, y)) == pi
+    prim = [primary_associate(*pi) for pi in odd]
+    broken = 0
+    for w, pw in zip(odd, prim):
+        for pi, ppi in zip(odd, prim):
+            if w != pi:
+                assert euler_symbol(pw, pi) == euler_symbol(ppi, w), (w, pi)
+                broken += euler_symbol(w, pi) != euler_symbol(pi, w)
+    assert broken > 0
+
+
+def _unit_and_k(n: GaussianInt):
+    """(u, k) with n^2 - 4 = u (1+i)^k prod w^e over primary w, from the
+    scalar factorization."""
+    delta = (n * n - G(4, 0)).pair
+    rest, k = (1, 0), 0
+    for pi, e in factor_pair_cached(delta):
+        if pi == (1, 1):
+            k = e
+        for _ in range(e):
+            rest = mul(rest, pi if pi == (1, 1) else primary_associate(*pi))
+    return exact_div(delta, rest), k
+
+
+# traces -12..12 in each component: all four units, and k = 2 v(n - 2) when
+# v(n - 2) < 4 (n + 2 = n - 2 + 4), an odd k such as 9 only beyond
+GRID = [(a, b) for a in range(-12, 13) for b in range(-12, 13) if (a, b) not in ((2, 0), (-2, 0))]
+
+
+def test_reciprocity_rows_match_table_rows_on_every_unit_and_power_of_two():
+    tr = _trace_set(GRID)
+    shapes = {_unit_and_k(G(a, b)) for a, b in GRID}
+    assert {u for u, _ in shapes} == set(UNIT_PAIRS)
+    assert {k for _, k in shapes} >= {0, 2, 4, 6, 9}
+    prov = LambdaVectors(tr, 1.0)
+    fac = trace_engine._DeltaFactors(tr, prov.bound)
+    split = [(npi, pi) for npi, pi in prime_ideals_upto(8000) if npi > prov.bound and pi[1]]
+    pis = np.array([pi for _, pi in split])
+    local = fac.rows(*primary_associate(pis[:, 0], pis[:, 1]))
+    table = np.stack([trace_engine._sq_char_table(npi)[trace_engine._residues(tr, npi, pi)[1][0]]
+                      for npi, pi in split])
+    assert local.tobytes() == table.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(any_trace_st, min_size=1, max_size=6, unique=True), st.integers(0, 40))
+# units 1, -1, -i and i (with k = 9) of n^2 - 4 = u (1+i)^k prod w^e
+@example([(0, 0), (0, -1), (0, -2), (-2, -4)], 0)
+def test_reciprocity_rows_match_scalar_lambda(pairs, skip):
+    # the local rows of 30 consecutive split primes beyond the factor bound,
+    # from a drawn offset, against the scalar lambda
+    tr = _trace_set(pairs)
+    prov = LambdaVectors(tr, 1.0)
+    split = [pi for npi, pi in prime_ideals_upto(40000) if npi > prov.bound and pi[1]]
+    pis = np.array(split[2 * skip:2 * skip + 30])
+    rows = trace_engine._DeltaFactors(tr, prov.bound).rows(*primary_associate(pis[:, 0], pis[:, 1]))
+    ns = [G(a, b) for a, b in pairs]
+    assert rows.tolist() == [[lambda_at_prime_power(tuple(pi), 1, n * n - G(4, 0), n) for n in ns]
+                             for pi in pis.tolist()]
 
 
 @settings(max_examples=25, deadline=None)
@@ -260,14 +349,6 @@ def test_gv_orbit_invariance(n, V):
               for m in (G(a, b), G(-a, -b), G(a, -b))]
     assert scalar[1] == scalar[0]
     assert abs(scalar[2] - scalar[0]) <= 1e-12 * abs(scalar[0])
-
-
-# traces anywhere, on the real axis and on the imaginary axis (delta != 0)
-any_trace_st = st.one_of(
-    st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
-    st.tuples(st.integers(-30, 30), st.just(0)),
-    st.tuples(st.just(0), st.integers(-30, 30)),
-).filter(lambda n: n not in ((2, 0), (-2, 0)))
 
 
 @st.composite
