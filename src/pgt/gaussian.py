@@ -461,30 +461,21 @@ def _factor_pair(a):
     rem = a
     out = {}
     for p in sorted(factor_int(n)):
+        # the prime ideals above p: (1+i), an inert (p), or pi and conj(pi)
         if p == 2:
-            pi = (1, 1)
-            k = 0
-            while divides(pi, rem):
-                rem = exact_div(rem, pi)
-                k += 1
-            if k:
-                out[(1, 1)] = k
+            above = ((1, 1),)
         elif p % 4 == 3:
-            k = 0
-            while divides((p, 0), rem):
-                rem = exact_div(rem, (p, 0))
-                k += 1
-            if k:
-                out[(p, 0)] = k
+            above = ((p, 0),)
         else:
             pi = split_prime_above(p)
-            for q in (pi, conj(pi)):
-                k = 0
-                while divides(q, rem):
-                    rem = exact_div(rem, q)
-                    k += 1
-                if k:
-                    out[canonical_pair(q)] = k
+            above = (pi, conj(pi))
+        for q in above:
+            k = 0
+            while divides(q, rem):
+                rem = exact_div(rem, q)
+                k += 1
+            if k:
+                out[canonical_pair(q)] = k
     if norm(rem) != 1:
         raise ArithmeticError(f"factorization of {a} left non-unit {rem}")
     facs = tuple(sorted(out.items(), key=lambda kv: (norm(kv[0]), kv[0][0])))

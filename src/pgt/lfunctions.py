@@ -41,6 +41,7 @@ and the attached tail_estimate bounds it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -130,16 +131,19 @@ def ideal_norm_counts(limit: int) -> np.ndarray:
 def zeta_qi(s: complex, cutoff: int = 10**6) -> ZetaPartialSum:
     """Partial sum of the Dedekind zeta of Q(i) over ideals of norm <= cutoff.
 
-    Requires Re(s) >= 1.2.  The attached tail bound is the integral
-    comparison  sum_{N>K} N^-sigma <= sigma/(sigma-1) * K^(1-sigma),
-    using #ideals(t) <= t.
+    Requires a finite s with Re(s) >= 1.2 and an int cutoff >= 1.  The
+    attached tail bound is the integral comparison
+    sum_{N>K} N^-sigma <= sigma/(sigma-1) * K^(1-sigma), using #ideals(t) <= t.
     """
-    sigma = complex(s).real
-    if sigma < 1.2:
-        raise ValueError("zeta_qi requires Re(s) >= 1.2")
+    s = complex(s)
+    if not (cmath.isfinite(s) and s.real >= 1.2):
+        raise ValueError(f"zeta_qi requires a finite s with Re(s) >= 1.2, got {s!r}")
+    if isinstance(cutoff, bool) or not isinstance(cutoff, int) or cutoff < 1:
+        raise ValueError(f"zeta_qi requires an int cutoff >= 1, got {cutoff!r}")
+    sigma = s.real
     counts = ideal_norm_counts(cutoff)
     m = np.nonzero(counts)[0]
-    terms = counts[m] * np.exp(-complex(s) * np.log(m.astype(np.float64)))
+    terms = counts[m] * np.exp(-s * np.log(m.astype(np.float64)))
     value = complex(np.sum(terms))
     tail = sigma / (sigma - 1.0) * cutoff ** (1.0 - sigma)
     return ZetaPartialSum(value=value, tail_bound=float(tail), cutoff=cutoff)

@@ -22,9 +22,11 @@ computed at once:
     quad_counts.lambda_at_prime_power).
   * inert p:          the symbol is legendre(N(x) mod p) since the norm is
     the Frobenius trace map to F_p; same valuation pattern for e >= 2.
-  * pi = (1+i):       an explicit table over Z[i]/((1+i)^e), built from the
-    unit histogram of y + y^(-1) with inverses via a vectorized Newton
-    iteration mod 2^f (no loops in Python).
+  * pi = (1+i):       lambda_{(1+i)^e} = sum over c <= e of
+    (-1)^(e-c) rho_{(1+i)^c}, with rho_(1) = 1, summed per trace from one
+    table of rho_{(1+i)^c} over Z[i]/((1+i)^c) per c and process, built
+    from the unit histogram of y + y^(-1) with inverses via a vectorized
+    Newton iteration mod 2^f (no loops in Python).
 
 The traces themselves are the gaussian.disk_rows points of an annulus in
 N(n), filtered and ordered by the vectorized `thresholds`.  The sum is
@@ -63,15 +65,18 @@ No work is done twice for an answer already known:
     n^2 - 4 are factored once per sweep, at the first prime that takes the
     local symbols, and their factors' Legendre tables are built with them.
   * a byte budget: vectors, kept tables and blocks of prime rows are
-    cached, least recently used out first, up to cache_bytes (64 MiB by
-    default), so a row or vector asked for at many nodes of the walk is
-    built once, whatever its norm, while the budget holds it.
+    cached while they fit in CACHE_BYTES (64 MiB), and a cached entry is
+    never evicted.  The walk reads the rows of the small primes at every
+    node and those of the large ones at few, in ascending scans that repeat;
+    on that pattern least-recently-used eviction keeps nothing once a scan
+    outgrows the budget, while admission keeps the rows that are read most,
+    built once each.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -202,12 +207,12 @@ def _valuation_divide(da, db, p0, p1, npi, e):
     return v, ca, cb
 
 
-_EVEN_TABLE_CACHE: dict = {}
-
-
+@cache
 def _even_rho_table(c: int):
-    """rho_{(1+i)^c} over the HNF transversal of Z[i]/((1+i)^c), vectorized.
+    """(rho, ring): rho[index of n in ring] = rho_{(1+i)^c}(n^2-4), over the
+    HNF transversal of ring = Z[i]/((1+i)^c), vectorized; built once per c.
 
+    rho counts the units y with y + y^(-1) = -n, the roots of y^2 + n y + 1.
     Units y are those with odd norm; y^(-1) = conj(y) * N(y)^(-1) computed
     mod 2^f with a Newton iteration (2f >= c so the reduction is exact).
     """
@@ -233,32 +238,8 @@ def _even_rho_table(c: int):
     bb = -(ub + ib)
     idx = ring.index_arrays(ba, bb)
     rho = np.bincount(idx, minlength=ring.n_elements).astype(np.int64)
+    rho.flags.writeable = False  # shared by every sweep of the process
     return rho, ring
-
-
-def even_lambda_table(e: int):
-    """(table, ring) with table[index of n] = lambda_{(1+i)^e}(n^2-4)."""
-    hit = _EVEN_TABLE_CACHE.get(e)
-    if hit is not None:
-        return hit
-    m = (1, 0)
-    for _ in range(e):
-        m = g.mul(m, (1, 1))
-    ring = g.ResidueRing(g.canonical_pair(m))
-    x, y = np.divmod(np.arange(ring.n_elements, dtype=np.int64), ring.d2)
-    out = np.zeros(ring.n_elements, dtype=np.int64)
-    for parity, sign in ((e % 2, 1), ((e - 1) % 2, -1)):
-        c = parity
-        while c <= (e if sign == 1 else e - 1):
-            if c == 0:
-                out += sign
-            else:
-                # rho tables are functions of the trace residue n mod (1+i)^c
-                rho, rc = _even_rho_table(c)
-                out += sign * rho[rc.index_arrays(x, y)]
-            c += 2
-    _EVEN_TABLE_CACHE[e] = (out, ring)
-    return out, ring
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +342,13 @@ class _DeltaFactors:
 
 # 64 MiB holds every row and vector of psi(1e4) at V = 1000 (4,195 prime
 # rows of 7,950 orbit representatives, 33 MB).  psi(1e4) at V = 1e4 needs
-# 257 MiB of rows; within 64 MiB the least recently used blocks go out and
-# are rebuilt when a later node of the walk asks for them again.  Above
-# p = 8 * 7,950 a rebuild takes the local symbols, whose cost does not grow
-# with p; below it, 15,819 Legendre tables serve 3,233 rational primes.
-# The call takes 8.5-10 s on 2 vCPUs, 5.1-5.5 s with a 1 GiB budget
+# 257 MiB of rows; the cache keeps what it admits first, which is the rows
+# of the small primes that every node of the walk reads, and a block it
+# did not admit is rebuilt when a later node asks for it again.  Each of
+# the 3,233 rational primes below p = 8 * 7,950 still gets one Legendre
+# table; above it a rebuild takes the local symbols, whose cost does not
+# grow with p (43,630 local rows, 27,454 with a 1 GiB budget).  The call
+# takes 7-9.5 s on 2 vCPUs, 6 s with a 1 GiB budget
 CACHE_BYTES = 1 << 26
 
 # leaf rows are built and cached in blocks of this many consecutive primes
@@ -404,11 +387,13 @@ def _block_start(primes, k: int) -> int:
 
 
 class LambdaVectors:
-    """Per-trace lambda_{pi^e}(n^2-4) vectors and prime rows, cached under
-    a byte budget.
+    """Per-trace lambda_{pi^e}(n^2-4) vectors and prime rows, kept while they
+    fit in CACHE_BYTES.
 
-    The cache holds vectors, Legendre tables and blocks of prime rows, least
-    recently used first out, and never more than cache_bytes.  A table is
+    The cache holds vectors, Legendre tables and blocks of prime rows.  It
+    admits an entry while the entry fits in what is left of CACHE_BYTES and
+    never evicts one, so what the walk builds first, the rows of the small
+    primes that every node reads, stays for the whole sweep.  A table is
     cached only when the walk to `limit` can ask for it again, i.e. when a
     second power over its prime lies within limit (p*p <= limit); a larger
     split prime's symbol serves the rows of both ideals over p, built
@@ -418,35 +403,22 @@ class LambdaVectors:
     _DeltaFactors, which factors the traces' n^2 - 4 once.
     """
 
-    def __init__(self, traces: TraceSet, limit: float, cache_bytes: int = CACHE_BYTES):
+    def __init__(self, traces: TraceSet, limit: float):
         self.tr = traces
         self.limit = limit
-        self.cache_bytes = cache_bytes
         self.cached_bytes = 0
-        self._cache: OrderedDict = OrderedDict()
+        self._cache: dict = {}
         # max N(n +- 2), a bound on the norm of every prime factor of n^2 - 4
         self.bound = int(((np.abs(traces.na) + 2) ** 2 + traces.nb ** 2).max(initial=0))
         self._factors = None
 
-    def _get(self, key):
-        hit = self._cache.get(key)
-        if hit is not None:
-            self._cache.move_to_end(key)
-        return hit
-
     def _put(self, key, arr: np.ndarray) -> None:
-        old = self._cache.pop(key, None)
-        if old is not None:
-            self.cached_bytes -= old.nbytes
-        if arr.nbytes > self.cache_bytes:
-            return
-        while self.cached_bytes + arr.nbytes > self.cache_bytes:
-            self.cached_bytes -= self._cache.popitem(last=False)[1].nbytes
-        self._cache[key] = arr
-        self.cached_bytes += arr.nbytes
+        if key not in self._cache and self.cached_bytes + arr.nbytes <= CACHE_BYTES:
+            self._cache[key] = arr
+            self.cached_bytes += arr.nbytes
 
     def _chartab(self, p: int) -> np.ndarray:
-        tab = self._get(p)
+        tab = self._cache.get(p)
         if tab is None:
             tab = _sq_char_table(p)
             if p * p <= self.limit:
@@ -457,8 +429,13 @@ class LambdaVectors:
         """lambda vector; int8 for exponent 1 (values in {-1,0,1}), float64 else."""
         tr = self.tr
         if pj == (1, 1):
-            tab, ring = even_lambda_table(e)
-            return tab[ring.index_arrays(tr.na, tr.nb)]
+            # lambda_{(1+i)^e} = sum over c <= e of (-1)^(e-c) rho_{(1+i)^c}
+            # with rho_(1) = 1, summed as rho_c minus the sum up to c - 1
+            out = np.ones(len(tr), dtype=np.int64)
+            for c in range(1, e + 1):
+                rho, ring = _even_rho_table(c)
+                out = rho[ring.index_arrays(tr.na, tr.nb)] - out
+            return out
         if e == 1:
             p, res = _residues(tr, npj, pj)
             rows = self._chartab(p)[np.stack(res)]
@@ -478,7 +455,7 @@ class LambdaVectors:
 
     def vec(self, npj: int, pj, e: int) -> np.ndarray:
         key = (pj, e)
-        out = self._get(key)
+        out = self._cache.get(key)
         if out is None:
             out = self._build(npj, pj, e)
             self._put(key, out)
@@ -522,15 +499,15 @@ class LambdaVectors:
     def rows(self, primes, lo: int, hi: int):
         """The e = 1 rows of primes[lo:hi] (primes: the walk's prime list,
         prime_ideals_upto(limit)) as consecutive pieces, one per block,
-        built as they are consumed: an evicted block is not held for the
-        rest of the range."""
+        built as they are consumed: a block the cache does not admit is not
+        held for the rest of the range."""
         k = lo // ROW_BLOCK
         if lo < _block_start(primes, k):
             k -= 1
         a = _block_start(primes, k)
         while a < hi:
             b = _block_start(primes, k + 1)
-            block = self._get(("rows", a))
+            block = self._cache.get(("rows", a))
             if block is None:
                 block = self._prime_rows(primes, a, b)
                 self._put(("rows", a), block)
@@ -558,8 +535,7 @@ def _orbit_reps(traces: TraceSet):
     return reps, inverse.reshape(-1)
 
 
-def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT,
-             cache_bytes: int = CACHE_BYTES) -> list:
+def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT) -> list:
     """[G_V(n^2-4) for every trace in `traces`, for V in Vs] from one walk.
 
     One lfunctions.smoothed_sums walk over the orbit representatives, with
@@ -567,9 +543,8 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT,
     its V.  The running product over prime powers is a float64 vector
     (lambda values at desk scale stay far below 2^53, so products are
     exact); the prime leaves below it come from LambdaVectors.rows.
-    cache_bytes bounds the LambdaVectors cache, rows included; the values
-    do not depend on it.  cutoff_mult and every V must be positive and
-    finite.
+    CACHE_BYTES bounds the LambdaVectors cache, rows included; the values do
+    not depend on it.  cutoff_mult and every V must be positive and finite.
     """
     if len(traces) == 0:
         # no walk, which would build the rows of every prime up to the
@@ -580,7 +555,7 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT,
         _require_positive(cutoff_mult=cutoff_mult)
         return [np.zeros(0) for _ in Vs]
     reps, inverse = _orbit_reps(traces)
-    prov = LambdaVectors(reps, cutoff_mult * max(Vs), cache_bytes=cache_bytes)
+    prov = LambdaVectors(reps, cutoff_mult * max(Vs))
 
     def extend(vec, npj, pj, e):
         child = vec * prov.vec(npj, pj, e)
@@ -591,8 +566,7 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT,
     return [acc[inverse] for acc in sums]
 
 
-def gv_per_trace(traces: TraceSet, V: float, cutoff_mult: float = CUTOFF_MULT,
-                 cache_bytes: int = CACHE_BYTES) -> np.ndarray:
+def gv_per_trace(traces: TraceSet, V: float, cutoff_mult: float = CUTOFF_MULT) -> np.ndarray:
     """G_V(n^2-4) for every trace in `traces` (ideal convention): the
     one-V gv_sweep."""
-    return gv_sweep(traces, (V,), cutoff_mult, cache_bytes)[0]
+    return gv_sweep(traces, (V,), cutoff_mult)[0]

@@ -45,6 +45,14 @@ def test_zeta_qi_leading_coefficient_and_tail_monotone():
 def test_zeta_qi_domain():
     with pytest.raises(ValueError):
         zeta_qi(1.1, 100)
+    # NaN fails no "sigma < 1.2" test, and the cutoff is an ideal norm bound
+    for s in (math.nan, math.inf, complex(2.0, math.nan), complex(2.0, math.inf)):
+        with pytest.raises(ValueError):
+            zeta_qi(s, 100)
+    for cutoff in (0, -5, 1.5, True):
+        with pytest.raises(ValueError):
+            zeta_qi(2.0, cutoff)
+    assert zeta_qi(2.0, 1).value == 1.0
     z = zeta_qi(2.0 + 3.0j, 10**4)   # complex s off the real axis
     assert abs(z.value.imag) > 0
 

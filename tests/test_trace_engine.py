@@ -1,5 +1,5 @@
-"""Property tests: the vector lambda builders and their byte-budgeted cache,
-the factored-ideal walker, the disk enumerator, the orbit invariance of G_V,
+"""Property tests: the vector lambda builders and their cache, which admits
+entries up to a byte budget and never evicts one, the factored-ideal walker, the disk enumerator, the orbit invariance of G_V,
 and the orbit and two-accumulator sweep against one-trace, one-V sweeps."""
 
 import gc
@@ -68,31 +68,67 @@ def _budgets(n):
 @settings(max_examples=12, deadline=None)
 @given(traces_st, st.data(), st.booleans())
 def test_lambda_vectors_match_scalar_lambda(pairs, data, descending):
-    cache_bytes = data.draw(st.sampled_from(_budgets(len(pairs))))
-    prov = LambdaVectors(_trace_set(pairs), PP_NORM_MAX, cache_bytes=cache_bytes)
+    budget = data.draw(st.sampled_from(_budgets(len(pairs))))
     ns = [G(a, b) for a, b in pairs]
-    # PRIME_POWERS lists pi = (a, b) before its conjugate (b, a) when a < b;
-    # descending asks for the conjugate first, whose e = 1 build fills pi's
-    for npi, pi, e in (PRIME_POWERS[::-1] if descending else PRIME_POWERS):
-        q = _power(pi, e)
-        want = [lambda_at_prime_power(pi, e, n * n - G(4, 0), n) for n in ns]
-        # second call: served from the cache when the budget holds the vector
-        for _ in range(2):
-            assert prov.vec(npi, pi, e).tolist() == want, (pi, e, pairs)
-        assert want == [lambda_(q, n * n - G(4, 0), n=n) for n in ns], (pi, e)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace_engine, "CACHE_BYTES", budget)
+        prov = LambdaVectors(_trace_set(pairs), PP_NORM_MAX)
+        # PRIME_POWERS lists pi = (a, b) before its conjugate (b, a) when
+        # a < b; descending asks for the conjugate first, whose e = 1 build
+        # fills pi's
+        for npi, pi, e in (PRIME_POWERS[::-1] if descending else PRIME_POWERS):
+            q = _power(pi, e)
+            want = [lambda_at_prime_power(pi, e, n * n - G(4, 0), n) for n in ns]
+            # second call: served from the cache when the budget admitted it
+            for _ in range(2):
+                assert prov.vec(npi, pi, e).tolist() == want, (pi, e, pairs)
+            assert want == [lambda_(q, n * n - G(4, 0), n=n) for n in ns], (pi, e)
+
+
+def _two_power_traces():
+    """Traces n = 2 + (1+i)^k m, k = 5..15: n^2 - 4 = (n - 2)(n + 2) has
+    (1+i)-valuation k + 4, since n + 2 = (n - 2) + 4 has valuation 4."""
+    pairs = [(3, 1), (7, 3)]
+    for k in range(5, 16):
+        m = (1, 0)
+        for _ in range(k):
+            m = mul(m, (1, 1))
+        for d in (m, mul(m, (1, 2))):
+            pairs.append((d[0] + 2, d[1]))
+    return pairs
+
+
+def test_deep_two_power_vectors_match_scalar_lambda():
+    # PRIME_POWERS stops at (1+i)^10; the sweeps reach (1+i)^16 to (1+i)^18
+    pairs = _two_power_traces()
+    prov = LambdaVectors(_trace_set(pairs), 1.0)
+    ns = [G(a, b) for a, b in pairs]
+    seen = set()
+    for e in range(11, 19):
+        want = [lambda_at_prime_power((1, 1), e, n * n - G(4, 0), n) for n in ns]
+        assert prov.vec(2, (1, 1), e).tolist() == want, e
+        seen.update(want)
+    assert min(seen) < 0 < max(seen) and len(seen) > 5, seen
 
 
 @settings(max_examples=12, deadline=None)
 @given(traces_st, st.randoms(use_true_random=False))
 def test_lambda_vector_cache_stays_within_its_budget(pairs, rng):
+    # the cache admits an entry while it fits and never evicts one: its keys
+    # only grow and the bytes it holds never fall
     asks = PRIME_POWERS * 3
     rng.shuffle(asks)
-    for cache_bytes in _budgets(len(pairs)):
-        prov = LambdaVectors(_trace_set(pairs), PP_NORM_MAX, cache_bytes=cache_bytes)
-        for npi, pi, e in asks:
-            prov.vec(npi, pi, e)
-            held = sum(a.nbytes for a in prov._cache.values())
-            assert prov.cached_bytes == held <= cache_bytes, cache_bytes
+    for budget in _budgets(len(pairs)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trace_engine, "CACHE_BYTES", budget)
+            prov = LambdaVectors(_trace_set(pairs), PP_NORM_MAX)
+            keys, held_before = set(), 0
+            for npi, pi, e in asks:
+                prov.vec(npi, pi, e)
+                held = sum(a.nbytes for a in prov._cache.values())
+                assert prov.cached_bytes == held <= budget, budget
+                assert held >= held_before and keys <= prov._cache.keys(), budget
+                keys, held_before = set(prov._cache), held
 
 
 def test_one_symbol_build_per_rational_prime(monkeypatch):
@@ -114,14 +150,35 @@ def test_one_symbol_build_per_rational_prime(monkeypatch):
     monkeypatch.setattr(trace_engine, "_sq_char_table",
                         lambda p: tables.append(p) or real_table(p))
     monkeypatch.setattr(trace_engine._DeltaFactors, "rows", counted_rows)
+    monkeypatch.setattr(trace_engine, "CACHE_BYTES", 1 << 30)
     V = 2000.0
-    gv_sweep(trace_set(2000.0, 2100.0), (V,), cache_bytes=1 << 30)
+    gv_sweep(trace_set(2000.0, 2100.0), (V,))
     limit = int(40 * V)
     # the rational prime under each odd prime ideal: p for inert (p), N for split
     reached = {pi[0] if pi[1] == 0 else npi for npi, pi in prime_ideals_upto(limit)
                if pi != (1, 1)}
     assert tables and local  # both sides of the crossover
     assert sorted(tables + local) == sorted(reached)
+
+
+def test_rows_beyond_the_budget_build_one_table_per_prime(monkeypatch):
+    # a budget of half the walk's prime rows: the cache admits the blocks of
+    # the small primes, which the most nodes of the walk read, and keeps
+    # them, so each prime that takes a Legendre table takes one, as under a
+    # budget that holds everything (least-recently-used eviction built 383
+    # tables for these 195 primes)
+    traces, V = trace_set(2000.0, 2100.0), 2000.0
+    reps, _ = trace_engine._orbit_reps(traces)
+    row_bytes = len(reps) * len(prime_ideals_upto(int(40 * V)))
+    real_table = trace_engine._sq_char_table
+    built = {}
+    for budget in (1 << 30, row_bytes // 2):
+        tables = built[budget] = []
+        monkeypatch.setattr(trace_engine, "_sq_char_table",
+                            lambda p, tables=tables: tables.append(p) or real_table(p))
+        monkeypatch.setattr(trace_engine, "CACHE_BYTES", budget)
+        gv_sweep(traces, (V,))
+    assert sorted(built[row_bytes // 2]) == sorted(built[1 << 30]) == sorted(set(built[1 << 30]))
 
 
 def test_walk_extends_only_ideals_with_multiples_in_range(monkeypatch):
@@ -371,18 +428,20 @@ def orbit_shaped_sets(draw):
 @settings(max_examples=25, deadline=None)
 @given(orbit_shaped_sets(), st.sampled_from([0.05, 10.0, 30.0, 75.0]),
        st.sampled_from([0, 60, CACHE_BYTES]))
-def test_gv_sweep_matches_single_trace_single_v_sweeps(pairs, V, cache_bytes):
+def test_gv_sweep_matches_single_trace_single_v_sweeps(pairs, V, budget):
     """One sweep per {+-n, +-conj(n)} orbit, scattered back, equals sweeping
     each trace alone; the V / V/4 sweep with two accumulators equals two
     one-V sweeps.  Both bit for bit, with vectors and Legendre tables cached
     or rebuilt."""
     ts = _trace_set(pairs)
-    whole = gv_per_trace(ts, V, cache_bytes=cache_bytes)
-    alone = [gv_per_trace(_trace_set([p]), V, cache_bytes=cache_bytes)[0] for p in pairs]
-    assert whole.tobytes() == np.array(alone).tobytes()
-    fused = gv_sweep(ts, (V, V / 4.0), cache_bytes=cache_bytes)
-    assert fused[0].tobytes() == whole.tobytes()
-    assert fused[1].tobytes() == gv_per_trace(ts, V / 4.0, cache_bytes=cache_bytes).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace_engine, "CACHE_BYTES", budget)
+        whole = gv_per_trace(ts, V)
+        alone = [gv_per_trace(_trace_set([p]), V)[0] for p in pairs]
+        assert whole.tobytes() == np.array(alone).tobytes()
+        fused = gv_sweep(ts, (V, V / 4.0))
+        assert fused[0].tobytes() == whole.tobytes()
+        assert fused[1].tobytes() == gv_per_trace(ts, V / 4.0).tobytes()
 
 
 def test_gv_sweep_of_no_traces_builds_no_tables(monkeypatch):
