@@ -21,12 +21,12 @@ from .gaussian import (CanonicalIdealRep, Factorization, GaussianInt,
 from .characters import (DiscriminantSplit, QuadraticCharacter, chi,
                          discriminant_split, pin_even_unit_values,
                          quadratic_character, residue_symbol)
-from .quad_counts import (KloostermanValue, RhoLambdaTable, kloosterman,
+from .quad_counts import (KloostermanValue, kloosterman,
                           kloosterman_identity_check, lambda_,
                           lambda_partial_sum, rho_bruteforce, rho_fast)
-from .lfunctions import (DirichletCoefficients, SmoothedValue, L_chi,
-                         R_V_estimate, T_l_poly, normalization_sum,
-                         szmidt_coefficient_check, zagier_L1, zeta_qi)
+from .lfunctions import (SmoothedValue, L_chi, R_V_estimate, T_l_poly,
+                         normalization_sum, szmidt_coefficient_check, zagier_L1,
+                         zeta_qi)
 from .lattice import EtaFit, LatticeCountResult, circle_count, eta_fit, \
     residue_class_count
 from .geodesics import (GeodesicCountResult, KernelSpec, PsiOptions,

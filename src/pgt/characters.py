@@ -162,14 +162,7 @@ def _prime_value(D_pair, even_value, cache, pi) -> int:
 
 def _chi_pair(D_pair, even_value, cache, pair) -> int:
     """chi_D at the ideal of `pair`, completely multiplicative."""
-    out = 1
-    for pi, e in g.factor_pair_cached(pair):
-        v = _prime_value(D_pair, even_value, cache, pi)
-        if v == 0:
-            return 0
-        if v == -1 and e % 2:
-            out = -out
-    return out
+    return g.multiplicative(pair, lambda pi, e: _prime_value(D_pair, even_value, cache, pi) ** e)
 
 
 def _t_coefficients(D_pair, even_value, l_pair, cache):
@@ -205,15 +198,6 @@ def _product_coefficient(tcoeffs, D_pair, even_value, cache, qpair) -> int:
     return tot
 
 
-def _lambda_oracle(delta: GaussianInt, n: GaussianInt | None):
-    """lambda_q(delta) evaluator: fast (y-form) when n is known, brute else."""
-    if n is not None:
-        return lambda qpair: quad_counts.lambda_(
-            CanonicalIdealRep(GaussianInt.from_pair(qpair)), delta, n=n)
-    return lambda qpair: quad_counts.lambda_(
-        CanonicalIdealRep(GaussianInt.from_pair(qpair)), delta, method="bruteforce")
-
-
 def _pin_candidates(delta: GaussianInt, n: GaussianInt | None):
     """Search (even exponent a, unit u, even_value) consistent with lambda data.
 
@@ -234,12 +218,14 @@ def _pin_candidates(delta: GaussianInt, n: GaussianInt | None):
             for _ in range(e // 2):
                 l_odd = g.mul(l_odd, pi)
 
-    lam = _lambda_oracle(delta, n)
     lam_cache: dict = {}
 
     def lam_at(qpair):
+        # lambda_q(delta): fast (y-form) when n is known, brute rho else
         if qpair not in lam_cache:
-            lam_cache[qpair] = lam(qpair)
+            lam_cache[qpair] = quad_counts.lambda_(
+                CanonicalIdealRep(GaussianInt.from_pair(qpair)), delta, n=n,
+                method="fast" if n is not None else "bruteforce")
         return lam_cache[qpair]
 
     # validation ideals: everything of small norm, deep (1+i)-powers, and a

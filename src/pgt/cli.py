@@ -23,7 +23,7 @@ from . import quad_counts as qc
 from . import spectral as spec_mod
 from .acceptance import run_all
 from .characters import discriminant_split, is_perfect_square, quadratic_character
-from .errors import OverflowGuardError
+from .errors import EigenvalueFileError, OverflowGuardError
 from .gaussian import GaussianInt, canonical_rep
 from .harness import write_csv, write_json
 
@@ -255,6 +255,9 @@ def cmd_spectral(args) -> int:
         table = spec_mod.load_eigenvalues(args.file)
     except FileNotFoundError:
         print(f"eigenvalue file not found: {args.file}", file=sys.stderr)
+        return 2
+    except EigenvalueFileError as exc:
+        print(f"bad eigenvalue file {args.file}: {exc}", file=sys.stderr)
         return 2
     s = spec_mod.spectral_sum(table, args.t, args.x)
     obj = {

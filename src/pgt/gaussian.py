@@ -539,21 +539,29 @@ def is_prime_ideal(q: CanonicalIdealRep) -> bool:
 # multiplicative functions (functions of the ideal)
 # ---------------------------------------------------------------------------
 
+def multiplicative(pair, local):
+    """Product of local(pi, e) over the prime powers pi^e of the ideal (pair).
+
+    Factors are taken in factorization order, ascending (norm, re), and the
+    product stops at the first zero factor; the unit ideal gives 1.  Every
+    multiplicative function of an ideal in the package is one such call.
+    """
+    out = 1
+    for pi, e in factor_pair_cached(pair):
+        out *= local(pi, e)
+        if out == 0:
+            break
+    return out
+
+
 def mobius(n: CanonicalIdealRep) -> int:
     """Mobius function of the ideal (n): 0 unless squarefree, else (-1)^omega."""
-    facs = factor_pair_cached(n.pair)
-    if any(e > 1 for _, e in facs):
-        return 0
-    return -1 if len(facs) % 2 else 1
+    return multiplicative(n.pair, lambda pi, e: -1 if e == 1 else 0)
 
 
 def euler_phi(n: CanonicalIdealRep) -> int:
     """Order of (Z[i]/(n))^x; multiplicative, phi(pi^e) = N^e - N^(e-1)."""
-    out = 1
-    for pi, e in factor_pair_cached(n.pair):
-        npi = norm(pi)
-        out *= npi**e - npi ** (e - 1)
-    return out
+    return multiplicative(n.pair, lambda pi, e: norm(pi) ** e - norm(pi) ** (e - 1))
 
 
 def sigma_xi(n: CanonicalIdealRep, xi):
@@ -561,19 +569,13 @@ def sigma_xi(n: CanonicalIdealRep, xi):
 
     Exact (int) when xi is a nonnegative integer, float/complex otherwise.
     """
-    out = 1
-    for pi, e in factor_pair_cached(n.pair):
-        npi = norm(pi)
-        out *= sum(npi ** (k * xi) for k in range(e + 1))
-    return out
+    return multiplicative(n.pair, lambda pi, e: sum(norm(pi) ** (k * xi)
+                                                    for k in range(e + 1)))
 
 
 def divisor_count(n: CanonicalIdealRep) -> int:
     """Number of ideal divisors of (n); exact integer."""
-    out = 1
-    for _, e in factor_pair_cached(n.pair):
-        out *= e + 1
-    return out
+    return multiplicative(n.pair, lambda pi, e: e + 1)
 
 
 def divisor_pairs(a):

@@ -35,14 +35,14 @@ class FitResult:
 def fit_exponent(samples) -> FitResult:
     """Least squares of log(magnitude) against log(scale).
 
-    samples: iterable of (scale, magnitude), magnitudes > 0, at least two
-    distinct scales.
+    samples: iterable of (scale, magnitude), scales and magnitudes positive
+    and finite, at least two distinct scales.
     """
     pts = [(float(x), float(y)) for x, y in samples]
     if len(pts) < 2:
         raise ValueError("need at least two samples")
-    if any(y <= 0 for _, y in pts):
-        raise ValueError("magnitudes must be positive")
+    if not all(0 < x < math.inf and 0 < y < math.inf for x, y in pts):
+        raise ValueError("scales and magnitudes must be positive and finite")
     if len({x for x, _ in pts}) < 2:
         raise ValueError("need at least two distinct scales")
     lx = [math.log(x) for x, _ in pts]

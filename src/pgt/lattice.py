@@ -66,12 +66,9 @@ def _count_row_rational(b1: Fraction, rem: Fraction) -> int:
     rn, rd = rem.numerator, rem.denominator
     # (x*q - p)^2 * rd <= rn * q^2 ; let t = x*q - p
     bound = rn * q * q
-    # t ranges over integers congruent to -p mod q; largest |t| with t^2*rd <= bound
+    # t ranges over integers congruent to -p mod q; largest |t| with t^2*rd <= bound,
+    # which for an integer t is t^2 <= floor(bound / rd)
     tmax = math.isqrt(bound // rd)
-    while (tmax + 1) ** 2 * rd <= bound:
-        tmax += 1
-    while tmax >= 0 and tmax * tmax * rd > bound:
-        tmax -= 1
     # x <= (tmax + p)/q  and  x >= (-tmax + p)/q
     hi = (tmax + p) // q
     lo = -((tmax - p) // q)
@@ -82,36 +79,38 @@ def circle_count(b, M) -> LatticeCountResult:
     """Exact |Z^2 intersect closed ball of radius sqrt(M) at center b|.
 
     b is a pair of reals; int/Fraction components take the exact integer
-    path.  M up to 1e9.
+    path.  M lies in [0, 1e9]; a larger M is refused as beyond the cap, a
+    negative or nan M as invalid.
     """
     if M > CIRCLE_M_CAP:
         raise CutoffExceededError(f"M = {M} beyond cap {CIRCLE_M_CAP}")
+    if not 0 <= M <= CIRCLE_M_CAP:
+        raise ValueError(f"M must lie in [0, {CIRCLE_M_CAP:g}], got {M!r}")
     b1, b2 = b
     exact = all(isinstance(c, (int, Fraction)) for c in (b1, b2)) and \
         isinstance(M, (int, Fraction))
     count = 0
-    if M >= 0:
-        if exact:
-            b1f, b2f, Mf = Fraction(b1), Fraction(b2), Fraction(M)
-            r = math.isqrt(int(Mf)) + 2
-            ylo = math.floor(b2f) - r
-            yhi = math.ceil(b2f) + r
-            for y in range(ylo, yhi + 1):
-                rem = Mf - (y - b2f) ** 2
-                count += _count_row_rational(b1f, rem)
-        else:
-            rt = math.sqrt(float(M))
-            ylo = math.ceil(float(b2) - rt - _FLOAT_EDGE_EPS)
-            yhi = math.floor(float(b2) + rt + _FLOAT_EDGE_EPS)
-            for y in range(ylo, yhi + 1):
-                rem = float(M) - (y - float(b2)) ** 2
-                if rem < 0:
-                    continue
-                rr = math.sqrt(rem)
-                hi = math.floor(float(b1) + rr + _FLOAT_EDGE_EPS)
-                lo = math.ceil(float(b1) - rr - _FLOAT_EDGE_EPS)
-                if hi >= lo:
-                    count += hi - lo + 1
+    if exact:
+        b1f, b2f, Mf = Fraction(b1), Fraction(b2), Fraction(M)
+        r = math.isqrt(int(Mf)) + 2
+        ylo = math.floor(b2f) - r
+        yhi = math.ceil(b2f) + r
+        for y in range(ylo, yhi + 1):
+            rem = Mf - (y - b2f) ** 2
+            count += _count_row_rational(b1f, rem)
+    else:
+        rt = math.sqrt(float(M))
+        ylo = math.ceil(float(b2) - rt - _FLOAT_EDGE_EPS)
+        yhi = math.floor(float(b2) + rt + _FLOAT_EDGE_EPS)
+        for y in range(ylo, yhi + 1):
+            rem = float(M) - (y - float(b2)) ** 2
+            if rem < 0:
+                continue
+            rr = math.sqrt(rem)
+            hi = math.floor(float(b1) + rr + _FLOAT_EDGE_EPS)
+            lo = math.ceil(float(b1) - rr - _FLOAT_EDGE_EPS)
+            if hi >= lo:
+                count += hi - lo + 1
     return LatticeCountResult(center=(b1, b2), M=float(M), count=count,
                               remainder=count - math.pi * float(M))
 

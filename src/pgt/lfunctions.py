@@ -23,6 +23,12 @@ Objects:
                     it is what pins the character normalization.  T and the
                     product coefficients come from the integer coefficient
                     builders in characters, the ones the pinning matches.
+  szmidt_product_coefficients
+                    the integer coefficients of T_l * L(chi_D), as a plain
+                    {ideal pair: int} dict.
+  szmidt_coefficient_check
+                    max |lambda_q(delta) - [T_l * L]_q| over small ideals,
+                    against quad_counts.lambda_ on the brute-force rho.
   zagier_L1         G_V(delta) = sum_q lambda_q(delta) e^(-N(q)/V) / N(q),
                     the smoothed value of the form L-function at s = 1.
   normalization_sum the mu-square-weighted smoothed sum that tends to 1.
@@ -59,35 +65,8 @@ CUTOFF_MULT = 40.0  # smoothed series run over N(q) <= CUTOFF_MULT * V
 
 
 # ---------------------------------------------------------------------------
-# coefficient containers
+# result types
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DirichletCoefficients:
-    """Coefficients of a Dirichlet series over ideals, complete up to cutoff."""
-
-    description: str
-    cutoff: int
-    entries: dict  # CanonicalIdealRep -> coefficient
-
-    def coefficient(self, q: CanonicalIdealRep):
-        return self.entries.get(q, 0)
-
-    def spot_check_multiplicative(self, pairs) -> bool:
-        """Check a(q1 q2) = a(q1) a(q2) on given coprime canonical pairs."""
-        for a, b in pairs:
-            if g.norm(g.gcd_pair(a, b)) != 1:
-                continue
-            prod = g.canonical_pair(g.mul(a, b))
-            if g.norm(prod) > self.cutoff:
-                continue
-            ra = self.entries[CanonicalIdealRep(GaussianInt.from_pair(a))]
-            rb = self.entries[CanonicalIdealRep(GaussianInt.from_pair(b))]
-            rp = self.entries[CanonicalIdealRep(GaussianInt.from_pair(prod))]
-            if abs(ra * rb - rp) > 1e-9:
-                return False
-        return True
-
 
 @dataclass
 class SmoothedValue:
@@ -237,8 +216,11 @@ def L_chi(s: complex, character: QuadraticCharacter, V: float,
     convergence band is the final doubling step.  A band above tol sets
     converged=False (flag, not an exception).  The walk hands its prime
     pairs straight to the character's cached symbol lookup, so no prime is
-    tested for primality here.
+    tested for primality here.  doublings is an int >= 0; with none the
+    band is nan.
     """
+    if isinstance(doublings, bool) or not isinstance(doublings, int) or doublings < 0:
+        raise ValueError(f"L_chi requires an int doublings >= 0, got {doublings!r}")
     vs = [V * 2.0**j for j in range(doublings + 1)]
     w = 1.0 - complex(s)
     D_pair, ev, cache = character.D.pair, character.even_value, character._prime_cache
@@ -276,8 +258,9 @@ def T_l_poly(s: complex, D: GaussianInt, l: CanonicalIdealRep,
     return complex(sum(w * g.norm(f) ** (-s) for f, w in tcoeffs.items()))
 
 
-def szmidt_product_coefficients(delta: GaussianInt, cutoff: int) -> DirichletCoefficients:
-    """Integer Dirichlet coefficients of T_l^(D) * L(., chi_D) up to cutoff.
+def szmidt_product_coefficients(delta: GaussianInt, cutoff: int) -> dict:
+    """Integer Dirichlet coefficients of T_l^(D) * L(., chi_D) up to cutoff,
+    as {canonical pair of q: coefficient} for every ideal q of norm <= cutoff.
 
     Built from the pinned split/character of delta by the same coefficient
     builders the pinning oracle matches against lambda; every coefficient is
@@ -287,47 +270,25 @@ def szmidt_product_coefficients(delta: GaussianInt, cutoff: int) -> DirichletCoe
     char = quadratic_character(delta)
     D_pair, ev, cache = _validated_args(char)
     tcoeffs = _t_coefficients(D_pair, ev, split.l.pair, cache)
-    entries = {
-        CanonicalIdealRep(GaussianInt.from_pair(qp)):
-            _product_coefficient(tcoeffs, D_pair, ev, cache, qp)
-        for qp in g.ideal_reps_upto(cutoff)}
-    return DirichletCoefficients(
-        description=f"T_l * L(chi_D) for delta = {delta}", cutoff=cutoff,
-        entries=entries)
+    return {qp: _product_coefficient(tcoeffs, D_pair, ev, cache, qp)
+            for qp in g.ideal_reps_upto(cutoff)}
 
 
 def szmidt_coefficient_check(delta: GaussianInt, Qmax: int) -> int:
     """max |lambda_q(delta) - [T_l * L]_q| over ideals N(q) <= Qmax (must be 0).
 
-    The left side is the brute-force Mobius convolution of the x-enumeration
-    rho; the right side is the divisor convolution of chi_D with the finite
-    factor.  The two sides share no code path.
+    The left side is quad_counts.lambda_ with the brute-force x-enumeration
+    rho (each rho computed once per (q3, delta)); the right side is the
+    divisor convolution of chi_D with the finite factor.  The two sides
+    share no code path.
     """
     if Qmax > 10**4:
         raise ValueError("Qmax capped at 1e4")
     product = szmidt_product_coefficients(delta, Qmax)
-    rho_memo: dict = {}
-
-    def rho_brute(q3_pair):
-        if q3_pair not in rho_memo:
-            rho_memo[q3_pair] = quad_counts.rho_bruteforce(
-                CanonicalIdealRep(GaussianInt.from_pair(q3_pair)), delta)
-        return rho_memo[q3_pair]
-
     worst = 0
-    for qp in g.ideal_reps_upto(Qmax):
-        lam = 0
-        for q1 in g.divisor_pairs(qp):
-            q1sq = g.canonical_pair(g.mul(q1, q1))
-            if not g.divides(q1sq, qp):
-                continue
-            rest = g.canonical_pair(g.exact_div(qp, q1sq))
-            for q2 in g.divisor_pairs(rest):
-                mu = g.mobius(CanonicalIdealRep(GaussianInt.from_pair(q2)))
-                if mu == 0:
-                    continue
-                lam += mu * rho_brute(g.canonical_pair(g.exact_div(rest, q2)))
-        want = product.entries[CanonicalIdealRep(GaussianInt.from_pair(qp))]
+    for qp, want in product.items():
+        lam = quad_counts.lambda_(CanonicalIdealRep(GaussianInt.from_pair(qp)), delta,
+                                  method="bruteforce")
         worst = max(worst, abs(lam - want))
     return worst
 
@@ -386,7 +347,7 @@ def normalization_sum(V: float) -> float:
     if V < 1:
         raise ValueError("V must be >= 1")
     return smoothed_sums((V,), lambda val, npj, pj, e:
-                         val * (1.0 if e % 2 == 0 else -1.0 / npj))[0]
+                         val * quad_counts.mu_square_local(npj, e))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +39,9 @@ from .gaussian import CanonicalIdealRep, GaussianInt, ResidueRing
 from .harness import compensated_sum
 
 RHO_BRUTE_NORM_CUTOFF = 10**6   # refuse brute enumeration beyond N(2q) > 1e6
+# brute rho values kept per (q, delta): one szmidt_coefficient_check at its
+# Qmax cap of 1e4 needs at most 7,854 of them (every ideal of norm <= 1e4)
+RHO_BRUTE_MEMO = 2**13
 KLOOSTERMAN_NORM_CUTOFF = 10**6
 KLOOSTERMAN_CHUNK = 1 << 16     # residues per vector pass of kloosterman
 _ROOT_ENUM_CUTOFF = 2**20       # largest prime norm for root enumeration
@@ -54,15 +58,22 @@ def rho_bruteforce(q: CanonicalIdealRep, delta: GaussianInt) -> int:
     at once, as int64 arrays: 4q | w = x^2 - delta iff both components of
     w * conj(4q) vanish mod N(4q).  No int64 overflows: x0, x1 < N(2q) <= 1e6,
     the components of 4q are below 2e3 in size and those of delta below 2^31,
-    so every product is below 2^63.  Shares no code with rho_fast.
+    so every product is below 2^63.  Shares no code with rho_fast.  Memoized
+    per (q, delta) pair in one bounded cache, which lambda_'s bruteforce
+    method shares.
     """
-    qp = q.pair
+    return _rho_brute(q.pair, delta.pair)
+
+
+@lru_cache(maxsize=RHO_BRUTE_MEMO)
+def _rho_brute(qp, dp) -> int:
+    """rho_bruteforce at the canonical pair qp and the pair dp of delta."""
     twoq = g.mul((2, 0), qp)
     f0, f1 = g.mul((4, 0), qp)
     if g.norm(twoq) > RHO_BRUTE_NORM_CUTOFF:
         raise CutoffExceededError(f"N(2q) = {g.norm(twoq)} exceeds brute-force cutoff")
     n4 = f0 * f0 + f1 * f1
-    da, db = delta.pair
+    da, db = dp
     ring = ResidueRing(twoq)
     x0, x1 = np.divmod(np.arange(ring.n_elements, dtype=np.int64), ring.d2)
     wa = x0 * x0 - x1 * x1 - da
@@ -132,15 +143,7 @@ def rho_fast(q: CanonicalIdealRep, n: GaussianInt) -> int:
     Multiplicative over the prime powers of q (CRT); agrees with
     rho_bruteforce wherever both are defined.
     """
-    if q.norm() == 1:
-        return 1
-    out = 1
-    np_ = n.pair
-    for pi, e in g.factor_pair_cached(q.pair):
-        out *= _count_roots_prime_power(pi, e, np_)
-        if out == 0:
-            return 0
-    return out
+    return g.multiplicative(q.pair, lambda pi, e: _count_roots_prime_power(pi, e, n.pair))
 
 
 def sqrt_perfect_square(delta_plus_4: GaussianInt) -> GaussianInt:
@@ -169,22 +172,23 @@ def lambda_(q: CanonicalIdealRep, delta: GaussianInt, *, n: GaussianInt | None =
     """lambda_q(delta): exact Mobius convolution over factorizations q1^2 q2 q3 = q.
 
     delta must be of the form n^2 - 4; if n is not supplied it is recovered as
-    a Gaussian square root of delta + 4.  method="bruteforce" forces the
-    x-enumeration rho (used by the independent coefficient oracle).
+    a Gaussian square root of delta + 4.  method="bruteforce" takes the
+    x-enumeration rho instead (memoized, see rho_bruteforce), as the
+    independent coefficient oracle does; this is the package's only Mobius
+    convolution of rho.
     """
     if method == "fast" and n is None:
         n = sqrt_perfect_square(delta + GaussianInt(4, 0))
 
     def rho(q3_pair):
-        rep = CanonicalIdealRep(GaussianInt.from_pair(q3_pair))
         if method == "bruteforce":
-            return rho_bruteforce(rep, delta)
-        return rho_fast(rep, n)
+            return _rho_brute(q3_pair, delta.pair)
+        return rho_fast(CanonicalIdealRep(GaussianInt.from_pair(q3_pair)), n)
 
     qpair = q.pair
     total = 0
     for q1 in g.divisor_pairs(qpair):
-        q1sq = g.canonical_pair(g.mul(q1, q1)) if q1 != (0, 0) else q1
+        q1sq = g.canonical_pair(g.mul(q1, q1))
         if not g.divides(q1sq, qpair):
             continue
         rest = g.canonical_pair(g.exact_div(qpair, q1sq))
@@ -209,27 +213,16 @@ def lambda_at_prime_power(pi, e: int, delta: GaussianInt,
         lambda = 0              if v < e and v odd,
         lambda = N^(v/2) s^(e-v) otherwise.
 
-    At pi = (1+i) the value is assembled from Hensel root counts.  Agrees
-    with lambda_() everywhere (property-tested); this is the fast path used
-    by the smoothed series.
+    At pi = (1+i) the value is lambda_() itself, over the Hensel root counts
+    of the (1+i)^c.  Agrees with lambda_() everywhere (property-tested);
+    this is the fast path used by the smoothed series.
     """
     npi = g.norm(pi)
-    dp = delta.pair
-    if npi == 2:
-        if n is None:
-            n = sqrt_perfect_square(delta + GaussianInt(4, 0))
-        np_ = n.pair
-        rho_c = {0: 1}
-        for c in range(1, e + 1):
-            rho_c[c] = _count_roots_prime_power(pi, c, np_)
-        out = 0
-        for c in range(e % 2, e + 1, 2):
-            out += rho_c[c]
-        for c in range((e - 1) % 2, e, 2):
-            out -= rho_c[c]
-        return out
+    if npi == 2:  # (1+i)^e is 2^(e/2) for even e, 2^((e-1)/2) (1+i) for odd
+        h = 1 << (e // 2)
+        return lambda_(CanonicalIdealRep(GaussianInt(h, h * (e % 2))), delta, n=n)
     v = 0
-    cur = dp
+    cur = delta.pair
     while v < e and g.divides(pi, cur):
         cur = g.exact_div(cur, pi)
         v += 1
@@ -241,51 +234,19 @@ def lambda_at_prime_power(pi, e: int, delta: GaussianInt,
     return npi ** (v // 2) * (s ** (e - v))
 
 
-@dataclass
-class RhoLambdaTable:
-    """rho/lambda values of a fixed delta at all ideals of norm <= cutoff."""
-
-    delta: GaussianInt
-    cutoff: int
-    entries: dict  # CanonicalIdealRep -> (rho, lambda)
-
-    def validate(self):
-        for rep, (rho, lam) in self.entries.items():
-            nq = rep.norm()
-            if not 0 <= rho <= nq:
-                raise ValueError(f"rho out of range at {rep}: {rho}")
-            dq = g.divisor_count(rep)
-            if abs(lam) > dq * max(rho, 1):
-                raise ValueError(f"lambda exceeds crude bound at {rep}")
-        return True
-
-
-def build_rho_lambda_table(delta: GaussianInt, cutoff: int,
-                           n: GaussianInt | None = None) -> RhoLambdaTable:
-    """Tabulate (rho_q, lambda_q)(delta) for every ideal q of norm <= cutoff."""
-    if n is None:
-        n = sqrt_perfect_square(delta + GaussianInt(4, 0))
-    entries = {}
-    for pair in g.ideal_reps_upto(cutoff):
-        rep = CanonicalIdealRep(GaussianInt.from_pair(pair))
-        entries[rep] = (rho_fast(rep, n), lambda_(rep, delta, n=n))
-    table = RhoLambdaTable(delta=delta, cutoff=cutoff, entries=entries)
-    table.validate()
-    return table
-
-
 # ---------------------------------------------------------------------------
 # partial sums of lambda over traces (element convention)
 # ---------------------------------------------------------------------------
 
+def mu_square_local(npi, e: int) -> float:
+    """Local factor at pi^e, N(pi) = npi, of the multiplicative
+    sum over q1^2 q2 = q of mu(q2)/N(q2): 1 for even e, -1/N(pi) for odd."""
+    return 1.0 if e % 2 == 0 else -1.0 / npi
+
+
 def _mu_square_coeff(qpair) -> float:
-    """sum over q1^2 q2 = q of mu(q2)/N(q2); multiplicative, per prime power:
-    1 for even exponents, -1/N(pi) for odd."""
-    out = 1.0
-    for pi, e in g.factor_pair_cached(qpair):
-        if e % 2:
-            out *= -1.0 / g.norm(pi)
-    return out
+    """sum over q1^2 q2 = q of mu(q2)/N(q2), the Mobius factor of the main term."""
+    return float(g.multiplicative(qpair, lambda pi, e: mu_square_local(g.norm(pi), e)))
 
 
 def lambda_partial_sum(q: CanonicalIdealRep, Z: float):

@@ -32,7 +32,7 @@ from .harness import compensated_sum, fit_exponent
 
 @dataclass
 class EigenvalueTable:
-    """Sorted positive spectral parameters r_j with provenance."""
+    """Sorted positive, finite spectral parameters r_j with provenance."""
 
     r_values: list
     source: str = ""
@@ -40,8 +40,9 @@ class EigenvalueTable:
 
     def __post_init__(self):
         for i, r in enumerate(self.r_values):
-            if r <= 0:
-                raise ValueError(f"nonpositive spectral parameter at index {i}")
+            if not 0 < r < math.inf:
+                raise ValueError(f"spectral parameter {r!r} at index {i} is not "
+                                 f"positive and finite")
             if i and r <= self.r_values[i - 1]:
                 raise ValueError(f"table not strictly ascending at index {i}")
 
@@ -50,7 +51,7 @@ class EigenvalueTable:
 
 
 def load_eigenvalues(path: str) -> EigenvalueTable:
-    """Parse an eigenvalue file; validates ordering and positivity."""
+    """Parse an eigenvalue file; validates ordering, positivity and finiteness."""
     rs: list[float] = []
     source = ""
     with open(path, "rb") as fh:
@@ -69,8 +70,9 @@ def load_eigenvalues(path: str) -> EigenvalueTable:
             r = float(text)
         except ValueError as exc:
             raise EigenvalueFileError(f"cannot parse {text!r}", line=lineno) from exc
-        if r <= 0:
-            raise EigenvalueFileError(f"nonpositive entry {r}", line=lineno)
+        if not 0 < r < math.inf:
+            raise EigenvalueFileError(f"entry {text!r} is not positive and finite",
+                                      line=lineno)
         if rs and r <= rs[-1]:
             raise EigenvalueFileError(f"entry {r} not strictly ascending", line=lineno)
         rs.append(r)
@@ -79,8 +81,8 @@ def load_eigenvalues(path: str) -> EigenvalueTable:
 
 def spectral_sum(table: EigenvalueTable, T: float, X: float) -> complex:
     """S(T, X) = sum_{0 < r_j <= T} X^(i r_j), Kahan-compensated."""
-    if T < 0 or X < 1:
-        raise ValueError("need T >= 0 and X >= 1")
+    if not (0 <= T and 1 <= X < math.inf):
+        raise ValueError(f"need T >= 0 and a finite X >= 1, got T={T!r}, X={X!r}")
     lx = math.log(X)
     return compensated_sum(complex(math.cos(r * lx), math.sin(r * lx))
                            for r in table.r_values if r <= T)

@@ -43,6 +43,12 @@ def test_fit_degenerate_inputs():
         fit_exponent([(1.0, 2.0), (1.0, 3.0)])
     with pytest.raises(ValueError):
         fit_exponent([(1.0, 2.0), (2.0, -1.0)])
+    # a nan magnitude or a non-finite scale used to give slope nan
+    for bad in ([(1.0, 2.0), (2.0, math.nan)], [(1.0, 2.0), (2.0, math.inf)],
+                [(1.0, 2.0), (math.inf, 3.0)], [(1.0, 2.0), (math.nan, 3.0)],
+                [(0.0, 2.0), (2.0, 3.0)]):
+        with pytest.raises(ValueError):
+            fit_exponent(bad)
     with pytest.raises(ValueError):
         FitResult(slope=1.0, intercept=0.0, r_squared=2.0,
                   samples=[(1, 1), (2, 2)])
@@ -179,6 +185,20 @@ def test_cli_spectral(capsys, tmp_path):
     obj = json.loads(capsys.readouterr().out)
     assert obj["count"] == 2
     assert obj["S_re"] == pytest.approx(2.0)
+
+
+def test_cli_spectral_bad_file_is_usage_error(capsys, tmp_path):
+    # a malformed file is one stderr line and exit 2, like a missing one
+    p = tmp_path / "eig.txt"
+    p.write_text("6.6\nnan\n3.0\ninf\n")
+    for path in (p, tmp_path / "missing.txt"):
+        assert main(["spectral", "--file", str(path), "--t", "2.5", "--x", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+    p.write_text("1.0\nnan\n")
+    main(["spectral", "--file", str(p), "--t", "2.5", "--x", "1"])
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_cli_required_and_exclusive_options(capsys):

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgt.errors import CutoffExceededError
 from pgt.gaussian import GaussianInt, ResidueRing, canonical_rep, ideal_reps_upto
@@ -63,6 +64,34 @@ def test_circle_against_brute_force():
 def test_circle_cap():
     with pytest.raises(CutoffExceededError):
         circle_count((0, 0), 2e9)
+
+
+@pytest.mark.parametrize("M", [math.nan, -0.5, -5, Fraction(-1, 3)])
+def test_circle_rejects_negative_and_nan_m(M):
+    # nan and -0.5 used to count 0 points, -5 to fail the perimeter bound
+    with pytest.raises(ValueError, match="M must lie in"):
+        circle_count((0.5, 0.25), M)
+    with pytest.raises(ValueError, match="M must lie in"):
+        circle_count((0, 0), M)
+
+
+def test_eta_fit_rejects_nan_m():
+    # used to return a nan exponent
+    with pytest.raises(ValueError):
+        eta_fit([1e3, math.nan], n_centers=3, seed=1)
+
+
+_small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@given(_small_fraction, _small_fraction,
+       st.fractions(min_value=0, max_value=60, max_denominator=12))
+@settings(max_examples=150, deadline=None)
+def test_circle_exact_path_matches_double_loop(bx, by, M):
+    r = math.isqrt(int(M)) + 7
+    want = sum(1 for x in range(-r, r + 1) for y in range(-r, r + 1)
+               if (x - bx) ** 2 + (y - by) ** 2 <= M)
+    assert circle_count((bx, by), M).count == want
 
 
 def test_residue_class_examples():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import pgt
 from pgt.gaussian import GaussianInt, canonical_rep, canonical_pair, \
-    ideal_reps_upto, divisor_pairs, mobius, norm, mul
+    ideal_reps_upto, divisor_pairs, gcd_pair, mobius, norm, mul
 from pgt.characters import discriminant_split, quadratic_character, chi
 from pgt.harness import fit_exponent
 from pgt import lfunctions as lf
@@ -168,6 +168,13 @@ def test_smoothed_series_reject_bad_v(V):
             call()
 
 
+@pytest.mark.parametrize("doublings", [-1, 1.5, True, "2"])
+def test_L_chi_rejects_bad_doublings(doublings):
+    # -1 died in max() of an empty sequence, 1.5 with a TypeError
+    with pytest.raises(ValueError, match="doublings"):
+        L_chi(1.0, quadratic_character(G(5, 0)), 50.0, doublings=doublings)
+
+
 @pytest.mark.parametrize("cutoff_mult", [0.0, -1.0, math.nan, math.inf])
 def test_smoothed_sums_rejects_bad_cutoff_mult(cutoff_mult):
     # -1 used to sum the unit ideal alone, nan to die in int()
@@ -175,9 +182,9 @@ def test_smoothed_sums_rejects_bad_cutoff_mult(cutoff_mult):
         smoothed_sums([10.0], _ext, cutoff_mult=cutoff_mult)
 
 
-def test_walk_ideals_has_one_caller():
-    # every smoothed series goes through smoothed_sums; a second walker
-    # call would fork the sum again
+def _callers(*names):
+    """(module, innermost enclosing function) of every call in the package
+    to a function of one of the given names, plain or as an attribute."""
     callers = []
     for path in sorted(Path(pgt.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -186,9 +193,28 @@ def test_walk_ideals_has_one_caller():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope.update((node, fn.name) for node in ast.walk(fn))
         callers += [(path.stem, scope.get(node, "<module>")) for node in ast.walk(tree)
-                    if isinstance(node, ast.Call) and "walk_ideals" in
-                    (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    assert callers == [("lfunctions", "smoothed_sums")]
+                    if isinstance(node, ast.Call) and {getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)}
+                    & set(names)]
+    return callers
+
+
+def test_walk_ideals_has_one_caller():
+    # every smoothed series goes through smoothed_sums; a second walker
+    # call would fork the sum again
+    assert _callers("walk_ideals") == [("lfunctions", "smoothed_sums")]
+
+
+def test_factorization_products_and_brute_rho_have_one_home():
+    # every multiplicative function of an ideal is one gaussian.multiplicative
+    # call, and every Mobius convolution of the brute rho is quad_counts.lambda_
+    assert sorted(set(_callers("factor_pair_cached"))) == [
+        ("characters", "__post_init__"), ("characters", "_pin_candidates"),
+        ("gaussian", "divisor_pairs"), ("gaussian", "multiplicative")]
+    brute = _callers("rho_bruteforce", "_rho_brute")
+    assert brute
+    assert all(module == "quad_counts" or (module, fn) == ("acceptance", "criterion_2")
+               for module, fn in brute), brute
 
 
 def test_character_sum_cancellation():
@@ -255,7 +281,7 @@ def test_szmidt_coefficients_at_primes():
             continue
         rep = canonical_rep(G(*pp))
         x = chi(ch, rep)
-        assert prod.entries[rep] == x
+        assert prod[pp] == x
         assert rho_bruteforce(rep, delta) == 1 + x
 
 
@@ -267,14 +293,19 @@ def test_szmidt_check_zero_small():
 
 def test_szmidt_unit_coefficient():
     prod = szmidt_product_coefficients(G(5, 0), 10)
-    assert prod.entries[canonical_rep(G(1, 0))] == 1
+    assert prod[(1, 0)] == 1
 
 
 def test_product_coefficients_multiplicative_spot_check():
+    # a(q1 q2) = a(q1) a(q2) on coprime pairs inside the cutoff
     prod = szmidt_product_coefficients(G(5, 0), 400)
     pairs = [((2, 1), (1, 2)), ((3, 0), (1, 1)), ((2, 1), (3, 0)),
              ((1, 1), (4, 1))]
-    assert prod.spot_check_multiplicative(pairs)
+    for a, b in pairs:
+        assert norm(gcd_pair(a, b)) == 1
+        ab = canonical_pair(mul(a, b))
+        assert norm(ab) <= 400
+        assert prod[ab] == prod[a] * prod[b], (a, b)
 
 
 def test_zagier_value_positive_on_sweep():

@@ -11,8 +11,8 @@ from pgt.errors import CutoffExceededError
 from pgt.gaussian import (GaussianInt, ResidueRing, canonical_rep,
                           canonical_pair, euler_phi, divisor_count,
                           ideal_reps_upto, mul, norm)
-from pgt.quad_counts import (KLOOSTERMAN_NORM_CUTOFF, build_rho_lambda_table,
-                             kloosterman, kloosterman_identity_check,
+from pgt.quad_counts import (KLOOSTERMAN_NORM_CUTOFF, kloosterman,
+                             kloosterman_identity_check,
                              lambda_, lambda_at_prime_power,
                              lambda_partial_sum, rho_bruteforce, rho_fast,
                              rho_table, sqrt_perfect_square, weil_ratio)
@@ -160,9 +160,11 @@ def test_lambda_at_prime_power_matches_convolution():
 
 
 def test_rho_lambda_table_bounds():
-    table = build_rho_lambda_table(G(5, 0), 150, n=G(3, 0))
-    assert table.validate()
-    for rep, (rho, lam) in table.entries.items():
+    n, delta = G(3, 0), G(5, 0)
+    for qp in ideal_reps_upto(150):
+        rep = canonical_rep(G(*qp))
+        rho = rho_fast(rep, n)
+        lam = lambda_(rep, delta, n=n)
         assert 0 <= rho <= rep.norm()
         assert abs(lam) <= divisor_count(rep) * max(rho, 1)
 

@@ -27,6 +27,10 @@ def test_table_validation():
         EigenvalueTable(r_values=[1.0, 1.0])
     with pytest.raises(ValueError):
         EigenvalueTable(r_values=[-1.0, 2.0])
+    # a nan used to pass both the sign and the ascending check
+    for bad in ([1.0, math.nan, 0.5], [1.0, math.inf], [math.nan]):
+        with pytest.raises(ValueError):
+            EigenvalueTable(r_values=bad)
     t = EigenvalueTable(r_values=[])
     assert t.count_upto(10.0) == 0
 
@@ -60,6 +64,14 @@ def test_load_eigenvalues(tmp_path):
         load_eigenvalues(str(garbled))
     assert err.value.line == 2
 
+    # non-finite entries: this file used to load as [6.6, nan, 3.0, inf]
+    for text, line in (("6.6\nnan\n3.0\ninf\n", 2), ("1.0\ninf\n", 2), ("-inf\n", 1)):
+        nonfinite = tmp_path / "nonfinite.txt"
+        nonfinite.write_text(text)
+        with pytest.raises(EigenvalueFileError) as err:
+            load_eigenvalues(str(nonfinite))
+        assert err.value.line == line
+
 
 def test_spectral_sum_at_x_one_counts():
     t = synthetic_table(50)
@@ -67,6 +79,14 @@ def test_spectral_sum_at_x_one_counts():
         s = spectral_sum(t, T, 1.0)
         assert s == pytest.approx(t.count_upto(T))
     assert spectral_sum(t, 0.0, 100.0) == 0
+
+
+@pytest.mark.parametrize("T, X", [(math.nan, 10.0), (-1.0, 10.0), (1.0, math.nan),
+                                  (1.0, 0.5), (1.0, math.inf)])
+def test_spectral_sum_rejects_out_of_range(T, X):
+    # T = nan used to return 0j
+    with pytest.raises(ValueError):
+        spectral_sum(synthetic_table(10), T, X)
 
 
 def test_spectral_sum_triangle_and_additivity():
