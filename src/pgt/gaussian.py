@@ -17,7 +17,10 @@ mul/norm/... helpers below; the GaussianInt dataclass is the API-level type.
 ResidueRing.reduce also takes numpy int64 arrays of components, which is how
 whole transversals are multiplied at once.  The prime ideals come from one
 rational sieve per process (prime_ideals_upto keeps its largest list), and
-the prime above a split p from an integer Euclid (split_prime_above).
+the prime above a split p from an integer Euclid (split_prime_above).  The
+quadratic residue symbol is Euler's criterion, one rational pow per prime
+(euler_symbol) or one int64 array pass over a list of primes
+(euler_symbols).
 """
 
 from __future__ import annotations
@@ -197,6 +200,50 @@ def euler_symbol(x, pi) -> int:
     if s == p - 1:
         return -1
     raise ArithmeticError(f"Euler criterion returned a non-square-root at {pi}")
+
+
+EULER_NORM_BOUND = 2**31  # euler_symbols squares residues mod p < 2^31 in int64
+
+
+def _mod_each(x: int, m: np.ndarray) -> np.ndarray:
+    """x mod m[j] for every j, exact for an int x of any size (0 < m < 2^31):
+    Horner over the 31-bit limbs of |x|, every partial value below 2^62."""
+    r = np.zeros_like(m)
+    mag = abs(int(x))
+    for shift in range(31 * ((mag.bit_length() - 1) // 31), -1, -31):
+        r = (r * 2**31 + ((mag >> shift) & (2**31 - 1))) % m
+    return -r % m if x < 0 else r
+
+
+def euler_symbols(x, primes) -> np.ndarray:
+    """[euler_symbol(x, pi) for (N(pi), pi) in primes] as one int8 array.
+
+    The same Euler criterion in one int64 pass over the list.  A split
+    pi = a+bi over p takes r = (x0 b - x1 a) b mod p, which is
+    b^2 (x0 + x1 t) for t = -a/b (i_mod_split) and so has the same symbol,
+    with no inverse; an inert pi, an associate of (q), takes r = N(x) mod q.
+    Then r^((p-1)/2) mod p by square-and-multiply over the arrays, exact
+    while p^2 < 2^63: a prime of norm >= EULER_NORM_BOUND raises
+    OverflowGuardError.  The components of x may be ints of any size.  As
+    with euler_symbol, the pi are odd primes and not checked.
+    """
+    top = max((npi for npi, _ in primes), default=0)
+    if top >= EULER_NORM_BOUND:
+        raise OverflowGuardError(f"euler_symbols needs prime norms below 2^31, got {top}")
+    a = np.array([pi[0] for _, pi in primes], dtype=np.int64)
+    b = np.array([pi[1] for _, pi in primes], dtype=np.int64)
+    split = (a != 0) & (b != 0)
+    p = np.where(split, a * a + b * b, np.abs(a + b))
+    x0, x1 = _mod_each(x[0], p), _mod_each(x[1], p)
+    r = np.where(split, (x0 * b - x1 * a) % p * b % p, (x0 * x0 + x1 * x1) % p)
+    s, base, e = np.ones_like(p), r, (p - 1) // 2
+    while e.any():
+        s = np.where(e & 1, s * base % p, s)
+        base = base * base % p
+        e >>= 1
+    if np.any((r != 0) & (s != 1) & (s != p - 1)):
+        raise ArithmeticError("Euler criterion returned a non-square-root")
+    return np.where(r == 0, 0, np.where(s == 1, 1, -1)).astype(np.int8)
 
 
 def ext_gcd_int(a: int, b: int):

@@ -79,13 +79,13 @@ def circle_count(b, M) -> LatticeCountResult:
     """Exact |Z^2 intersect closed ball of radius sqrt(M) at center b|.
 
     b is a pair of reals; int/Fraction components take the exact integer
-    path.  M lies in [0, 1e9]; a larger M is refused as beyond the cap, a
-    negative or nan M as invalid.
+    path.  M lies in [0, 1e9]; a larger finite M is refused as beyond the
+    cap, a negative or non-finite M as invalid.
     """
+    if not 0 <= M < math.inf:
+        raise ValueError(f"M must lie in [0, {CIRCLE_M_CAP:g}], got {M!r}")
     if M > CIRCLE_M_CAP:
         raise CutoffExceededError(f"M = {M} beyond cap {CIRCLE_M_CAP}")
-    if not 0 <= M <= CIRCLE_M_CAP:
-        raise ValueError(f"M must lie in [0, {CIRCLE_M_CAP:g}], got {M!r}")
     b1, b2 = b
     exact = all(isinstance(c, (int, Fraction)) for c in (b1, b2)) and \
         isinstance(M, (int, Fraction))
@@ -130,8 +130,10 @@ def residue_class_count(b: GaussianInt, q: CanonicalIdealRep, Z) -> ResidueClass
     """Exact #{n = b (mod q), 0 <= N(n) <= Z} with main term pi Z / N(q).
 
     Elements n = b + q m; |b + q m|^2 <= Z is |m + b/q|^2 <= Z/N(q), a
-    rational-center circle count (exact path).
+    rational-center circle count (exact path).  Z is finite and >= 0.
     """
+    if not 0 <= Z < math.inf:
+        raise ValueError(f"Z must be finite and >= 0, got {Z!r}")
     nq = q.norm()
     qp = q.pair
     # b/q = b * conj(q) / N(q); center of the m-disk is -b/q

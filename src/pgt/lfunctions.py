@@ -40,9 +40,14 @@ one function, smoothed_sums, the only caller of gaussian.walk_ideals: a
 series supplies only how a(q) extends by a prime power, and one walk in
 factored form serves every V.  The walk makes one Python callback per
 ideal with a multiple in range and per higher prime power; the prime
-leaves q * pi below each such ideal q are summed in one numpy step.  Each
-sum is exact over N(q) <= 40 V; the neglected tail is exp(-40)-suppressed
-and the attached tail_estimate bounds it.
+leaves q * pi below each such ideal q are summed in one numpy step.
+zagier_L1 (with R_V_estimate and choose_V) and L_chi take their values
+at the prime leaves from one array pass, gaussian.euler_symbols over the
+walk's prime list, so only the visited ideals make callbacks;
+normalization_sum's prime values are a closed form, filled in by one
+extend call per prime.  Each sum is exact over N(q) <= 40 V; the
+neglected tail is exp(-40)-suppressed and the attached tail_estimate
+bounds it.
 """
 
 from __future__ import annotations
@@ -167,7 +172,8 @@ def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None, rows=None) -> list:
     over the contiguous range of primes that are leaves for V's own cutoff.
     rows(primes, lo, hi) gives a(pi_j) for primes[lo:hi] along the first
     axis, as consecutive pieces; by default one piece of a table filled by
-    extend(1.0, N(pi), pi, 1), once per prime.
+    extend(1.0, N(pi), pi, 1), once per prime, and for the symbol series
+    one piece of a _leaf_rows table.
 
     One walk to the largest cutoff serves every V; the sum for V takes the
     ideals of norm <= max(int(cutoff_mult * V), 1), visited and added in the
@@ -207,6 +213,27 @@ def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None, rows=None) -> list:
     return sums
 
 
+def _leaf_rows(x, leaf_table):
+    """smoothed_sums rows for a series whose value at an odd prime pi follows
+    from the quadratic residue symbol (x / pi).
+
+    leaf_table(symbols, primes) gives the values at the walk's whole prime
+    list, where symbols holds (x / pi) at primes[1:] from one
+    gaussian.euler_symbols pass (primes[0] is (1+i), the prime of norm 2).
+    The table is built at the first call, after smoothed_sums has checked
+    its arguments, and only if the walk has prime leaves.
+    """
+    table = None
+
+    def rows(primes, lo, hi):
+        nonlocal table
+        if table is None:
+            table = leaf_table(g.euler_symbols(x, primes[1:]), primes)
+        return [table[lo:hi]]
+
+    return rows
+
+
 def L_chi(s: complex, character: QuadraticCharacter, V: float,
           tol: float = 1e-4, doublings: int = 3) -> LChiValue:
     """Exponentially smoothed  sum_q chi_D(q) e^(-N(q)/V) / N(q)^s.
@@ -214,10 +241,11 @@ def L_chi(s: complex, character: QuadraticCharacter, V: float,
     One smoothed_sums walk evaluates all V-doublings; N(q)^(1-s) is
     completely multiplicative, so it rides in the coefficients.  The
     convergence band is the final doubling step.  A band above tol sets
-    converged=False (flag, not an exception).  The walk hands its prime
-    pairs straight to the character's cached symbol lookup, so no prime is
-    tested for primality here.  doublings is an int >= 0; with none the
-    band is nan.
+    converged=False (flag, not an exception).  The walk hands the primes
+    it extends straight to the character's cached symbol lookup, and its
+    prime leaves take chi_D from one euler_symbols pass, times N(pi)^(1-s)
+    when s != 1; so no prime is tested for primality here.  doublings is an
+    int >= 0; with none the band is nan.
     """
     if isinstance(doublings, bool) or not isinstance(doublings, int) or doublings < 0:
         raise ValueError(f"L_chi requires an int doublings >= 0, got {doublings!r}")
@@ -229,7 +257,13 @@ def L_chi(s: complex, character: QuadraticCharacter, V: float,
         v = _prime_value(D_pair, ev, cache, pj)
         return val * v ** (e % 2) * npj ** (e * w) if v else None
 
-    sums = smoothed_sums(vs, extend)
+    def leaf_table(symbols, primes):
+        if w == 0:  # s = 1: N(pi)^0 is 1+0j for every pi
+            return np.concatenate(([complex(ev)], symbols))
+        return np.array([1.0 * v * npj ** w if v else 0.0
+                         for v, (npj, _) in zip([ev, *symbols.tolist()], primes)])
+
+    sums = smoothed_sums(vs, extend, rows=_leaf_rows(D_pair, leaf_table))
     band = abs(sums[-1] - sums[-2]) if doublings >= 1 else float("nan")
     return LChiValue(value=complex(sums[-1]), band=float(band),
                      converged=bool(band <= tol), v_used=vs[-1])
@@ -323,7 +357,11 @@ def _zagier_sums(delta: GaussianInt, n: GaussianInt | None, Vs) -> list:
             memo[key] = v
         return val * v if v else None
 
-    return smoothed_sums(Vs, extend)
+    def leaf_table(symbols, primes):
+        # at an odd pi, lambda_pi(delta) is the symbol (delta / pi)
+        return np.concatenate(([extend(1.0, 2, (1, 1), 1) or 0.0], symbols))
+
+    return smoothed_sums(Vs, extend, rows=_leaf_rows(delta.pair, leaf_table))
 
 
 def zagier_L1(delta: GaussianInt, V: float,
@@ -332,7 +370,9 @@ def zagier_L1(delta: GaussianInt, V: float,
 
     delta must be a discriminant of trace form (n^2 - 4, not a perfect
     square); prime-power lambda values come from
-    quad_counts.lambda_at_prime_power.  Exact finite sum over N(q) <= 40V.
+    quad_counts.lambda_at_prime_power, except at the odd prime leaves, where
+    lambda_pi(delta) = (delta / pi) comes from one euler_symbols pass.  Exact
+    finite sum over N(q) <= 40V.
     """
     value, = _zagier_sums(delta, n, (V,))
     return SmoothedValue(delta=delta, V=float(V), value=value,

@@ -254,10 +254,10 @@ def lambda_partial_sum(q: CanonicalIdealRep, Z: float):
 
     The sum runs over *elements* n (all four associates counted; n^2 - 4 is
     not associate-invariant), so the main term is pi*Z times the Mobius
-    factor, pi*Z being the element count of the disk.
+    factor, pi*Z being the element count of the disk.  Z is finite and >= 1.
     """
-    if Z < 1:
-        raise ValueError("Z must be >= 1")
+    if not 1 <= Z < math.inf:
+        raise ValueError(f"Z must be finite and >= 1, got {Z!r}")
     qpair = q.pair
     ring = ResidueRing(qpair)
     # lambda table over residues mod q (lambda_q(n^2-4) depends on n mod q)

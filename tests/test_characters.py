@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pgt import gaussian as g
-from pgt.errors import NotPrimeError, PinningError
+from pgt.errors import NotPrimeError, OverflowGuardError, PinningError
 from pgt.gaussian import (GaussianInt, ResidueRing, canonical_rep,
                           canonical_pair, factor_pair_cached, gcd_pair,
                           ideal_reps_upto, mul, norm, prime_ideals_upto)
@@ -110,6 +110,37 @@ def test_euler_symbol_matches_square_and_multiply(pp, unit, x, multiple):
     assert g.euler_symbol(x, pi) == want
     if multiple:
         assert want == 0
+
+
+_BIG = 2**70 + 3
+
+
+@pytest.mark.parametrize("x", [
+    (0, 0), (1, 0), (0, 1), (-1, 0), (0, -1),       # zero and the units
+    (-5, 12), (12, -5), (-(2**31 - 1), 2**31 - 1),  # negative components
+    (3 * 7 * 11 * 19, 0), (0, 23 * 43),              # inert primes only
+    mul(mul((2, 1), (3, 2)), (5 * 7, 4)),            # zero residues at split primes
+    (_BIG, -_BIG), (-_BIG, 5), (2**64 + 1, 2**63),   # components beyond int64
+])
+def test_euler_symbols_match_euler_symbol(x):
+    primes = [t for t in prime_ideals_upto(2 * 10**5) if t[0] != 2]
+    got = g.euler_symbols(x, primes)
+    assert got.dtype == "int8"
+    assert got.tolist() == [g.euler_symbol(x, pp) for _, pp in primes]
+
+
+def test_euler_symbols_int64_guard():
+    # exact up to the largest norms below 2^31: the split p = 2147483629 and
+    # the inert (46327) of norm 46327^2, in every unit associate; a norm at or
+    # above 2^31 (the next split p, the next inert q^2) is refused
+    edge = [(2147483629, mul(u, (12925, 44502))) for u in g.UNIT_PAIRS] + \
+        [(46327**2, mul(u, (46327, 0))) for u in g.UNIT_PAIRS]
+    for x in [(3, 1), (-_BIG, 2**40 + 7), (12925, 44502), (2**31 - 2, 46326)]:
+        assert g.euler_symbols(x, edge).tolist() == [g.euler_symbol(x, pp) for _, pp in edge]
+    for beyond in [(2147483693, (39677, 23942)), (46351**2, (46351, 0))]:
+        with pytest.raises(OverflowGuardError, match="2\\^31"):
+            g.euler_symbols((3, 1), edge + [beyond])
+    assert g.euler_symbols((3, 1), []).tolist() == []
 
 
 def test_i_mod_split_is_a_ring_map():

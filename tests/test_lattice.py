@@ -10,6 +10,7 @@ from pgt.errors import CutoffExceededError
 from pgt.gaussian import GaussianInt, ResidueRing, canonical_rep, ideal_reps_upto
 from pgt.harness import fit_exponent
 from pgt.lattice import (EtaFit, circle_count, eta_fit, residue_class_count)
+from pgt.quad_counts import lambda_partial_sum
 
 G = GaussianInt
 
@@ -66,13 +67,20 @@ def test_circle_cap():
         circle_count((0, 0), 2e9)
 
 
-@pytest.mark.parametrize("M", [math.nan, -0.5, -5, Fraction(-1, 3)])
+@pytest.mark.parametrize("M", [math.nan, -0.5, -5, Fraction(-1, 3), math.inf, -math.inf])
 def test_circle_rejects_negative_and_nan_m(M):
-    # nan and -0.5 used to count 0 points, -5 to fail the perimeter bound
+    # nan and -0.5 used to count 0 points, -5 to fail the perimeter bound;
+    # as a disk bound Z, +-inf raised OverflowError in an integer conversion,
+    # and nan got past lambda_partial_sum's Z < 1 check
     with pytest.raises(ValueError, match="M must lie in"):
         circle_count((0.5, 0.25), M)
     with pytest.raises(ValueError, match="M must lie in"):
         circle_count((0, 0), M)
+    q = canonical_rep(G(2, 1))
+    with pytest.raises(ValueError, match="Z must be finite"):
+        residue_class_count(G(1, 0), q, M)
+    with pytest.raises(ValueError, match="Z must be finite"):
+        lambda_partial_sum(q, M)
 
 
 def test_eta_fit_rejects_nan_m():

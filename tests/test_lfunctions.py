@@ -5,12 +5,12 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import pgt
 from pgt.gaussian import GaussianInt, canonical_rep, canonical_pair, \
     ideal_reps_upto, divisor_pairs, gcd_pair, mobius, norm, mul
-from pgt.characters import discriminant_split, quadratic_character, chi
+from pgt.characters import chi, discriminant_split, is_perfect_square, quadratic_character
 from pgt.harness import fit_exponent
 from pgt import lfunctions as lf
 from pgt.lfunctions import (L_chi, R_V_estimate, T_l_poly, choose_V,
@@ -70,26 +70,73 @@ def test_L_chi_v_stability():
 
 def test_L_chi_walk_runs_no_primality_test(monkeypatch):
     # the walk hands prime pairs from its prime list to the pinned
-    # character's cached lookup: no Miller-Rabin, and each odd prime's symbol
-    # computed at most once, none that the pinning already computed
+    # character's cached lookup, and its prime leaves to one vector pass:
+    # no Miller-Rabin; the scalar symbol only at the primes the walk extends,
+    # each at most once and none that the pinning already computed; and the
+    # vector symbols agree with the scalar ones at every prime reached
     from pgt import characters, gaussian
     monkeypatch.setattr(characters, "_split_memo", {})
     char = quadratic_character(G(7, 3) * G(7, 3) - G(4, 0))
     pinned = set(char._prime_cache)
     assert pinned
-    primality, symbols = [], []
+    primality, symbols, extended, passes = [], [], set(), []
     is_prime_int, euler_symbol = gaussian.is_prime_int, gaussian.euler_symbol
+    euler_symbols, walk_ideals = gaussian.euler_symbols, gaussian.walk_ideals
     monkeypatch.setattr(gaussian, "is_prime_int",
                         lambda n: primality.append(n) or is_prime_int(n))
     monkeypatch.setattr(gaussian, "euler_symbol",
                         lambda x, pi: symbols.append(pi) or euler_symbol(x, pi))
+
+    def vector_pass(x, primes):
+        got = euler_symbols(x, primes)
+        passes.append((x, primes, got))
+        return got
+
+    def walk(primes, limits, extend, *args, **kwargs):
+        def recorded(val, npj, pj, e):
+            extended.add(pj)
+            return extend(val, npj, pj, e)
+        walk_ideals(primes, limits, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "euler_symbols", vector_pass)
+    monkeypatch.setattr(gaussian, "walk_ideals", walk)
     V, doublings = 25.0, 2
     L_chi(1.0, char, V, doublings=doublings)
     limit = int(lf.CUTOFF_MULT * V * 2**doublings)
     reached = {pp for npi, pp in gaussian.prime_ideals_upto(limit) if npi != 2}
     assert primality == []
     assert len(symbols) == len(set(symbols))
-    assert set(symbols) == reached - pinned
+    assert set(symbols) <= (extended & reached) - pinned
+    assert reached - extended  # primes the walk reaches only as leaves
+    x, primes, got = passes.pop()
+    assert passes == [] and x == char.D.pair
+    assert {pp for _, pp in primes} == reached
+    assert got.tolist() == [euler_symbol(x, pp) for _, pp in primes]
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+       V=st.floats(0.05, 150.0))
+@example(n=(2, 1), V=0.1)
+def test_vector_prime_leaves_match_per_prime_extend(n, V):
+    # zagier_L1, L_chi and R_V_estimate take their prime leaves from one
+    # euler_symbols pass; with smoothed_sums' default table, filled by one
+    # extend call per prime, every field comes out bit-identical.  (1+i) is
+    # a prime leaf only below the cutoff 10, which V < 0.25 reaches.
+    n = G(*n)
+    delta = n * n - G(4, 0)
+    assume(not delta.is_zero() and not is_perfect_square(delta))
+    char = quadratic_character(delta)
+
+    def values():
+        return [repr(v) for v in (
+            zagier_L1(delta, V, n=n), zagier_L1(delta, V), R_V_estimate(delta, V / 4.0),
+            *(L_chi(s, char, V / 8.0) for s in (1.0, 2.0, 0.75 + 0.5j)))]
+
+    vector = values()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lf, "_leaf_rows", lambda x, leaf_table: None)
+        assert values() == vector
 
 
 def test_L_chi_doubling_steps_decreasing():
