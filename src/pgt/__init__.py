@@ -36,9 +36,8 @@ from .geodesics import (GeodesicCountResult, KernelSpec, PsiOptions,
 from .spectral import (EigenvalueTable, explicit_formula_residual,
                        load_eigenvalues, smoothed_spectral_side, spectral_sum,
                        stx_bound_report)
-from .exponents import (ExponentSolution, corollary_exponents,
-                        short_interval_exponents, solve_alpha, solve_beta,
-                        uncond_system)
+from .exponents import (corollary_exponents, short_interval_exponents,
+                        solve_alpha, solve_beta, uncond_system)
 from .harness import FitResult, fit_exponent
 
 __version__ = "0.1.0"

@@ -26,6 +26,17 @@ validation set of ideals.  The validation set always includes deep powers of
 agree on all coefficients of small norm and first differ at (1+i)^k with
 2^k comparable to the even part of delta.
 
+Both factors are multiplicative, so each coefficient of the product is an
+Euler product, one gaussian.multiplicative call over the factorization of q.
+Take pi^a || l, x = chi_D(pi) and N = N(pi).  The finite factor is
+T_l(s) = prod_pi sum_k t(pi^k) N^(-ks) with
+
+    t(pi^k) = N^(k/2)           for even k <= 2a,
+    t(pi^k) = -x N^((k-1)/2)    for odd k <= 2a - 1,
+    t(pi^k) = 0                 otherwise,
+
+and the product has [T_l L](pi^e) = sum_{k <= e} t(pi^k) x^(e-k).
+
 The unit rotation matters because (i / pi) = -1 when N(pi) = 5 (mod 8), so
 D and i*D define different characters; the validation set therefore includes
 such a prime whenever one is available.
@@ -34,6 +45,7 @@ such a prime whenever one is available.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import NotPrimeError, PinningError, ZeroInputError
 from . import gaussian as g
@@ -130,12 +142,13 @@ class QuadraticCharacter:
 
 def chi(character: QuadraticCharacter, n: CanonicalIdealRep) -> int:
     """chi_D(n), completely multiplicative over the prime powers of (n)."""
-    return _chi_pair(*_validated_args(character), n.pair)
+    D_pair, ev, cache = _validated_args(character)
+    return g.multiplicative(n.pair, lambda pi, e: _prime_value(D_pair, ev, cache, pi) ** e)
 
 
 def _validated_args(character: QuadraticCharacter):
     """(D_pair, even_value, cache) of a validated character: the leading
-    arguments of _chi_pair and of the coefficient builders below."""
+    arguments of _prime_value and _product_coefficient below."""
     if not character.validated:
         raise PinningError("character has not been validated; pin it first")
     return character.D.pair, character.even_value, character._prime_cache
@@ -160,42 +173,30 @@ def _prime_value(D_pair, even_value, cache, pi) -> int:
     return v
 
 
-def _chi_pair(D_pair, even_value, cache, pair) -> int:
-    """chi_D at the ideal of `pair`, completely multiplicative."""
-    return g.multiplicative(pair, lambda pi, e: _prime_value(D_pair, even_value, cache, pi) ** e)
+def _t_local(x, npi, k) -> int:
+    """t(pi^k) for k <= 2a, the local coefficient of T_l at a prime pi with
+    pi^a || l, x = chi_D(pi) and npi = N(pi): N^(k/2) for even k and
+    -x N^((k-1)/2) for odd k (t vanishes beyond 2a)."""
+    return -x * npi ** (k // 2) if k % 2 else npi ** (k // 2)
 
 
-def _t_coefficients(D_pair, even_value, l_pair, cache):
-    """Integer Dirichlet coefficients of the finite factor attached to (D, l).
-
-    Each squarefree d | l contributes chi_D(d) mu(d) at ideal d, and each
-    e | l/d contributes weight N(e) at ideal e^2; so the coefficient support
-    is { d * e^2 } and every coefficient is an integer.
-    """
-    out: dict = {}
-    for d in g.divisor_pairs(l_pair):
-        rep = CanonicalIdealRep(GaussianInt.from_pair(d))
-        mu = g.mobius(rep)
-        if mu == 0:
-            continue
-        xd = _chi_pair(D_pair, even_value, cache, d)
-        if xd == 0:
-            continue
-        rest = g.canonical_pair(g.exact_div(l_pair, d))
-        for e in g.divisor_pairs(rest):
-            idx = g.canonical_pair(g.mul(d, g.mul(e, e)))
-            out[idx] = out.get(idx, 0) + mu * xd * g.norm(e)
-    return out
+def _valuation(pi, pair) -> int:
+    """v_pi of the nonzero pair, by repeated division."""
+    a = 0
+    while g.divides(pi, pair):
+        pair, a = g.exact_div(pair, pi), a + 1
+    return a
 
 
-def _product_coefficient(tcoeffs, D_pair, even_value, cache, qpair) -> int:
-    """q-th Dirichlet coefficient of T_l^(D) * L(., chi_D)."""
-    tot = 0
-    for f, w in tcoeffs.items():
-        if g.divides(f, qpair):
-            co = g.canonical_pair(g.exact_div(qpair, f))
-            tot += w * _chi_pair(D_pair, even_value, cache, co)
-    return tot
+def _product_coefficient(D_pair, even_value, cache, l_pair, qpair) -> int:
+    """q-th Dirichlet coefficient of T_l^(D) * L(., chi_D), an Euler product:
+    at pi^e || q the local factor is sum_{k <= e} t(pi^k) chi_D(pi)^(e-k)."""
+    def local(pi, e):
+        x, npi = _prime_value(D_pair, even_value, cache, pi), g.norm(pi)
+        return sum(_t_local(x, npi, k) * x ** (e - k)
+                   for k in range(min(e, 2 * _valuation(pi, l_pair)) + 1))
+
+    return g.multiplicative(qpair, local)
 
 
 def _pin_candidates(delta: GaussianInt, n: GaussianInt | None):
@@ -274,15 +275,8 @@ def _pin_candidates(delta: GaussianInt, n: GaussianInt | None):
         for cand in survivors:
             a, u, ev, D_pair, l_pair = cand
             cache = caches[cand]
-            tcoeffs = _t_coefficients(D_pair, ev, l_pair, cache)
-            ok = True
-            for qpair in qs:
-                want = lam_at(qpair)
-                got = _product_coefficient(tcoeffs, D_pair, ev, cache, qpair)
-                if want != got:
-                    ok = False
-                    break
-            if ok:
+            if all(lam_at(qpair) == _product_coefficient(D_pair, ev, cache, l_pair, qpair)
+                   for qpair in qs):
                 kept.append(cand)
         survivors = kept
         if len(survivors) <= 1 or cutoff >= _PIN_MAX_CUTOFF:
@@ -336,20 +330,11 @@ def _pin_full(delta: GaussianInt, n: GaussianInt | None = None):
     return split, char
 
 
-_split_memo: dict = {}
-
-
+@lru_cache(maxsize=65536)
 def _pinned(delta: GaussianInt):
     """(split, character) of delta, memoized per exact element delta (the
     split is not associate-invariant)."""
-    key = delta.pair
-    hit = _split_memo.get(key)
-    if hit is None:
-        hit = _pin_full(delta)
-        if len(_split_memo) > 65536:
-            _split_memo.clear()
-        _split_memo[key] = hit
-    return hit
+    return _pin_full(delta)
 
 
 def discriminant_split(delta: GaussianInt) -> DiscriminantSplit:

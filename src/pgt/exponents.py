@@ -30,24 +30,7 @@ balancing choices Y = X^((21-16 theta)/28), V = (X^(2 theta - 1/3) Y)^(6/5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
-
-@dataclass
-class ExponentSolution:
-    """A solved exponent record; unused slots are None."""
-
-    nu: float | None = None
-    eta: float | None = None
-    theta: float | None = None
-    sigma: float | None = None
-    beta: float | None = None
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.sigma is not None and not (0.5 <= self.sigma < 1.0):
-            raise ValueError("sigma out of [1/2, 1)")
 
 
 def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:

@@ -293,9 +293,6 @@ class GaussianInt:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
     def __add__(self, other):
         return GaussianInt(self.re + other.re, self.im + other.im)
 

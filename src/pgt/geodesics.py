@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -262,14 +263,9 @@ def _integrate(f, a, b, segments: int = 64):
     return np.where(b > a, (half * (vals @ _GL_WEIGHTS)).sum(axis=-1), 0.0)[()]
 
 
-_BUMP_MASS = None
-
-
+@cache
 def _bump_mass() -> float:
-    global _BUMP_MASS
-    if _BUMP_MASS is None:
-        _BUMP_MASS = float(_integrate(_bump, 0.0, 1.0, segments=128))
-    return _BUMP_MASS
+    return float(_integrate(_bump, 0.0, 1.0, segments=128))
 
 
 @dataclass

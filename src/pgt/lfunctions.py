@@ -11,21 +11,22 @@ Objects:
   zeta_qi(s)        Dedekind zeta of Q(i), partial ideal sum + tail bound.
   L_chi(s, chi, V)  exponentially smoothed L(s, chi_D), with a convergence
                     band from doubling V.
-  T_l_poly(s, ...)  the finite factor attached to a split delta ~ D l^2:
+  T_l_poly(s, ...)  the finite factor attached to a split delta ~ D l^2,
+                    an Euler product over the primes pi^a || l:
 
-      T(s) = sum_{d | l} chi_D(d) mu(d) N(d)^-s  *  sum_{e | l/d} N(e)^(1-2s).
+      T(s) = prod_pi sum_{k <= 2a} t(pi^k) N(pi)^(-ks),
+      t(pi^k) = N(pi)^(k/2) (k even),  -chi_D(pi) N(pi)^((k-1)/2) (k odd).
 
-                    The inner divisor e carries weight N(e) at the ideal e^2
-                    (coefficient exponent 1 - 2s).  This is the convention
-                    under which the product T * L reproduces the integer
-                    coefficients lambda_q(delta) exactly -- the
-                    szmidt_coefficient_check oracle below enforces it, and
-                    it is what pins the character normalization.  T and the
-                    product coefficients come from the integer coefficient
-                    builders in characters, the ones the pinning matches.
+                    This is the convention under which the product T * L
+                    reproduces the integer coefficients lambda_q(delta)
+                    exactly -- the szmidt_coefficient_check oracle below
+                    enforces it, and it is what pins the character
+                    normalization.
   szmidt_product_coefficients
                     the integer coefficients of T_l * L(chi_D), as a plain
-                    {ideal pair: int} dict.
+                    {ideal pair: int} dict; at pi^e || q the local factor is
+                    sum_{k <= e} t(pi^k) chi_D(pi)^(e-k), from the same
+                    characters._product_coefficient the pinning matches.
   szmidt_coefficient_check
                     max |lambda_q(delta) - [T_l * L]_q| over small ideals,
                     against quad_counts.lambda_ on the brute-force rho.
@@ -63,7 +64,7 @@ from .gaussian import CanonicalIdealRep, GaussianInt
 from . import quad_counts
 from .harness import fit_exponent
 from .characters import QuadraticCharacter, quadratic_character, \
-    discriminant_split, _prime_value, _product_coefficient, _t_coefficients, \
+    discriminant_split, _prime_value, _product_coefficient, _t_local, \
     _validated_args
 
 CUTOFF_MULT = 40.0  # smoothed series run over N(q) <= CUTOFF_MULT * V
@@ -244,9 +245,11 @@ def L_chi(s: complex, character: QuadraticCharacter, V: float,
     converged=False (flag, not an exception).  The walk hands the primes
     it extends straight to the character's cached symbol lookup, and its
     prime leaves take chi_D from one euler_symbols pass, times N(pi)^(1-s)
-    when s != 1; so no prime is tested for primality here.  doublings is an
-    int >= 0; with none the band is nan.
+    when s != 1; so no prime is tested for primality here.  s must be
+    finite, and doublings is an int >= 0; with none the band is nan.
     """
+    if not cmath.isfinite(complex(s)):
+        raise ValueError(f"L_chi requires a finite s, got {s!r}")
     if isinstance(doublings, bool) or not isinstance(doublings, int) or doublings < 0:
         raise ValueError(f"L_chi requires an int doublings >= 0, got {doublings!r}")
     vs = [V * 2.0**j for j in range(doublings + 1)]
@@ -277,34 +280,38 @@ def T_l_poly(s: complex, D: GaussianInt, l: CanonicalIdealRep,
              character: QuadraticCharacter | None = None) -> complex:
     """The finite Dirichlet factor of a split delta ~ D l^2 at s.
 
-    Exact finite sum  sum_f t_f N(f)^-s  over the integer coefficients
-    t_f = chi_D(d) mu(d) N(e) at the ideals f = d e^2 (d | l squarefree,
-    e | l/d); each f comes from a single (d, e).  chi_D is taken from
-    `character` when supplied (needed if (1+i) | l), else pinned from D.
+    Exact Euler product over the primes pi^a || l of the local sums
+    sum_{k <= 2a} t(pi^k) N(pi^k)^-s, with the integer coefficients t of
+    characters._t_local; s must be finite.  chi_D is taken from `character`
+    when supplied (needed if (1+i) | l), else pinned from D.
     """
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"T_l_poly requires a finite s, got {s!r}")
     if character is None:
         from .characters import pin_even_unit_values
         ev, _, _ = pin_even_unit_values(D)
         character = QuadraticCharacter(D=D, even_value=ev, validated=True)
     D_pair, ev, cache = _validated_args(character)
-    s = complex(s)
-    tcoeffs = _t_coefficients(D_pair, ev, l.pair, cache)
-    return complex(sum(w * g.norm(f) ** (-s) for f, w in tcoeffs.items()))
+
+    def local(pi, a):
+        x, npi = _prime_value(D_pair, ev, cache, pi), g.norm(pi)
+        return sum(_t_local(x, npi, k) * (npi ** k) ** (-s) for k in range(2 * a + 1))
+
+    return complex(g.multiplicative(l.pair, local))
 
 
 def szmidt_product_coefficients(delta: GaussianInt, cutoff: int) -> dict:
     """Integer Dirichlet coefficients of T_l^(D) * L(., chi_D) up to cutoff,
     as {canonical pair of q: coefficient} for every ideal q of norm <= cutoff.
 
-    Built from the pinned split/character of delta by the same coefficient
-    builders the pinning oracle matches against lambda; every coefficient is
-    an integer: t-coefficients sit at ideals d e^2 with weight chi mu(d) N(e).
+    Built from the pinned split/character of delta by the same Euler product
+    the pinning oracle matches against lambda, so every coefficient is an
+    integer.
     """
-    split = discriminant_split(delta)
-    char = quadratic_character(delta)
-    D_pair, ev, cache = _validated_args(char)
-    tcoeffs = _t_coefficients(D_pair, ev, split.l.pair, cache)
-    return {qp: _product_coefficient(tcoeffs, D_pair, ev, cache, qp)
+    l_pair = discriminant_split(delta).l.pair
+    D_pair, ev, cache = _validated_args(quadratic_character(delta))
+    return {qp: _product_coefficient(D_pair, ev, cache, l_pair, qp)
             for qp in g.ideal_reps_upto(cutoff)}
 
 
@@ -313,8 +320,8 @@ def szmidt_coefficient_check(delta: GaussianInt, Qmax: int) -> int:
 
     The left side is quad_counts.lambda_ with the brute-force x-enumeration
     rho (each rho computed once per (q3, delta)); the right side is the
-    divisor convolution of chi_D with the finite factor.  The two sides
-    share no code path.
+    Euler product of the finite factor times chi_D.  The two sides share no
+    code path.
     """
     if Qmax > 10**4:
         raise ValueError("Qmax capped at 1e4")
@@ -425,6 +432,8 @@ def R_V_estimate(delta: GaussianInt, V: float, sigma: float = 0.5,
     _require_positive(V=V)
     if not 0.5 <= sigma < 1.0:
         raise ValueError("sigma must lie in [1/2, 1)")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     ladder = [V]
     if CUTOFF_MULT * 8.0 * V > _RV_EXACT_LIMIT:
         vmax = _RV_EXACT_LIMIT / (CUTOFF_MULT * 8.0)

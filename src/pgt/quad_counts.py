@@ -317,25 +317,15 @@ def _ring_mul(ring, a, b):
     return ring.reduce((x1 * x2 - y1 * y2, x1 * y2 + y1 * x2))
 
 
-_rho_table_memo: dict = {}
-
-
+@lru_cache(maxsize=2048)
 def rho_table(q: CanonicalIdealRep):
     """(ring, values): rho_q(b^2-4) at every representative b of Z[i]/(q).
 
     Values are aligned with ring.representatives(); memoized because the
     identity checks and acceptance sweeps revisit the same moduli many times.
     """
-    key = q.pair
-    hit = _rho_table_memo.get(key)
-    if hit is not None:
-        return hit
-    ring = ResidueRing(key)
-    values = [rho_fast(q, GaussianInt.from_pair(b)) for b in ring.representatives()]
-    if len(_rho_table_memo) > 2048:
-        _rho_table_memo.clear()
-    _rho_table_memo[key] = (ring, values)
-    return ring, values
+    ring = ResidueRing(q.pair)
+    return ring, [rho_fast(q, GaussianInt.from_pair(b)) for b in ring.representatives()]
 
 
 def kloosterman(m: GaussianInt, n: GaussianInt, c: CanonicalIdealRep) -> KloostermanValue:

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from pgt.exponents import (ExponentSolution, alpha_of, beta_of,
-                           corollary_exponents, short_interval_exponents,
-                           solve_alpha, solve_beta, uncond_system)
+from pgt.exponents import (alpha_of, beta_of, corollary_exponents,
+                           short_interval_exponents, solve_alpha, solve_beta,
+                           uncond_system)
 
 ROOT = math.sqrt(31049.0)
 
@@ -117,8 +117,3 @@ def test_short_interval_exponents():
     assert s6["V_X_exponent"] == 0          # algebraic cancellation at theta = 1/6
     assert s6["V_Y_exponent"] == Fraction(6, 5)
 
-
-def test_solution_record_validation():
-    with pytest.raises(ValueError):
-        ExponentSolution(sigma=0.4)
-    ExponentSolution(sigma=0.9, nu=0.7, beta=0.01)

@@ -2,14 +2,15 @@
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import pgt
-from pgt.gaussian import GaussianInt, canonical_rep, canonical_pair, \
-    ideal_reps_upto, divisor_pairs, gcd_pair, mobius, norm, mul
+from pgt.gaussian import GaussianInt, canonical_rep, canonical_pair, divides, \
+    exact_div, ideal_reps_upto, divisor_pairs, gcd_pair, mobius, norm, mul
 from pgt.characters import chi, discriminant_split, is_perfect_square, quadratic_character
 from pgt.harness import fit_exponent
 from pgt import lfunctions as lf
@@ -75,7 +76,7 @@ def test_L_chi_walk_runs_no_primality_test(monkeypatch):
     # each at most once and none that the pinning already computed; and the
     # vector symbols agree with the scalar ones at every prime reached
     from pgt import characters, gaussian
-    monkeypatch.setattr(characters, "_split_memo", {})
+    characters._pinned.cache_clear()
     char = quadratic_character(G(7, 3) * G(7, 3) - G(4, 0))
     pinned = set(char._prime_cache)
     assert pinned
@@ -222,6 +223,12 @@ def test_L_chi_rejects_bad_doublings(doublings):
         L_chi(1.0, quadratic_character(G(5, 0)), 50.0, doublings=doublings)
 
 
+@pytest.mark.parametrize("s", [math.nan, -math.inf, complex(1.0, math.nan)])
+def test_L_chi_rejects_non_finite_s(s):
+    with pytest.raises(ValueError, match=f"finite s, got {re.escape(repr(s))}"):
+        L_chi(s, quadratic_character(G(5, 0)), 50.0)
+
+
 @pytest.mark.parametrize("cutoff_mult", [0.0, -1.0, math.nan, math.inf])
 def test_smoothed_sums_rejects_bad_cutoff_mult(cutoff_mult):
     # -1 used to sum the unit ideal alone, nan to die in int()
@@ -291,28 +298,63 @@ def test_T_l_poly_trivial_and_prime():
     assert T_l_poly(s, sp.D, sp.l, ch) == pytest.approx(want, rel=1e-12)
 
 
+# traces n whose l (in delta = n^2 - 4 ~ D l^2) holds (1+i) (4, 2i, 6), an
+# odd prime squared (79: (3)^2; 22+7i: (2+i)^2) or a prime where chi_D
+# vanishes (2i, 6, 9+2i, 11i), with the pinned l of each
+_T_L_TRACES = {(4, 0): (2, 0), (0, 2): (1, 1), (6, 0): (2, 2), (79, 0): (9, 0),
+               (22, 7): (3, 4), (9, 2): (1, 2), (0, 11): (5, 0)}
+
+
+def _divisor_t_coefficients(sp, ch):
+    """T_l's coefficients by the double divisor sum, a second path to the
+    Euler product: chi_D(d) mu(d) N(e) at the ideal d e^2, d | l
+    squarefree and e | l/d."""
+    out: dict = {}
+    for d in divisor_pairs(sp.l.pair):
+        rep = canonical_rep(G(*d))
+        w = mobius(rep) * chi(ch, rep)
+        if w:
+            for e in divisor_pairs(canonical_pair(exact_div(sp.l.pair, d))):
+                f = canonical_pair(mul(d, mul(e, e)))
+                out[f] = out.get(f, 0) + w * norm(e)
+    return out
+
+
+def _split_of_trace(n):
+    delta = G(*n) * G(*n) - G(4, 0)
+    return delta, discriminant_split(delta), quadratic_character(delta)
+
+
 def test_T_l_poly_matches_divisor_enumeration():
-    # independent evaluation straight from the double divisor sum
-    for nn in [G(4, 0), G(2, 3), G(7, 0)]:
-        delta = nn * nn - G(4, 0)
-        sp = discriminant_split(delta)
-        ch = quadratic_character(delta)
+    for n in [(4, 0), (2, 3), (7, 0), *_T_L_TRACES]:
+        _, sp, ch = _split_of_trace(n)
+        tc = _divisor_t_coefficients(sp, ch)
         for s in (1.0, 0.75 + 0.5j):
-            direct = 0.0
-            for d in divisor_pairs(sp.l.pair):
-                rep = canonical_rep(G(*d))
-                mu = mobius(rep)
-                if mu == 0:
-                    continue
-                xd = chi(ch, rep)
-                if xd == 0:
-                    continue
-                from pgt.gaussian import exact_div
-                rest = canonical_pair(exact_div(sp.l.pair, d))
-                for e in divisor_pairs(rest):
-                    direct += mu * xd * norm(d) ** (-s) * norm(e) ** (1 - 2 * s)
-            got = T_l_poly(s, sp.D, sp.l, ch)
-            assert got == pytest.approx(direct, rel=1e-12)
+            direct = sum(w * norm(f) ** (-s) for f, w in tc.items())
+            assert T_l_poly(s, sp.D, sp.l, ch) == pytest.approx(direct, rel=1e-12)
+
+
+def test_product_coefficients_match_divisor_convolution():
+    # [T_l L]_q = sum over f | q of t_f chi_D(q / f), at every N(q) <= 400
+    for n, l_pair in _T_L_TRACES.items():
+        delta, sp, ch = _split_of_trace(n)
+        assert sp.l.pair == l_pair
+        tc = _divisor_t_coefficients(sp, ch)
+        prod = szmidt_product_coefficients(delta, 400)
+        assert sorted(prod) == sorted(ideal_reps_upto(400))
+        for qp, got in prod.items():
+            want = sum(w * chi(ch, canonical_rep(G(*exact_div(qp, f))))
+                       for f, w in tc.items() if divides(f, qp))
+            assert got == want, (n, qp)
+
+
+def test_T_l_poly_rejects_non_finite_s():
+    # the Euler product over l = (1) is empty, so without the check nan gives 1+0j
+    _, sp, ch = _split_of_trace((3, 0))
+    assert sp.l.pair == (1, 0)
+    for s in (math.nan, math.inf, complex(1.0, -math.inf)):
+        with pytest.raises(ValueError, match=r"finite s, got \(.*(nan|inf)"):
+            T_l_poly(s, sp.D, sp.l, ch)
 
 
 def test_szmidt_coefficients_at_primes():
@@ -425,6 +467,12 @@ def test_R_V_estimate_sigma_half_shape():
     est = R_V_estimate(G(5, 0), 100.0, sigma=0.5, theta=1.0 / 6.0)
     q = 2.0 + 25.0
     assert est.subconvex_bound == pytest.approx(100.0**-0.5 * q ** (1.0 / 6.0))
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_R_V_estimate_rejects_non_finite_theta(theta):
+    with pytest.raises(ValueError, match=f"theta must be finite, got {theta!r}"):
+        R_V_estimate(G(5, 0), 50.0, theta=theta)
 
 
 def test_R_V_estimate_huge_V_extrapolates_tiny():
