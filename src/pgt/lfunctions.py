@@ -35,20 +35,20 @@ Objects:
   normalization_sum the mu-square-weighted smoothed sum that tends to 1.
   R_V_estimate      empirical proxy for the smoothing remainder.
 
-Every smoothed series  sum_q a(q) e^(-N(q)/V) / N(q)  of the package --
-G_V here and in trace_engine, L_chi, normalization_sum -- is evaluated by
-one function, smoothed_sums, the only caller of gaussian.walk_ideals: a
-series supplies only how a(q) extends by a prime power, and one walk in
-factored form serves every V.  The walk makes one Python callback per
-ideal with a multiple in range and per higher prime power; the prime
-leaves q * pi below each such ideal q are summed in one numpy step.
-zagier_L1 (with R_V_estimate and choose_V) and L_chi take their values
-at the prime leaves from one array pass, gaussian.euler_symbols over the
-walk's prime list, so only the visited ideals make callbacks;
-normalization_sum's prime values are a closed form, filled in by one
-extend call per prime.  Each sum is exact over N(q) <= 40 V; the
-neglected tail is exp(-40)-suppressed and the attached tail_estimate
-bounds it.
+Every smoothed series  sum_q a(q) w_V(N(q))  of the package -- G_V here
+and in trace_engine, L_chi, normalization_sum -- is evaluated by one
+function, smoothed_sums, the only caller of gaussian.walk_ideals: a series
+supplies how a(q) extends by a prime power and its weight w_V, e^(-N/V)/N
+unless given (L_chi off s = 1 takes e^(-N/V) N^-s); one walk in factored
+form serves every V.  The walk makes one Python callback per ideal with a
+multiple in range and per higher prime power; the prime leaves q * pi
+below each such ideal q are summed in one numpy step.  zagier_L1 (with
+R_V_estimate and choose_V) and L_chi take their values at the prime leaves
+from one array pass, gaussian.euler_symbols over the walk's prime list, so
+only the visited ideals make callbacks; normalization_sum's prime values
+are a closed form, filled in by one extend call per prime.  Each sum is
+exact over N(q) <= 40 V; the neglected tail is exp(-40)-suppressed and the
+attached tail_estimate bounds it.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def zeta_qi(s: complex, cutoff: int = 10**6) -> ZetaPartialSum:
 # ---------------------------------------------------------------------------
 
 def _require_positive(**values) -> None:
-    """The one input check for smoothing lengths V and, in geodesics, the
+    """The one input check for V, tol, cutoffs and, in geodesics, the
     thresholds X and window lengths Y: each finite and > 0 (NaN fails)."""
     for name, value in values.items():
         if not 0 < value < math.inf:
@@ -159,21 +159,29 @@ def _row_sum(w, rows):
     return np.einsum("j,j...->...", w, rows)
 
 
-def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None, rows=None) -> list:
-    """[sum_q a(q) e^(-N(q)/V) / N(q) for V in Vs] from one ideal walk.
+def _exp_weight(V, nrm):
+    """e^(-N/V) / N, with math.exp on an int norm and np.exp on an array."""
+    exp = np.exp if isinstance(nrm, np.ndarray) else math.exp
+    return exp(-nrm / V) / nrm
+
+
+def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None, rows=None,
+                  weight=_exp_weight) -> list:
+    """[sum_q a(q) weight(V, N(q)) for V in Vs] from one ideal walk.
 
     a(q) is multiplicative, built by `extend` from `root` at the unit ideal
     as in gaussian.walk_ideals (a scalar, or a numpy vector of several
-    series).  The walk visits only the ideals with a multiple in range and
-    the prime powers pi^e, e >= 2; at each visited q it adds the prime
-    leaves q * pi_j in one step,
+    series), and weight(V, N), e^(-N/V) / N by default, takes an int norm
+    or a float64 array of norms.  The walk visits only the ideals with a
+    multiple in range and the prime powers pi^e, e >= 2; at each visited q
+    it adds the prime leaves q * pi_j in one step,
 
-        val_q * sum_j a(pi_j) e^(-N(q) N(pi_j)/V) / (N(q) N(pi_j)),
+        val_q * sum_j a(pi_j) weight(V, N(q) N(pi_j)),
 
     over the contiguous range of primes that are leaves for V's own cutoff.
     rows(primes, lo, hi) gives a(pi_j) for primes[lo:hi] along the first
     axis, as consecutive pieces; by default one piece of a table filled by
-    extend(1.0, N(pi), pi, 1), once per prime, and for the symbol series
+    extend(root, N(pi), pi, 1), once per prime, and for the symbol series
     one piece of a _leaf_rows table.
 
     One walk to the largest cutoff serves every V; the sum for V takes the
@@ -191,7 +199,7 @@ def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None, rows=None) -> list:
     norms = np.array([npj for npj, _ in primes], dtype=np.float64)
     if rows is None:
         table = np.array([0.0 if a is None else a
-                          for a in (extend(1.0, npj, pj, 1) for npj, pj in primes)])
+                          for a in (extend(root, npj, pj, 1) for npj, pj in primes)])
 
         def rows(primes, lo, hi):
             return [table[lo:hi]]
@@ -199,11 +207,10 @@ def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None, rows=None) -> list:
     sums = [root * 0.0 for _ in Vs]
 
     def term(k, nrm, val):
-        sums[k] += val * (math.exp(-nrm / Vs[k]) / nrm)
+        sums[k] += val * weight(Vs[k], nrm)
 
     def leaves(k, nrm, val, lo, hi):
-        nn = nrm * norms[lo:hi]
-        w = np.exp(-nn / Vs[k]) / nn
+        w = weight(Vs[k], nrm * norms[lo:hi])
         total, at = 0.0, 0
         for piece in rows(primes, lo, hi):
             total = total + _row_sum(w[at:at + len(piece)], piece)
@@ -214,22 +221,20 @@ def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None, rows=None) -> list:
     return sums
 
 
-def _leaf_rows(x, leaf_table):
-    """smoothed_sums rows for a series whose value at an odd prime pi follows
-    from the quadratic residue symbol (x / pi).
+def _leaf_rows(x, first):
+    """smoothed_sums rows for a series whose value is `first` at primes[0] =
+    (1+i) and the quadratic residue symbol (x / pi) at every odd prime pi.
 
-    leaf_table(symbols, primes) gives the values at the walk's whole prime
-    list, where symbols holds (x / pi) at primes[1:] from one
-    gaussian.euler_symbols pass (primes[0] is (1+i), the prime of norm 2).
-    The table is built at the first call, after smoothed_sums has checked
-    its arguments, and only if the walk has prime leaves.
+    The symbols come from one gaussian.euler_symbols pass, and the table
+    takes the dtype of [first] and int8.  It is built at the first call,
+    after smoothed_sums has checked its arguments, if the walk has leaves.
     """
     table = None
 
     def rows(primes, lo, hi):
         nonlocal table
         if table is None:
-            table = leaf_table(g.euler_symbols(x, primes[1:]), primes)
+            table = np.concatenate(([first], g.euler_symbols(x, primes[1:])))
         return [table[lo:hi]]
 
     return rows
@@ -239,34 +244,33 @@ def L_chi(s: complex, character: QuadraticCharacter, V: float,
           tol: float = 1e-4, doublings: int = 3) -> LChiValue:
     """Exponentially smoothed  sum_q chi_D(q) e^(-N(q)/V) / N(q)^s.
 
-    One smoothed_sums walk evaluates all V-doublings; N(q)^(1-s) is
-    completely multiplicative, so it rides in the coefficients.  The
+    One smoothed_sums walk evaluates all V-doublings; the coefficients are
+    chi_D alone, and N(q)^(1-s) rides in the weight when s != 1.  The
     convergence band is the final doubling step.  A band above tol sets
     converged=False (flag, not an exception).  The walk hands the primes
     it extends straight to the character's cached symbol lookup, and its
-    prime leaves take chi_D from one euler_symbols pass, times N(pi)^(1-s)
-    when s != 1; so no prime is tested for primality here.  s must be
-    finite, and doublings is an int >= 0; with none the band is nan.
+    prime leaves take chi_D from one euler_symbols pass, so no prime is
+    tested for primality here.  s must be finite, tol positive and finite,
+    and doublings an int >= 0; with none the band is nan.
     """
     if not cmath.isfinite(complex(s)):
         raise ValueError(f"L_chi requires a finite s, got {s!r}")
     if isinstance(doublings, bool) or not isinstance(doublings, int) or doublings < 0:
         raise ValueError(f"L_chi requires an int doublings >= 0, got {doublings!r}")
+    _require_positive(tol=tol)
     vs = [V * 2.0**j for j in range(doublings + 1)]
     w = 1.0 - complex(s)
     D_pair, ev, cache = character.D.pair, character.even_value, character._prime_cache
 
     def extend(val, npj, pj, e):
         v = _prime_value(D_pair, ev, cache, pj)
-        return val * v ** (e % 2) * npj ** (e * w) if v else None
+        return val * v ** (e % 2) if v else None
 
-    def leaf_table(symbols, primes):
-        if w == 0:  # s = 1: N(pi)^0 is 1+0j for every pi
-            return np.concatenate(([complex(ev)], symbols))
-        return np.array([1.0 * v * npj ** w if v else 0.0
-                         for v, (npj, _) in zip([ev, *symbols.tolist()], primes)])
-
-    sums = smoothed_sums(vs, extend, rows=_leaf_rows(D_pair, leaf_table))
+    # values complex like the symbol table's, so smoothed_sums' own extend
+    # table sums the same; the default weight at s = 1 takes no complex pow
+    sums = smoothed_sums(vs, extend, root=1 + 0j, rows=_leaf_rows(D_pair, complex(ev)),
+                         weight=_exp_weight if w == 0 else
+                         lambda V, nrm: _exp_weight(V, nrm) * nrm ** w)
     band = abs(sums[-1] - sums[-2]) if doublings >= 1 else float("nan")
     return LChiValue(value=complex(sums[-1]), band=float(band),
                      converged=bool(band <= tol), v_used=vs[-1])
@@ -307,8 +311,9 @@ def szmidt_product_coefficients(delta: GaussianInt, cutoff: int) -> dict:
 
     Built from the pinned split/character of delta by the same Euler product
     the pinning oracle matches against lambda, so every coefficient is an
-    integer.
+    integer.  cutoff must be positive and finite.
     """
+    _require_positive(cutoff=cutoff)
     l_pair = discriminant_split(delta).l.pair
     D_pair, ev, cache = _validated_args(quadratic_character(delta))
     return {qp: _product_coefficient(D_pair, ev, cache, l_pair, qp)
@@ -321,8 +326,9 @@ def szmidt_coefficient_check(delta: GaussianInt, Qmax: int) -> int:
     The left side is quad_counts.lambda_ with the brute-force x-enumeration
     rho (each rho computed once per (q3, delta)); the right side is the
     Euler product of the finite factor times chi_D.  The two sides share no
-    code path.
+    code path.  Qmax must be positive, and at most 1e4.
     """
+    _require_positive(Qmax=Qmax)
     if Qmax > 10**4:
         raise ValueError("Qmax capped at 1e4")
     product = szmidt_product_coefficients(delta, Qmax)
@@ -364,11 +370,9 @@ def _zagier_sums(delta: GaussianInt, n: GaussianInt | None, Vs) -> list:
             memo[key] = v
         return val * v if v else None
 
-    def leaf_table(symbols, primes):
-        # at an odd pi, lambda_pi(delta) is the symbol (delta / pi)
-        return np.concatenate(([extend(1.0, 2, (1, 1), 1) or 0.0], symbols))
-
-    return smoothed_sums(Vs, extend, rows=_leaf_rows(delta.pair, leaf_table))
+    # at an odd pi, lambda_pi(delta) is the symbol (delta / pi)
+    return smoothed_sums(Vs, extend,
+                         rows=_leaf_rows(delta.pair, extend(1.0, 2, (1, 1), 1) or 0.0))
 
 
 def zagier_L1(delta: GaussianInt, V: float,
@@ -460,7 +464,8 @@ def R_V_estimate(delta: GaussianInt, V: float, sigma: float = 0.5,
 def choose_V(delta: GaussianInt, tol: float = 1e-3, start: float | None = None,
              max_doublings: int = 8) -> float:
     """Default V policy: V = max(1e3, N(delta)^(2/3)), doubled until the
-    remainder proxy drops below tol."""
+    remainder proxy drops below tol, which must be positive and finite."""
+    _require_positive(tol=tol)
     V = start if start is not None else max(1e3, float(delta.norm()) ** (2.0 / 3.0))
     for _ in range(max_doublings):
         est = R_V_estimate(delta, V)

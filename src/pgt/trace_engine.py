@@ -306,13 +306,8 @@ class _DeltaFactors:
         self.inert = self.s == 0
         # one int8 array of the Legendre tables mod each q, at offset off
         qs, inv = np.unique(self.q, return_inverse=True)
-        base = np.cumsum(qs) - qs
-        self.off = base[inv.reshape(-1)]
-        self.tab = np.full(int(qs.sum()), -1, dtype=np.int8)
-        for qw, o in zip(qs.tolist(), base.tolist()):
-            r = np.arange((qw + 1) // 2, dtype=np.int64)
-            self.tab[o + _mod(r * r, qw)] = 1
-        self.tab[base] = 0
+        self.off = (np.cumsum(qs) - qs)[inv.reshape(-1)]
+        self.tab = np.concatenate([np.zeros(0, np.int8), *map(_sq_char_table, qs.tolist())])
         # the traces in descending order of factor count, trace j at position
         # pos[j]: the f-th factors of the traces with more than f are cols[f],
         # one per position of a prefix

@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -132,11 +133,11 @@ def test_vector_prime_leaves_match_per_prime_extend(n, V):
     def values():
         return [repr(v) for v in (
             zagier_L1(delta, V, n=n), zagier_L1(delta, V), R_V_estimate(delta, V / 4.0),
-            *(L_chi(s, char, V / 8.0) for s in (1.0, 2.0, 0.75 + 0.5j)))]
+            *(L_chi(s, char, V / 8.0) for s in (1.0, 2.0, 0.75 + 0.5j, 0.5)))]
 
     vector = values()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lf, "_leaf_rows", lambda x, leaf_table: None)
+        mp.setattr(lf, "_leaf_rows", lambda x, first: None)
         assert values() == vector
 
 
@@ -168,8 +169,8 @@ def test_L_chi_trivial_character_reduces_to_zeta():
 
 
 def test_L_chi_off_the_real_axis_matches_direct_sum():
-    # N(q)^(1-s) rides in the coefficients; the direct sum takes N(q)^-s
-    # per ideal and chi from its own path
+    # N(q)^(1-s) rides in smoothed_sums' weight; the direct sum takes
+    # N(q)^-s per ideal and chi from its own path
     s, V = 0.75 + 0.5j, 20.0
     char = quadratic_character(G(5, 0))
     r = L_chi(s, char, V, doublings=1)
@@ -186,22 +187,31 @@ def _ext(val, npj, pj, e):
     return val * ((-1) ** e * 3.0 / (npj + e) if pj[1] else 0.5 ** e)
 
 
+def _other_weight(V, nrm):
+    # not of the form e^(-N/V) N^-s, in operations valid on an int or an array
+    return (nrm / V) ** -0.5 * 2.0 ** (-nrm / V)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(0.01, 150.0), min_size=1, max_size=4))
 def test_smoothed_sums_multi_v_is_one_v_bit_for_bit(Vs):
-    assert smoothed_sums(Vs, _ext) == [smoothed_sums([V], _ext)[0] for V in Vs]
+    for kw in ({}, {"weight": _other_weight}):
+        assert smoothed_sums(Vs, _ext, **kw) == [smoothed_sums([V], _ext, **kw)[0] for V in Vs]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.01, 150.0))
 def test_smoothed_sums_unit_coefficients_match_norm_counts(V):
-    # a(q) = 1: sum over m of (#ideals of norm m) e^(-m/V)/m, the ideals
-    # counted by lattice points rather than walked
+    # a(q) = 1: sum over m of (#ideals of norm m) e^(-m/V)/m^power, the
+    # ideals counted by lattice points rather than walked; power 2 through
+    # the weight argument
     limit = max(int(40 * V), 1)
     counts = ideal_norm_counts(limit)
-    want = math.fsum(int(c) * math.exp(-m / V) / m for m, c in enumerate(counts) if m and c)
-    got, = smoothed_sums([V], lambda val, npj, pj, e: val)
-    assert abs(got - want) <= 1e-13 * want
+    for power, kw in ((1, {}), (2, {"weight": lambda V, nrm: np.exp(-nrm / V) / nrm**2})):
+        want = math.fsum(int(c) * math.exp(-m / V) / m**power
+                         for m, c in enumerate(counts) if m and c)
+        got, = smoothed_sums([V], lambda val, npj, pj, e: val, **kw)
+        assert abs(got - want) <= 1e-13 * want, power
 
 
 @pytest.mark.parametrize("V", [0.0, -1.0, math.nan, math.inf])
@@ -227,6 +237,13 @@ def test_L_chi_rejects_bad_doublings(doublings):
 def test_L_chi_rejects_non_finite_s(s):
     with pytest.raises(ValueError, match=f"finite s, got {re.escape(repr(s))}"):
         L_chi(s, quadratic_character(G(5, 0)), 50.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-3, math.inf])
+def test_L_chi_rejects_bad_tol(tol):
+    # a nan tol used to read as non-convergence, converged=False
+    with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
+        L_chi(1.0, quadratic_character(G(5, 0)), 50.0, tol=tol)
 
 
 @pytest.mark.parametrize("cutoff_mult", [0.0, -1.0, math.nan, math.inf])
@@ -380,6 +397,16 @@ def test_szmidt_check_zero_small():
         assert szmidt_coefficient_check(delta, 200) == 0
 
 
+@pytest.mark.parametrize("bad", [-5, 0, math.nan, math.inf])
+def test_szmidt_cutoffs_reject_bad_values(bad):
+    # Qmax <= 0 used to pass the check over no ideal at all, nan to die in
+    # int(); a cutoff of -3 gave an empty dict
+    with pytest.raises(ValueError, match=f"Qmax must be positive and finite, got {bad!r}"):
+        szmidt_coefficient_check(G(5, 0), bad)
+    with pytest.raises(ValueError, match=f"cutoff must be positive and finite, got {bad!r}"):
+        szmidt_product_coefficients(G(5, 0), bad)
+
+
 def test_szmidt_unit_coefficient():
     prod = szmidt_product_coefficients(G(5, 0), 10)
     assert prod[(1, 0)] == 1
@@ -505,3 +532,10 @@ def test_choose_V_converges():
     v = choose_V(G(5, 0), tol=1e-3)
     assert v >= 1000.0
     assert R_V_estimate(G(5, 0), v).proxy <= 1e-3
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-3, math.inf])
+def test_choose_V_rejects_bad_tol(tol):
+    # a nan tol failed every "proxy <= tol" and so doubled V to the end
+    with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
+        choose_V(G(5, 0), tol=tol)

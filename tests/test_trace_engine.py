@@ -131,6 +131,29 @@ def test_lambda_vector_cache_stays_within_its_budget(pairs, rng):
                 keys, held_before = set(prov._cache), held
 
 
+def _count_row_tables(monkeypatch, record):
+    """Have _sq_char_table call record(p) for each table the lambda rows
+    build; the tables _DeltaFactors builds for the prime factors of n^2 - 4
+    are not row symbols and go unrecorded."""
+    real_table, real_init = trace_engine._sq_char_table, trace_engine._DeltaFactors.__init__
+    factoring = []
+
+    def counted(p):
+        if not factoring:
+            record(p)
+        return real_table(p)
+
+    def init(self, *args):
+        factoring.append(self)
+        try:
+            real_init(self, *args)
+        finally:
+            factoring.pop()
+
+    monkeypatch.setattr(trace_engine, "_sq_char_table", counted)
+    monkeypatch.setattr(trace_engine._DeltaFactors, "__init__", init)
+
+
 def test_one_symbol_build_per_rational_prime(monkeypatch):
     # a budget that holds every row and vector: each odd prime the walk to
     # 40V reaches gets one symbol build, never both kinds, never twice:
@@ -138,7 +161,7 @@ def test_one_symbol_build_per_rational_prime(monkeypatch):
     # below the square root of the cutoff, their higher powers, or the
     # local symbols of reciprocity for both split ideals over p, in one call
     tables, local = [], []
-    real_table, real_rows = trace_engine._sq_char_table, trace_engine._DeltaFactors.rows
+    real_rows = trace_engine._DeltaFactors.rows
 
     def counted_rows(self, a, b):
         ps = (a * a + b * b).tolist()
@@ -147,8 +170,7 @@ def test_one_symbol_build_per_rational_prime(monkeypatch):
         local.extend(set(ps))
         return real_rows(self, a, b)
 
-    monkeypatch.setattr(trace_engine, "_sq_char_table",
-                        lambda p: tables.append(p) or real_table(p))
+    _count_row_tables(monkeypatch, tables.append)
     monkeypatch.setattr(trace_engine._DeltaFactors, "rows", counted_rows)
     monkeypatch.setattr(trace_engine, "CACHE_BYTES", 1 << 30)
     V = 2000.0
@@ -170,12 +192,10 @@ def test_rows_beyond_the_budget_build_one_table_per_prime(monkeypatch):
     traces, V = trace_set(2000.0, 2100.0), 2000.0
     reps, _ = trace_engine._orbit_reps(traces)
     row_bytes = len(reps) * len(prime_ideals_upto(int(40 * V)))
-    real_table = trace_engine._sq_char_table
     built = {}
+    _count_row_tables(monkeypatch, lambda p: built[budget].append(p))
     for budget in (1 << 30, row_bytes // 2):
-        tables = built[budget] = []
-        monkeypatch.setattr(trace_engine, "_sq_char_table",
-                            lambda p, tables=tables: tables.append(p) or real_table(p))
+        built[budget] = []
         monkeypatch.setattr(trace_engine, "CACHE_BYTES", budget)
         gv_sweep(traces, (V,))
     assert sorted(built[row_bytes // 2]) == sorted(built[1 << 30]) == sorted(set(built[1 << 30]))
@@ -214,9 +234,8 @@ def test_reciprocity_rows_equal_table_rows_and_scalar_lambda(monkeypatch, m):
     tr = _trace_set(pairs)
     primes = prime_ideals_upto(20000)
     built = []
-    real_table, real_rows = trace_engine._sq_char_table, trace_engine._DeltaFactors.rows
-    monkeypatch.setattr(trace_engine, "_sq_char_table",
-                        lambda p: built.append("table") or real_table(p))
+    real_rows = trace_engine._DeltaFactors.rows
+    _count_row_tables(monkeypatch, lambda p: built.append("table"))
     monkeypatch.setattr(trace_engine._DeltaFactors, "rows",
                         lambda self, a, b: built.append("local") or real_rows(self, a, b))
 
