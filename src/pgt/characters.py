@@ -180,21 +180,13 @@ def _t_local(x, npi, k) -> int:
     return -x * npi ** (k // 2) if k % 2 else npi ** (k // 2)
 
 
-def _valuation(pi, pair) -> int:
-    """v_pi of the nonzero pair, by repeated division."""
-    a = 0
-    while g.divides(pi, pair):
-        pair, a = g.exact_div(pair, pi), a + 1
-    return a
-
-
 def _product_coefficient(D_pair, even_value, cache, l_pair, qpair) -> int:
     """q-th Dirichlet coefficient of T_l^(D) * L(., chi_D), an Euler product:
     at pi^e || q the local factor is sum_{k <= e} t(pi^k) chi_D(pi)^(e-k)."""
     def local(pi, e):
         x, npi = _prime_value(D_pair, even_value, cache, pi), g.norm(pi)
-        return sum(_t_local(x, npi, k) * x ** (e - k)
-                   for k in range(min(e, 2 * _valuation(pi, l_pair)) + 1))
+        a, _ = g.valuation(pi, l_pair, e)  # min(e, 2a) is unchanged by the cap
+        return sum(_t_local(x, npi, k) * x ** (e - k) for k in range(min(e, 2 * a) + 1))
 
     return g.multiplicative(qpair, local)
 

@@ -105,6 +105,15 @@ def exact_div(a, d):
     return (t[0] // nd, t[1] // nd)
 
 
+def valuation(pi, a, cap: int):
+    """(v, a / pi^v) with v = v_pi(a) capped at cap, by repeated division;
+    a = 0 gives (cap, 0)."""
+    v = 0
+    while v < cap and divides(pi, a):
+        a, v = exact_div(a, pi), v + 1
+    return v, a
+
+
 def canonical_pair(a):
     """First-quadrant associate of a nonzero pair."""
     if a == (0, 0):

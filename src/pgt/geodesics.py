@@ -382,6 +382,7 @@ def tower_stats(X: float, Y: float) -> TowerStats:
     analysis); deltas are deduplicated as elements, then split and grouped
     by the ideal of the pinned fundamental generator D.
     """
+    _require_positive(X=X, Y=Y)
     deltas = {}
     for b, row in disk_rows(X, X + Y):
         for a in row.tolist():

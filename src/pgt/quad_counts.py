@@ -10,9 +10,10 @@ Definitions (all sums over Z[i], ideals represented canonically):
 
 where <x, y> is the standard inner product on R^2 = C.  For delta = n^2 - 4
 there is a bijection x = 2y + n between square roots of delta mod 4q and
-roots of y^2 + n y + 1 mod q, so rho_q(n^2-4) is also a root count mod q;
-this is what the fast path computes (multiplicatively, with Hensel lifting
-at each prime power).
+roots of y^2 + n y + 1 mod q, so rho_q(n^2-4) is also a root count mod q.
+The fast path is multiplicative, with one local rule per prime power: a
+closed form in v_pi(delta) and one residue symbol at odd pi, and a lift
+through the two residues mod (1+i) per level at (1+i) (_rho_levels).
 
 The phase <m, a/c> equals an exact integer divided by N(c), so every
 exponential here is a root of unity evaluated from an exact rational angle;
@@ -44,11 +45,10 @@ RHO_BRUTE_NORM_CUTOFF = 10**6   # refuse brute enumeration beyond N(2q) > 1e6
 RHO_BRUTE_MEMO = 2**13
 KLOOSTERMAN_NORM_CUTOFF = 10**6
 KLOOSTERMAN_CHUNK = 1 << 16     # residues per vector pass of kloosterman
-_ROOT_ENUM_CUTOFF = 2**20       # largest prime norm for root enumeration
 
 
 # ---------------------------------------------------------------------------
-# rho: brute force (x-form) and fast (y-form, Hensel + CRT)
+# rho: brute force (x-form) and fast (one local rule per prime power + CRT)
 # ---------------------------------------------------------------------------
 
 def rho_bruteforce(q: CanonicalIdealRep, delta: GaussianInt) -> int:
@@ -82,68 +82,39 @@ def _rho_brute(qp, dp) -> int:
     return int(np.count_nonzero(hit))
 
 
-def _roots_mod_prime(pi, n):
-    """Roots of y^2 + n y + 1 = 0 in Z[i]/(pi), pi prime, by enumeration."""
-    npi = g.norm(pi)
-    if npi > _ROOT_ENUM_CUTOFF:
-        raise CutoffExceededError(f"prime norm {npi} too large for root enumeration")
-    p0, p1 = pi
-    roots = []
-    for (a, b) in ResidueRing(pi).representatives():
-        va = a * a - b * b + n[0] * a - n[1] * b + 1
-        vb = 2 * a * b + n[0] * b + n[1] * a
-        if (va * p0 + vb * p1) % npi == 0 and (vb * p0 - va * p1) % npi == 0:
-            roots.append((a, b))
-    return roots
+def _rho_levels(pi, e: int, delta, n) -> list:
+    """[rho_{pi^c}(delta) for c = 0..e] at a prime pair pi, delta = n^2 - 4.
 
-
-def _count_roots_prime_power(pi, e, n):
-    """#roots of y^2 + n y + 1 mod pi^e via Hensel lifting from level 1.
-
-    Simple roots (f'(y) invertible mod pi) lift uniquely by a Newton step;
-    singular roots are lifted by enumerating all N(pi) children per level.
+    At odd pi, 2 is a unit, so x = 2y + n maps the roots of y^2 + n y + 1
+    mod pi^c onto the square roots of delta mod pi^c.  Their count depends
+    only on v = v_pi(delta), capped at e, and s = (delta pi^-v / pi):
+    rho = N^(c//2) for c <= v, and beyond v it is 0 for odd v and
+    (1 + s) N^(v/2) for even v.  n is not read there.  At (1+i) a root y
+    mod (1+i)^c lies under the two residues y and y + (1+i)^c mod
+    (1+i)^(c+1); the roots are lifted one level at a time, keeping the
+    candidates that are roots one level up.  delta and n are pairs.
     """
-    roots = _roots_mod_prime(pi, n)
-    if e == 1:
-        return len(roots)
-    ring1 = ResidueRing(pi)
-    small = ring1.representatives()
-    level = 1
-    pik = pi  # pi^level
-    while level < e:
-        pik_next = g.mul(pik, pi)
-        new_roots = []
-        for y in roots:
-            fy = (y[0] * y[0] - y[1] * y[1] + n[0] * y[0] - n[1] * y[1] + 1,
-                  2 * y[0] * y[1] + n[0] * y[1] + n[1] * y[0])
-            fprime = (2 * y[0] + n[0], 2 * y[1] + n[1])
-            if not g.divides(pi, fprime):
-                # Newton: t = -(f(y)/pi^level) * f'(y)^{-1} mod pi
-                fred = g.exact_div(fy, pik)
-                inv = g.invert_mod(fprime, pi)
-                t = ring1.reduce(g.mul((-fred[0], -fred[1]), inv))
-                new_roots.append(g.add(y, g.mul(t, pik)))
-            else:
-                for t in small:
-                    cand = g.add(y, g.mul(t, pik))
-                    fc = (cand[0] * cand[0] - cand[1] * cand[1]
-                          + n[0] * cand[0] - n[1] * cand[1] + 1,
-                          2 * cand[0] * cand[1] + n[0] * cand[1] + n[1] * cand[0])
-                    if g.divides(pik_next, fc):
-                        new_roots.append(cand)
-        roots = new_roots
-        pik = pik_next
-        level += 1
-    return len(roots)
+    npi = g.norm(pi)
+    if npi != 2:
+        v, u = g.valuation(pi, delta, e)
+        above = 0 if v % 2 or v == e else (1 + g.euler_symbol(u, pi)) * npi ** (v // 2)
+        return [npi ** (c // 2) if c <= v else above for c in range(e + 1)]
+    roots, pik, out = [(0, 0)], (1, 0), [1]
+    for _ in range(e):
+        up = g.mul(pik, pi)
+        roots = [y for r in roots for y in (r, g.add(r, pik))
+                 if g.divides(up, g.add(g.mul(g.add(y, n), y), (1, 0)))]
+        pik = up
+        out.append(len(roots))
+    return out
 
 
 def rho_fast(q: CanonicalIdealRep, n: GaussianInt) -> int:
-    """rho_q(n^2 - 4) through the root count of y^2 + n y + 1 mod q.
-
-    Multiplicative over the prime powers of q (CRT); agrees with
-    rho_bruteforce wherever both are defined.
+    """rho_q(n^2 - 4) from the local rule _rho_levels at each prime power
+    of q (CRT); agrees with rho_bruteforce wherever both are defined.
     """
-    return g.multiplicative(q.pair, lambda pi, e: _count_roots_prime_power(pi, e, n.pair))
+    delta = g.sub(g.mul(n.pair, n.pair), (4, 0))
+    return g.multiplicative(q.pair, lambda pi, e: _rho_levels(pi, e, delta, n.pair)[-1])
 
 
 def sqrt_perfect_square(delta_plus_4: GaussianInt) -> GaussianInt:
@@ -203,35 +174,20 @@ def lambda_(q: CanonicalIdealRep, delta: GaussianInt, *, n: GaussianInt | None =
 
 def lambda_at_prime_power(pi, e: int, delta: GaussianInt,
                           n: GaussianInt | None = None) -> int:
-    """lambda_{pi^e}(delta) for a prime pair pi, in O(log) at odd primes.
+    """lambda_{pi^e}(delta) for a prime pair pi, delta = n^2 - 4.
 
-    At odd pi, write delta = pi^v * u: completing the square in
-    y^2 + n y + 1 turns the root count into a square-root count of delta/4,
-    which depends only on v (capped at e) and the symbol s = (u / pi):
-
-        lambda = N^(e/2)        if v >= e and e even,   0 if v >= e and e odd,
-        lambda = 0              if v < e and v odd,
-        lambda = N^(v/2) s^(e-v) otherwise.
-
-    At pi = (1+i) the value is lambda_() itself, over the Hensel root counts
-    of the (1+i)^c.  Agrees with lambda_() everywhere (property-tested);
-    this is the fast path used by the smoothed series.
+    Only q1 = pi^k with q2 in {1, pi} survive the Mobius convolution, so
+    lambda = sum over c <= e of (-1)^(e-c) rho_{pi^c}(delta), with the
+    rho_{pi^c} from _rho_levels.  At odd pi this is N^(e/2) or 0 (e even or
+    odd) if v_pi(delta) >= e, else 0 for odd v and N^(v/2) s^(e-v) for even
+    v, and n is not needed; at (1+i) n is recovered from delta + 4 when not
+    supplied.  Agrees with lambda_() everywhere (property-tested); this is
+    the fast path used by the smoothed series.
     """
-    npi = g.norm(pi)
-    if npi == 2:  # (1+i)^e is 2^(e/2) for even e, 2^((e-1)/2) (1+i) for odd
-        h = 1 << (e // 2)
-        return lambda_(CanonicalIdealRep(GaussianInt(h, h * (e % 2))), delta, n=n)
-    v = 0
-    cur = delta.pair
-    while v < e and g.divides(pi, cur):
-        cur = g.exact_div(cur, pi)
-        v += 1
-    if v >= e:
-        return npi ** (e // 2) if e % 2 == 0 else 0
-    if v % 2:
-        return 0
-    s = g.euler_symbol(cur, pi)
-    return npi ** (v // 2) * (s ** (e - v))
+    if n is None and g.norm(pi) == 2:
+        n = sqrt_perfect_square(delta + GaussianInt(4, 0))
+    rho = _rho_levels(pi, e, delta.pair, None if n is None else n.pair)
+    return sum((-1) ** (e - c) * r for c, r in enumerate(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +339,7 @@ def weil_ratio(m: GaussianInt, n: GaussianInt, c: CanonicalIdealRep,
 def kloosterman_identity_check(q: CanonicalIdealRep, k: GaussianInt) -> float:
     """|sum_b rho_q(b^2-4) e(<k, b qbar/N(q)>) - S(k, k, q)|.
 
-    The left side uses the Hensel root-count rho; the right side enumerates
+    The left side uses rho_fast's local rule; the right side enumerates
     units and their inverses, so the two sides share only the exact phase
     numerators (_phases).
     """

@@ -79,10 +79,16 @@ def load_eigenvalues(path: str) -> EigenvalueTable:
     return EigenvalueTable(r_values=rs, source=source, checksum=checksum)
 
 
-def spectral_sum(table: EigenvalueTable, T: float, X: float) -> complex:
-    """S(T, X) = sum_{0 < r_j <= T} X^(i r_j), Kahan-compensated."""
+def _require_range(T: float, X: float) -> None:
+    """The one input check of the spectral sides: T >= 0 and a finite
+    X >= 1 (NaN fails both)."""
     if not (0 <= T and 1 <= X < math.inf):
         raise ValueError(f"need T >= 0 and a finite X >= 1, got T={T!r}, X={X!r}")
+
+
+def spectral_sum(table: EigenvalueTable, T: float, X: float) -> complex:
+    """S(T, X) = sum_{0 < r_j <= T} X^(i r_j), Kahan-compensated."""
+    _require_range(T, X)
     lx = math.log(X)
     return compensated_sum(complex(math.cos(r * lx), math.sin(r * lx))
                            for r in table.r_values if r <= T)
@@ -98,6 +104,8 @@ def stx_bound_report(table: EigenvalueTable, t_grid, x_grid) -> list:
         raise ValueError("empty eigenvalue table")
     rows = []
     for T in t_grid:
+        if not T > 0:
+            raise ValueError(f"T must be > 0 in the ratio |S| / (T^2 X^(1/4)), got {T!r}")
         for X in x_grid:
             s = abs(spectral_sum(table, T, X))
             rows.append((float(T), float(X), s, s / (T**2 * X**0.25)))
@@ -124,6 +132,9 @@ class ExplicitFormulaResidual:
 def explicit_formula_residual(table: EigenvalueTable, X: float, T: float,
                               geodesic_psi: float) -> ExplicitFormulaResidual:
     """|psi - X^2/2 - 2 Re sum X^(1+ir_j)/(1+ir_j)| with a regime flag."""
+    _require_range(T, X)
+    if not math.isfinite(geodesic_psi):
+        raise ValueError(f"geodesic_psi must be finite, got {geodesic_psi!r}")
     if not table.r_values:
         spectral = 0.0
     else:
@@ -150,6 +161,7 @@ def smoothed_spectral_side(table: EigenvalueTable, X: float, T: float,
     Quadrature at 1e-6 relative: composite Gauss-Legendre with enough
     segments to resolve the fastest oscillation (X+u)^(i r_max).
     """
+    _require_range(T, X)
     Y = kernel.Y
     rs = [r for r in table.r_values if r <= T]
     rmax = rs[-1] if rs else 0.0

@@ -18,8 +18,8 @@ computed at once:
     factors of n^2-4 and large against the number of traces, by quadratic
     reciprocity from the symbols of pi at those factors (_DeltaFactors);
     for e >= 2 the unit part of n^2-4 is mapped the same way and the value
-    follows the valuation pattern N^(v/2) s^(e-v) (see
-    quad_counts.lambda_at_prime_power).
+    follows the valuation pattern N^(v/2) s^(e-v), the alternating sum of
+    the rho levels of quad_counts._rho_levels.
   * inert p:          the symbol is legendre(N(x) mod p) since the norm is
     the Frobenius trace map to F_p; same valuation pattern for e >= 2.
   * pi = (1+i):       lambda_{(1+i)^e} = sum over c <= e of

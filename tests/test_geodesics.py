@@ -308,6 +308,15 @@ def test_kernel_and_smoothed_count_match_scalar_loops():
     assert psi_smoothed(X, k, opts) == pytest.approx(PSI_CONSTANT * total, rel=1e-14)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -5.0])
+def test_tower_stats_rejects_bad_x_and_y(bad):
+    # a nan X used to die in int(), an infinite one with an OverflowError,
+    # and X or Y = -5 returned an empty record
+    for X, Y in ((bad, 10.0), (100.0, bad)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            tower_stats(X, Y)
+
+
 def test_tower_stats_shapes():
     ts = tower_stats(1000.0, 125.0)
     # N(n^2 - 4) <= (N(n) + 4)^2, so Q = 2 + max sits under (X+Y+4)^2 + 2

@@ -78,6 +78,47 @@ def test_rho_multiplicative_over_coprime():
         assert r12 == r1 * r2
 
 
+def _power(pi, c):
+    out = (1, 0)
+    for _ in range(c):
+        out = mul(out, pi)
+    return canonical_rep(G(*canonical_pair(out)))
+
+
+@pytest.mark.parametrize("pi, e", [((2, 1), 5), ((1, 2), 4), ((3, 0), 3), ((7, 0), 2)])
+def test_rho_levels_match_bruteforce_at_odd_primes(pi, e):
+    # n = 2 + pi^k m with pi not dividing m gives v_pi(n^2 - 4) = k for
+    # k >= 1 (n + 2 = 4 + pi^k m is prime to pi); n = 2 gives delta = 0
+    seen = set()
+    ns = [G(2, 0)]
+    for k in range(e + 2):
+        ns += [G(*g.add((2, 0), mul(_power(pi, k).pair, m)))
+               for m in [(1, 0), (0, 1), (1, 1), (2, -1), (3, 1), (-2, 3)]
+               if not g.divides(pi, m)]
+    for n in ns:
+        delta = n * n - G(4, 0)
+        v, u = g.valuation(pi, delta.pair, e)
+        seen.add("v >= e" if v == e else "odd v" if v % 2 else
+                 ("even v", g.euler_symbol(u, pi)))
+        want = [rho_bruteforce(_power(pi, c), delta) for c in range(e + 1)]
+        assert qc._rho_levels(pi, e, delta.pair, n.pair) == want, (pi, n)
+    assert seen == {"v >= e", "odd v", ("even v", 1), ("even v", -1)}
+
+
+def test_rho_levels_match_bruteforce_at_one_plus_i():
+    # n = 2 + (1+i)^k m, m odd, to c = 17, the brute-force cutoff at (1+i)
+    top = 0
+    for k in (0, 1, 2, 3, 4, 6, 8, 10, 12, 14, 17):
+        for m in [(1, 0), (-1, 0), (1, 2), (3, 0)]:
+            n = G(*g.add((2, 0), mul(_power((1, 1), k).pair, m)))
+            delta = n * n - G(4, 0)
+            levels = qc._rho_levels((1, 1), 17, delta.pair, n.pair)
+            assert levels == [rho_bruteforce(_power((1, 1), c), delta)
+                              for c in range(18)], n
+            top = max(top, levels[-1])
+    assert top == 512
+
+
 def _rho_reference(q, delta) -> int:
     """rho_q(delta) by a Python loop over the transversal of Z[i]/(2q)."""
     twoq, (f0, f1) = mul((2, 0), q.pair), mul((4, 0), q.pair)
@@ -155,8 +196,9 @@ def test_lambda_at_prime_power_matches_convolution():
                 continue
             for n in [G(3, 0), G(4, 0), G(6, 0), G(2, 3), G(1, 1), G(5, 4)]:
                 delta = n * n - G(4, 0)
-                assert lambda_at_prime_power(pi, e, delta, n) == \
-                    lambda_(rep, delta, n=n), (pi, e, n)
+                want = lambda_(rep, delta, n=n)
+                assert lambda_at_prime_power(pi, e, delta, n) == want, (pi, e, n)
+                assert lambda_(rep, delta, method="bruteforce") == want, (pi, e, n)
 
 
 def test_rho_lambda_table_bounds():

@@ -114,6 +114,37 @@ def test_stx_report_shapes():
         stx_bound_report(EigenvalueTable(r_values=[]), [1], [1])
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan])
+def test_stx_report_rejects_bad_t(T):
+    # T = 0 used to raise ZeroDivisionError
+    with pytest.raises(ValueError, match="T must be > 0"):
+        stx_bound_report(synthetic_table(10), [4.0, T], [10.0])
+
+
+_RANGE = "need T >= 0 and a finite X >= 1"
+
+
+@pytest.mark.parametrize("X, T, psi_value, match", [
+    (0.0, 5.0, 100.0, _RANGE), (-5.0, 5.0, 100.0, _RANGE), (math.nan, 5.0, 100.0, _RANGE),
+    (math.inf, 5.0, 100.0, _RANGE), (100.0, math.nan, 100.0, _RANGE),
+    (100.0, -1.0, 100.0, _RANGE), (100.0, 5.0, math.nan, "geodesic_psi"),
+    (100.0, 5.0, math.inf, "geodesic_psi")])
+def test_explicit_formula_rejects_bad_inputs(X, T, psi_value, match):
+    # X <= 0 used to raise "math domain error"; X = nan or psi = nan
+    # returned a residual of nan
+    with pytest.raises(ValueError, match=match):
+        explicit_formula_residual(synthetic_table(10), X, T, psi_value)
+
+
+@pytest.mark.parametrize("X, T", [(-5.0, 5.0), (0.0, 5.0), (math.nan, 5.0), (math.inf, 5.0),
+                                  (100.0, math.nan), (100.0, -1.0)])
+def test_smoothed_side_rejects_bad_inputs(X, T):
+    # X = -5 used to raise TypeError, X = nan to die in int(), and T = nan
+    # to drop every eigenvalue silently
+    with pytest.raises(ValueError, match=_RANGE):
+        smoothed_spectral_side(synthetic_table(10), X, T, KernelSpec(Y=4.0))
+
+
 def test_explicit_formula_empty_table_is_geodesic_error():
     r = psi(400.0, PsiOptions(V=1000.0, validate=False))
     res = explicit_formula_residual(EigenvalueTable(r_values=[]), 400.0, 10.0, r.psi)
