@@ -29,7 +29,7 @@ Objects:
                     characters._product_coefficient the pinning matches.
   szmidt_coefficient_check
                     max |lambda_q(delta) - [T_l * L]_q| over small ideals,
-                    against quad_counts.lambda_ on the brute-force rho.
+                    against quad_counts.lambda_table on the brute-force rho.
   zagier_L1         G_V(delta) = sum_q lambda_q(delta) e^(-N(q)/V) / N(q),
                     the smoothed value of the form L-function at s = 1.
   normalization_sum the mu-square-weighted smoothed sum that tends to 1.
@@ -144,6 +144,14 @@ def _require_positive(**values) -> None:
     for name, value in values.items():
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_cutoff(**values) -> None:
+    """_require_positive and at least 1, so the unit ideal is in range."""
+    _require_positive(**values)
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 def _row_sum(w, rows):
@@ -311,9 +319,9 @@ def szmidt_product_coefficients(delta: GaussianInt, cutoff: int) -> dict:
 
     Built from the pinned split/character of delta by the same Euler product
     the pinning oracle matches against lambda, so every coefficient is an
-    integer.  cutoff must be positive and finite.
+    integer.  cutoff must be finite and at least 1.
     """
-    _require_positive(cutoff=cutoff)
+    _require_cutoff(cutoff=cutoff)
     l_pair = discriminant_split(delta).l.pair
     D_pair, ev, cache = _validated_args(quadratic_character(delta))
     return {qp: _product_coefficient(D_pair, ev, cache, l_pair, qp)
@@ -323,21 +331,18 @@ def szmidt_product_coefficients(delta: GaussianInt, cutoff: int) -> dict:
 def szmidt_coefficient_check(delta: GaussianInt, Qmax: int) -> int:
     """max |lambda_q(delta) - [T_l * L]_q| over ideals N(q) <= Qmax (must be 0).
 
-    The left side is quad_counts.lambda_ with the brute-force x-enumeration
-    rho (each rho computed once per (q3, delta)); the right side is the
-    Euler product of the finite factor times chi_D.  The two sides share no
-    code path.  Qmax must be positive, and at most 1e4.
+    The left side is the package's one Mobius convolution of rho,
+    quad_counts.lambda_table, run once over every ideal up to Qmax with the
+    x-enumeration rho; the right side is the Euler product of the finite
+    factor times chi_D.  They share no code.  1 <= Qmax <= 1e4, finite.
     """
-    _require_positive(Qmax=Qmax)
+    _require_cutoff(Qmax=Qmax)
     if Qmax > 10**4:
         raise ValueError("Qmax capped at 1e4")
     product = szmidt_product_coefficients(delta, Qmax)
-    worst = 0
-    for qp, want in product.items():
-        lam = quad_counts.lambda_(CanonicalIdealRep(GaussianInt.from_pair(qp)), delta,
-                                  method="bruteforce")
-        worst = max(worst, abs(lam - want))
-    return worst
+    # keyed by ideal_reps_upto(Qmax): sorted by (norm, re), closed under divisors
+    lam = quad_counts.lambda_table(list(product), delta, method="bruteforce")
+    return max(abs(lam[qp] - want) for qp, want in product.items())
 
 
 # ---------------------------------------------------------------------------

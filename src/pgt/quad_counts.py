@@ -14,6 +14,8 @@ roots of y^2 + n y + 1 mod q, so rho_q(n^2-4) is also a root count mod q.
 The fast path is multiplicative, with one local rule per prime power: a
 closed form in v_pi(delta) and one residue symbol at odd pi, and a lift
 through the two residues mod (1+i) per level at (1+i) (_rho_levels).
+lambda = (1_sq * mu) * rho is one Dirichlet convolution, lambda_table: over
+the divisors of q in lambda_, over all N(q) <= Qmax in szmidt_coefficient_check.
 
 The phase <m, a/c> equals an exact integer divided by N(c), so every
 exponential here is a root of unity evaluated from an exact rational angle;
@@ -40,9 +42,10 @@ from .gaussian import CanonicalIdealRep, GaussianInt, ResidueRing
 from .harness import compensated_sum
 
 RHO_BRUTE_NORM_CUTOFF = 10**6   # refuse brute enumeration beyond N(2q) > 1e6
-# brute rho values kept per (q, delta): one szmidt_coefficient_check at its
-# Qmax cap of 1e4 needs at most 7,854 of them (every ideal of norm <= 1e4)
-RHO_BRUTE_MEMO = 2**13
+# brute rho values kept per (q, delta).  szmidt_coefficient_check takes each
+# once; the reuse is lambda_(method="bruteforce") in the pinning oracle when n
+# is unknown, which revisits the divisors of its at most 259 validation ideals
+RHO_BRUTE_MEMO = 2**10
 KLOOSTERMAN_NORM_CUTOFF = 10**6
 KLOOSTERMAN_CHUNK = 1 << 16     # residues per vector pass of kloosterman
 
@@ -138,38 +141,52 @@ def sqrt_perfect_square(delta_plus_4: GaussianInt) -> GaussianInt:
     return GaussianInt.from_pair(root)
 
 
+def lambda_table(pairs, delta: GaussianInt, *, n: GaussianInt | None = None,
+                 method: str = "fast") -> dict:
+    """{q: lambda_q(delta)} at every canonical pair q of `pairs`.
+
+    The package's one Mobius convolution of rho, lambda = (1_sq * mu) * rho,
+    over `pairs`, sorted by (norm, re) and closed under taking divisors:
+    each product canonical_pair(d e) in the list is one term, and the inner
+    loop stops once N(d) N(e) passes the largest norm.  rho is taken once
+    per ideal: rho_fast, or the x-enumeration with method="bruteforce".
+    """
+    if method == "fast" and n is None:
+        n = sqrt_perfect_square(delta + GaussianInt(4, 0))
+    top = g.norm(pairs[-1])
+    norms = [g.norm(p) for p in pairs]
+
+    def convolve(f, h):
+        out = dict.fromkeys(pairs, 0)
+        for d, nd in zip(pairs, norms):
+            for e, ne in zip(pairs, norms):
+                if nd * ne > top:
+                    break
+                if h[e] and (q := g.canonical_pair(g.mul(d, e))) in out:
+                    out[q] += f[d] * h[e]
+        return out
+
+    squares = {g.canonical_pair(g.mul(d, d)) for d in pairs}
+    square = {p: int(p in squares) for p in pairs}
+    mu = {p: g.multiplicative(p, lambda pi, e: -1 if e == 1 else 0) for p in pairs}
+    if method == "bruteforce":
+        rho = {p: _rho_brute(p, delta.pair) for p in pairs}
+    else:
+        rho = {p: rho_fast(CanonicalIdealRep(GaussianInt.from_pair(p)), n) for p in pairs}
+    return convolve(convolve(mu, square), rho)
+
+
 def lambda_(q: CanonicalIdealRep, delta: GaussianInt, *, n: GaussianInt | None = None,
             method: str = "fast") -> int:
     """lambda_q(delta): exact Mobius convolution over factorizations q1^2 q2 q3 = q.
 
-    delta must be of the form n^2 - 4; if n is not supplied it is recovered as
-    a Gaussian square root of delta + 4.  method="bruteforce" takes the
-    x-enumeration rho instead (memoized, see rho_bruteforce), as the
-    independent coefficient oracle does; this is the package's only Mobius
-    convolution of rho.
+    lambda_table over the divisors of q.  delta must be of the form n^2 - 4;
+    if n is not supplied it is recovered as a Gaussian square root of
+    delta + 4.  method="bruteforce" takes the x-enumeration rho instead
+    (memoized, see rho_bruteforce), as the pinning oracle does without n.
     """
-    if method == "fast" and n is None:
-        n = sqrt_perfect_square(delta + GaussianInt(4, 0))
-
-    def rho(q3_pair):
-        if method == "bruteforce":
-            return _rho_brute(q3_pair, delta.pair)
-        return rho_fast(CanonicalIdealRep(GaussianInt.from_pair(q3_pair)), n)
-
-    qpair = q.pair
-    total = 0
-    for q1 in g.divisor_pairs(qpair):
-        q1sq = g.canonical_pair(g.mul(q1, q1))
-        if not g.divides(q1sq, qpair):
-            continue
-        rest = g.canonical_pair(g.exact_div(qpair, q1sq))
-        for q2 in g.divisor_pairs(rest):
-            mu = g.mobius(CanonicalIdealRep(GaussianInt.from_pair(q2)))
-            if mu == 0:
-                continue
-            q3 = g.canonical_pair(g.exact_div(rest, q2))
-            total += mu * rho(q3)
-    return total
+    pairs = sorted(g.divisor_pairs(q.pair), key=lambda d: (g.norm(d), d[0]))
+    return lambda_table(pairs, delta, n=n, method=method)[q.pair]
 
 
 def lambda_at_prime_power(pi, e: int, delta: GaussianInt,
@@ -205,6 +222,15 @@ def _mu_square_coeff(qpair) -> float:
     return float(g.multiplicative(qpair, lambda pi, e: mu_square_local(g.norm(pi), e)))
 
 
+def _lambda_residues(q: CanonicalIdealRep):
+    """(ring, int64 array): lambda_q(n^2-4), which depends on n mod q only,
+    at every residue n of Z[i]/(q) in index order, from the local rule."""
+    ring = ResidueRing(q.pair)
+    ns = [GaussianInt.from_pair(rep) for rep in ring.representatives()]
+    return ring, np.array([g.multiplicative(q.pair, lambda pi, e: lambda_at_prime_power(
+        pi, e, nn * nn - GaussianInt(4, 0), nn)) for nn in ns], dtype=np.int64)
+
+
 def lambda_partial_sum(q: CanonicalIdealRep, Z: float):
     """(sum, main, remainder) of sum_{0 < N(n) <= Z} lambda_q(n^2-4).
 
@@ -214,15 +240,8 @@ def lambda_partial_sum(q: CanonicalIdealRep, Z: float):
     """
     if not 1 <= Z < math.inf:
         raise ValueError(f"Z must be finite and >= 1, got {Z!r}")
-    qpair = q.pair
-    ring = ResidueRing(qpair)
-    # lambda table over residues mod q (lambda_q(n^2-4) depends on n mod q)
+    ring, table = _lambda_residues(q)
     nq = ring.n_elements
-    table = np.empty(nq, dtype=np.int64)
-    for rep in ring.representatives():
-        nn = GaussianInt.from_pair(rep)
-        d = nn * nn - GaussianInt(4, 0)
-        table[ring.index(rep)] = lambda_(q, d, n=nn)
     # count elements per residue class, row by row over the disk 0 < N(n) <= Z
     # (one bincount per row keeps memory flat in Z)
     d1, d2, eoff = ring.d1, ring.d2, ring.eoff
@@ -234,7 +253,7 @@ def lambda_partial_sum(q: CanonicalIdealRep, Z: float):
         idx = x * d2 + y
         counts = np.bincount(idx, minlength=nq)
         total += int(np.dot(counts, table))
-    main = math.pi * Z * _mu_square_coeff(qpair)
+    main = math.pi * Z * _mu_square_coeff(q.pair)
     return total, main, total - main
 
 

@@ -14,7 +14,7 @@ from pgt.gaussian import GaussianInt, canonical_rep, canonical_pair, divides, \
     exact_div, ideal_reps_upto, divisor_pairs, gcd_pair, mobius, norm, mul
 from pgt.characters import chi, discriminant_split, is_perfect_square, quadratic_character
 from pgt.harness import fit_exponent
-from pgt import lfunctions as lf
+from pgt import lfunctions as lf, quad_counts as qc
 from pgt.lfunctions import (L_chi, R_V_estimate, T_l_poly, choose_V,
                             ideal_norm_counts, normalization_sum, smoothed_sums,
                             szmidt_coefficient_check,
@@ -278,7 +278,7 @@ def test_walk_ideals_has_one_caller():
 
 def test_factorization_products_and_brute_rho_have_one_home():
     # every multiplicative function of an ideal is one gaussian.multiplicative
-    # call, and every Mobius convolution of the brute rho is quad_counts.lambda_
+    # call, and every Mobius convolution of the brute rho is quad_counts.lambda_table
     assert sorted(set(_callers("factor_pair_cached"))) == [
         ("characters", "__post_init__"), ("characters", "_pin_candidates"),
         ("gaussian", "divisor_pairs"), ("gaussian", "multiplicative")]
@@ -397,14 +397,38 @@ def test_szmidt_check_zero_small():
         assert szmidt_coefficient_check(delta, 200) == 0
 
 
-@pytest.mark.parametrize("bad", [-5, 0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [-5, 0, math.nan, math.inf, 0.5])
 def test_szmidt_cutoffs_reject_bad_values(bad):
     # Qmax <= 0 used to pass the check over no ideal at all, nan to die in
-    # int(); a cutoff of -3 gave an empty dict
-    with pytest.raises(ValueError, match=f"Qmax must be positive and finite, got {bad!r}"):
+    # int(); a cutoff of -3 gave an empty dict, and 0.5 passed the check (or
+    # gave an empty dict) without reaching the unit ideal
+    rule = "at least 1" if 0 < bad < 1 else "positive and finite"
+    with pytest.raises(ValueError, match=f"Qmax must be {rule}, got {bad!r}"):
         szmidt_coefficient_check(G(5, 0), bad)
-    with pytest.raises(ValueError, match=f"cutoff must be positive and finite, got {bad!r}"):
+    with pytest.raises(ValueError, match=f"cutoff must be {rule}, got {bad!r}"):
         szmidt_product_coefficients(G(5, 0), bad)
+
+
+@pytest.mark.parametrize("q3", [(1, 0), (1, 1), (2, 1), (3, 0), (4, 2), (14, 0)])
+def test_szmidt_check_catches_one_wrong_rho(monkeypatch, q3):
+    # an enumerated rho off by one at a single ideal must show up as a
+    # coefficient deviation, so the oracle cannot pass on a broken left side
+    real = qc._rho_brute
+    monkeypatch.setattr(qc, "_rho_brute", lambda qp, dp: real(qp, dp) + (qp == q3))
+    assert szmidt_coefficient_check(G(12, 0), 200) >= 1
+    monkeypatch.setattr(qc, "_rho_brute", real)
+    assert szmidt_coefficient_check(G(12, 0), 200) == 0
+
+
+def test_szmidt_check_enumerates_each_rho_once(monkeypatch):
+    # one check is one convolution: one rho enumeration per ideal in range
+    calls = []
+    real = qc._rho_brute.__wrapped__
+    monkeypatch.setattr(qc, "_rho_brute", lambda qp, dp: calls.append(qp) or real(qp, dp))
+    for n, qmax in [(G(3, 0), 1), (G(4, 0), 300), (G(2, 3), 1000)]:
+        calls.clear()
+        assert szmidt_coefficient_check(n * n - G(4, 0), qmax) == 0
+        assert sorted(calls) == sorted(ideal_reps_upto(qmax)), (n, qmax)
 
 
 def test_szmidt_unit_coefficient():

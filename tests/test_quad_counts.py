@@ -201,6 +201,38 @@ def test_lambda_at_prime_power_matches_convolution():
                 assert lambda_(rep, delta, method="bruteforce") == want, (pi, e, n)
 
 
+@settings(max_examples=20, deadline=None)
+@given(re_=st.integers(-10, 10), im=st.integers(-10, 10),
+       qmax=st.sampled_from([1, 2, 50, 300]))
+@example(re_=2, im=0, qmax=300)
+@example(re_=1, im=1, qmax=300)
+def test_lambda_table_matches_per_ideal_lambda(re_, im, qmax):
+    # one convolution over every ideal up to qmax against the same
+    # convolution over the divisors of each ideal, on both rho paths
+    n = G(re_, im)
+    delta = n * n - G(4, 0)
+    pairs = ideal_reps_upto(qmax)
+    fast = qc.lambda_table(pairs, delta, n=n)
+    brute = qc.lambda_table(pairs, delta, method="bruteforce")
+    assert list(fast) == pairs
+    for qp in pairs:
+        q = canonical_rep(G(*qp))
+        assert fast[qp] == brute[qp] == lambda_(q, delta, n=n), (qp, n)
+        assert brute[qp] == lambda_(q, delta, method="bruteforce"), (qp, n)
+
+
+def test_lambda_residue_table_matches_lambda():
+    # lambda_partial_sum's table, from the local rule, against the Mobius
+    # convolution at every residue of every modulus of norm <= 50
+    for qp in ideal_reps_upto(50):
+        q = canonical_rep(G(*qp))
+        ring, table = qc._lambda_residues(q)
+        assert table.shape == (ring.n_elements,)
+        for rep in ring.representatives():
+            n = G(*rep)
+            assert table[ring.index(rep)] == lambda_(q, n * n - G(4, 0), n=n), (qp, rep)
+
+
 def test_rho_lambda_table_bounds():
     n, delta = G(3, 0), G(5, 0)
     for qp in ideal_reps_upto(150):
