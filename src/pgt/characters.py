@@ -211,16 +211,6 @@ def _pin_candidates(delta: GaussianInt, n: GaussianInt | None):
             for _ in range(e // 2):
                 l_odd = g.mul(l_odd, pi)
 
-    lam_cache: dict = {}
-
-    def lam_at(qpair):
-        # lambda_q(delta): fast (y-form) when n is known, brute rho else
-        if qpair not in lam_cache:
-            lam_cache[qpair] = quad_counts.lambda_(
-                CanonicalIdealRep(GaussianInt.from_pair(qpair)), delta, n=n,
-                method="fast" if n is not None else "bruteforce")
-        return lam_cache[qpair]
-
     # validation ideals: everything of small norm, deep (1+i)-powers, and a
     # split prime with N = 5 (mod 8) not dividing 2*delta (unit discriminator)
     even_depth = min(e0 + 1, _PIN_MAX_EVEN_DEPTH)
@@ -263,11 +253,16 @@ def _pin_candidates(delta: GaussianInt, n: GaussianInt | None):
     caches = {cand: {} for cand in candidates}
     while True:
         qs = validation_set(cutoff)
+        # lambda_q(delta) over the set, which is closed under divisors: fast
+        # (y-form) rho when n is known, brute rho else
+        lam = quad_counts.lambda_table(
+            sorted(qs, key=lambda d: (g.norm(d), d[0])), delta, n=n,
+            method="fast" if n is not None else "bruteforce")
         kept = []
         for cand in survivors:
             a, u, ev, D_pair, l_pair = cand
             cache = caches[cand]
-            if all(lam_at(qpair) == _product_coefficient(D_pair, ev, cache, l_pair, qpair)
+            if all(lam[qpair] == _product_coefficient(D_pair, ev, cache, l_pair, qpair)
                    for qpair in qs):
                 kept.append(cand)
         survivors = kept

@@ -73,7 +73,7 @@ class PsiOptions:
     cutoff_mult: float = CUTOFF_MULT
 
     def __post_init__(self):
-        _require_positive(cutoff_mult=self.cutoff_mult)
+        _require_positive(tol=self.tol, cutoff_mult=self.cutoff_mult)
 
     def pick_v(self, x_scale: float) -> float:
         if self.V is not None:

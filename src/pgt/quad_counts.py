@@ -20,11 +20,15 @@ the divisors of q in lambda_, over all N(q) <= Qmax in szmidt_coefficient_check.
 The phase <m, a/c> equals an exact integer divided by N(c), so every
 exponential here is a root of unity evaluated from an exact rational angle;
 sums are accumulated by harness.compensated_sum (Kahan summation).  A
-Kloosterman sum is one int64 numpy pass over the transversal of Z[i]/(c),
-primitive or not: the power a^(phi(c)-1) both tests each residue a for a
-unit and inverts it.  The brute-force rho_q is one int64 numpy predicate
-over the whole of Z[i]/(2q).  The trace partial sums run over
-gaussian.disk_rows, one residue-class bincount per row.
+Kloosterman sum reads the units of Z[i]/(c) and their inverses from _units,
+one int64 numpy pass over the transversal, primitive c or not: the power
+a^(phi(c)-1) both tests each residue a for a unit and inverts it.  The pass
+depends on c alone and is cached per process up to a norm ceiling (bound
+derived at KLOOSTERMAN_CACHE_NORM).  The trig is math.cos/math.sin per term,
+as in the reference sums: numpy's need not match it bit for bit on every
+platform.  The brute-force rho_q is one int64 numpy predicate over the whole
+of Z[i]/(2q).  The trace partial sums run over gaussian.disk_rows, one
+residue-class bincount per row.
 """
 
 from __future__ import annotations
@@ -43,11 +47,17 @@ from .harness import compensated_sum
 
 RHO_BRUTE_NORM_CUTOFF = 10**6   # refuse brute enumeration beyond N(2q) > 1e6
 # brute rho values kept per (q, delta).  szmidt_coefficient_check takes each
-# once; the reuse is lambda_(method="bruteforce") in the pinning oracle when n
-# is unknown, which revisits the divisors of its at most 259 validation ideals
+# once; the reuse is the pinning oracle's bruteforce lambda_table when n is
+# unknown, which revisits its at most 259 validation ideals at each cutoff
 RHO_BRUTE_MEMO = 2**10
 KLOOSTERMAN_NORM_CUTOFF = 10**6
-KLOOSTERMAN_CHUNK = 1 << 16     # residues per vector pass of kloosterman
+KLOOSTERMAN_CHUNK = 1 << 16     # residues per vector pass of _units
+# unit enumerations kept per process.  Criterion 3 in full mode and the
+# scalar bench revisit the 395 moduli of norm <= 500 (Weil sweep, S(0, 0, c),
+# identity check); the ceiling is twice that norm and 512 the power of two
+# above 395.  An entry is 2 x phi(c) < 2000 int32s, so the cache holds < 4 MiB.
+KLOOSTERMAN_CACHE_NORM = 1000
+KLOOSTERMAN_CACHE_SIZE = 512
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +193,7 @@ def lambda_(q: CanonicalIdealRep, delta: GaussianInt, *, n: GaussianInt | None =
     lambda_table over the divisors of q.  delta must be of the form n^2 - 4;
     if n is not supplied it is recovered as a Gaussian square root of
     delta + 4.  method="bruteforce" takes the x-enumeration rho instead
-    (memoized, see rho_bruteforce), as the pinning oracle does without n.
+    (memoized, see rho_bruteforce).
     """
     pairs = sorted(g.divisor_pairs(q.pair), key=lambda d: (g.norm(d), d[0]))
     return lambda_table(pairs, delta, n=n, method=method)[q.pair]
@@ -303,45 +313,66 @@ def rho_table(q: CanonicalIdealRep):
     return ring, [rho_fast(q, GaussianInt.from_pair(b)) for b in ring.representatives()]
 
 
+def _units(cp):
+    """The units of the HNF transversal of Z[i]/(cp), in transversal order,
+    over their inverses: a read-only (2, phi(c)) int32 array of indices
+    x*d2 + y of the transversal.
+
+    One vector pass, KLOOSTERMAN_CHUNK residues at a time: each residue a is
+    raised to e = phi(c) - 1 by square-and-multiply in Z[i]/(c) (_ring_mul).
+    a is a unit exactly when a * a^e = 1, and then a^e is its inverse (the
+    unit group has order phi(c)).  At c = 1 and c = 1+i, where e = 0, the
+    pass takes a^1 instead, which is the inverse of the one unit there, 1
+    (at c = 1, where 0 = 1, the unit is 0).
+    """
+    ring = ResidueRing(cp)
+    nc = ring.n_elements
+    one = ring.reduce((1, 0))
+    e = g.euler_phi(CanonicalIdealRep(GaussianInt.from_pair(cp))) - 1
+    chunks = []
+    for lo in range(0, nc, KLOOSTERMAN_CHUNK):
+        idx = np.arange(lo, min(lo + KLOOSTERMAN_CHUNK, nc), dtype=np.int64)
+        a = np.divmod(idx, ring.d2)
+        inv = a
+        for bit in bin(e)[3:]:  # a^e, from the leading bit of e down
+            inv = _ring_mul(ring, inv, inv)
+            if bit == "1":
+                inv = _ring_mul(ring, inv, a)
+        x, y = _ring_mul(ring, a, inv)
+        unit = (x == one[0]) & (y == one[1])
+        chunks.append(np.stack((idx, inv[0] * ring.d2 + inv[1]))[:, unit])
+    out = np.concatenate(chunks, axis=1).astype(np.int32)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=KLOOSTERMAN_CACHE_SIZE)
+def _cached_units(cp):
+    """_units, kept for moduli of norm <= KLOOSTERMAN_CACHE_NORM."""
+    return _units(cp)
+
+
 def kloosterman(m: GaussianInt, n: GaussianInt, c: CanonicalIdealRep) -> KloostermanValue:
     """S(m, n, c) by exact enumeration of the unit group of Z[i]/(c).
 
-    One vector pass over the HNF transversal, KLOOSTERMAN_CHUNK residues at
-    a time: each residue a is raised to e = phi(c) - 1 by square-and-multiply
-    in Z[i]/(c) (_ring_mul).  a is a unit exactly when a * a^e = 1, and then
-    a^e is its inverse (the unit group has order phi(c)).  At c = 1 and
-    c = 1+i, where e = 0, the pass takes a^1 instead, which is the inverse
-    of the one unit there, 1 (at c = 1, where 0 = 1, S = 1).  Each phase is
-    an exact integer over N(c), the same for any representative of the
-    inverse; accumulation is Kahan-compensated separately in the real and
-    imaginary parts, in transversal order, with math.cos and math.sin per
-    term.
+    The units and their inverses come from _units, cached for N(c) <=
+    KLOOSTERMAN_CACHE_NORM and enumerated afresh above it.  Each phase is an
+    exact integer over N(c) (_phases), the same for any representative of
+    the inverse; accumulation is Kahan-compensated separately in the real
+    and imaginary parts, in transversal order, with math.cos and math.sin
+    per term.
     """
     nc = c.norm()
     if nc > KLOOSTERMAN_NORM_CUTOFF:
         raise CutoffExceededError(f"N(c) = {nc} exceeds Kloosterman cutoff")
     cp = c.pair
-    ring = ResidueRing(cp)
-    one = ring.reduce((1, 0))
-    e = g.euler_phi(c) - 1
-    tau = 2.0 * math.pi / nc
-
-    def phases():
-        for lo in range(0, nc, KLOOSTERMAN_CHUNK):
-            a = np.divmod(np.arange(lo, min(lo + KLOOSTERMAN_CHUNK, nc), dtype=np.int64),
-                          ring.d2)
-            inv = a
-            for bit in bin(e)[3:]:  # a^e, from the leading bit of e down
-                inv = _ring_mul(ring, inv, inv)
-                if bit == "1":
-                    inv = _ring_mul(ring, inv, a)
-            x, y = _ring_mul(ring, a, inv)
-            unit = (x == one[0]) & (y == one[1])
-            yield from ((_phases(m.pair, cp, nc, a[0][unit], a[1][unit])
-                         + _phases(n.pair, cp, nc, inv[0][unit], inv[1][unit])) % nc).tolist()
-
-    terms = (complex(math.cos(tau * k), math.sin(tau * k)) for k in phases())
-    return KloostermanValue(m=m, n=n, c=c, value=compensated_sum(terms))
+    d2 = ResidueRing(cp).d2
+    units = (_cached_units if nc <= KLOOSTERMAN_CACHE_NORM else _units)(cp)
+    (x, xi), (y, yi) = np.divmod(units.astype(np.int64), d2)
+    k = (_phases(m.pair, cp, nc, x, y) + _phases(n.pair, cp, nc, xi, yi)) % nc
+    theta = (2.0 * math.pi / nc * k).tolist()
+    value = compensated_sum(map(complex, map(math.cos, theta), map(math.sin, theta)))
+    return KloostermanValue(m=m, n=n, c=c, value=value)
 
 
 def weil_ratio(m: GaussianInt, n: GaussianInt, c: CanonicalIdealRep,
@@ -365,12 +396,10 @@ def kloosterman_identity_check(q: CanonicalIdealRep, k: GaussianInt) -> float:
     nq = q.norm()
     if nq > 10**4:
         raise CutoffExceededError(f"N(q) = {nq} exceeds identity-check cutoff")
-    qp = q.pair
     ring, rho_values = rho_table(q)
     rho = np.asarray(rho_values, dtype=np.int64)
     b = np.flatnonzero(rho)
     x, y = np.divmod(b, ring.d2)
-    tau = 2.0 * math.pi / nq
-    phases = _phases(k.pair, qp, nq, x, y).tolist()
-    lhs = compensated_sum(cmath.rect(r, tau * ph) for r, ph in zip(rho[b].tolist(), phases))
+    theta = (2.0 * math.pi / nq * _phases(k.pair, q.pair, nq, x, y)).tolist()
+    lhs = compensated_sum(map(cmath.rect, rho[b].tolist(), theta))
     return abs(lhs - kloosterman(k, k, q).value)

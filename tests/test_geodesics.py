@@ -103,6 +103,14 @@ def test_psi_options_reject_bad_cutoff_mult(cutoff_mult):
         psi(100, PsiOptions(cutoff_mult=cutoff_mult))
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_psi_options_reject_bad_tol(tol):
+    # with tol nan, -1 or 0 the quarter-V band never passed, so psi(1000)
+    # silently ran both retries (V 1000 -> 16000); inf switched validation off
+    with pytest.raises(ValueError, match="tol"):
+        PsiOptions(tol=tol)
+
+
 def test_counting_entry_points_reject_bad_x_and_y():
     # X and Y must be finite and positive at every counting entry point:
     # psi(nan) used to die in int(), psi_profile(100, -10) returned the

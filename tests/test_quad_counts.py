@@ -331,22 +331,27 @@ def _kloosterman_reference(m, n, c) -> complex:
 
 
 def test_kloosterman_bit_for_bit_against_reference(monkeypatch):
-    # every modulus of norm <= 200, primitive or not; no modulus reaches the
-    # Gaussian Euclid inverse
+    # every modulus of norm <= 200, primitive or not, on a cold and then a
+    # warm unit cache; no modulus reaches the Gaussian Euclid inverse
     calls = []
     invert_mod = g.invert_mod
     monkeypatch.setattr(g, "invert_mod",
                         lambda a, mod: calls.append(a) or invert_mod(a, mod))
     rng = random.Random(41)
+    cases = []
     for qp in ideal_reps_upto(200):
         c = canonical_rep(G(*qp))
         for _ in range(2):
             m = G(rng.randint(-40, 40), rng.randint(-40, 40))
             n = G(rng.randint(-40, 40), rng.randint(-40, 40))
+            cases.append((m, n, c, _kloosterman_reference(m, n, c)))
+    qc._cached_units.cache_clear()
+    for _ in ("cold", "warm"):
+        for m, n, c, want in cases:
             calls.clear()
             got = kloosterman(m, n, c).value
-            assert not calls, qp
-            assert got == _kloosterman_reference(m, n, c), (qp, m, n)
+            assert not calls, c
+            assert got == want, (c, m, n)
 
 
 def test_kloosterman_extreme_components_bit_for_bit():
@@ -362,21 +367,69 @@ def test_kloosterman_extreme_components_bit_for_bit():
 
 
 def test_kloosterman_chunks_sum_as_one_pass(monkeypatch):
-    # the transversal walked a few residues at a time gives the same bits
+    # the transversal walked a few residues at a time gives the same bits;
+    # the cache is cleared so that every modulus is enumerated in chunks here
     monkeypatch.setattr(qc, "KLOOSTERMAN_CHUNK", 7)
+    qc._cached_units.cache_clear()
     rng = random.Random(47)
-    for qp in [(1, 0), (5, 0), (4, 2), (9, 3), (11, 4)]:
+    moduli = [(1, 0), (5, 0), (4, 2), (9, 3), (11, 4)]
+    for qp in moduli:
         c = canonical_rep(G(*qp))
         m = G(rng.randint(-40, 40), rng.randint(-40, 40))
         n = G(rng.randint(-40, 40), rng.randint(-40, 40))
         assert kloosterman(m, n, c).value == _kloosterman_reference(m, n, c), qp
+    assert qc._cached_units.cache_info().misses == len(moduli)
 
 
 def test_kloosterman_phi_at_the_norm_cutoff():
-    # N(c) = 10^6, not primitive: walked in chunks, every term exactly 1
+    # N(c) = 10^6, not primitive: walked in chunks, every term exactly 1, and
+    # above the cache's norm ceiling, so the enumeration is not kept
     c = canonical_rep(G(600, 800))
     assert c.norm() == KLOOSTERMAN_NORM_CUTOFF
+    qc._cached_units.cache_clear()
     assert kloosterman(G(0, 0), G(0, 0), c).value == euler_phi(c)
+    assert qc._cached_units.cache_info().currsize == 0
+
+
+def test_kloosterman_enumerates_each_modulus_once(monkeypatch):
+    # the Weil ratio, S(0, 0, c) and the identity check at every modulus of
+    # norm <= 100: one square-and-multiply pass per modulus
+    calls = []
+    units = qc._units
+    monkeypatch.setattr(qc, "_units", lambda cp: calls.append(cp) or units(cp))
+    qc._cached_units.cache_clear()
+    zero, m, n = G(0, 0), G(2, -1), G(1, 3)
+    reps = ideal_reps_upto(100)
+    for qp in reps:
+        c = canonical_rep(G(*qp))
+        weil_ratio(m, n, c)
+        kloosterman(zero, zero, c)
+        kloosterman_identity_check(c, m)
+    assert sorted(calls) == sorted(reps)
+
+
+def test_kloosterman_cached_units_are_read_only():
+    # a caller writing into the cached arrays would poison every later sum
+    for units in (qc._cached_units((7, 3)), qc._units((33, 2))):
+        with pytest.raises(ValueError):
+            units[0, 0] = 1
+        with pytest.raises(ValueError):
+            units[1] = 1
+
+
+def test_kloosterman_cache_bound():
+    # 600 moduli straddling the norm ceiling: only those below it are
+    # admitted, and the cache evicts down to its maxsize
+    reps = ideal_reps_upto(1100)[-600:]
+    admitted = sum(norm(qp) <= qc.KLOOSTERMAN_CACHE_NORM for qp in reps)
+    assert qc.KLOOSTERMAN_CACHE_SIZE < admitted < len(reps)
+    qc._cached_units.cache_clear()
+    for qp in reps:
+        c = canonical_rep(G(*qp))
+        assert kloosterman(G(0, 0), G(0, 0), c).value == pytest.approx(euler_phi(c))
+    info = qc._cached_units.cache_info()
+    assert info.misses == admitted and info.hits == 0
+    assert info.currsize == info.maxsize == qc.KLOOSTERMAN_CACHE_SIZE
 
 
 def test_kloosterman_cutoff():
