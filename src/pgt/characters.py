@@ -217,9 +217,9 @@ def _pin_candidates(delta: GaussianInt, n: GaussianInt | None):
     if n is None:
         even_depth = min(even_depth, 15)  # brute rho cutoff guard
     split_probe = None
-    for nrm, pp in g.prime_ideals_upto(200):
-        if nrm % 8 == 5 and not g.divides(pp, delta.pair):
-            split_probe = pp
+    for nrm, re, im in g.prime_ideals_upto(200).tolist():
+        if nrm % 8 == 5 and not g.divides((re, im), delta.pair):
+            split_probe = (re, im)
             break
 
     def validation_set(cutoff):

@@ -149,12 +149,12 @@ def residue_class_count(b: GaussianInt, q: CanonicalIdealRep, Z) -> ResidueClass
 
 def eta_fit(m_grid, n_centers: int = 100, seed: int = 7) -> EtaFit:
     """Max shifted-circle remainder over seeded centers, per M, with a
-    log-log least-squares growth exponent."""
+    log-log least-squares growth exponent; n_centers is an int >= 1."""
     ms = sorted(set(float(m) for m in m_grid))
     if len(ms) < 2:
         raise ValueError("fit needs at least two distinct M values")
-    if n_centers < 1:
-        raise ValueError("fit needs at least one center")
+    if isinstance(n_centers, bool) or not isinstance(n_centers, int) or n_centers < 1:
+        raise ValueError(f"fit needs an int n_centers >= 1, got {n_centers!r}")
     rng = random.Random(seed)
     centers = [(rng.random(), rng.random()) for _ in range(n_centers)]
     samples = []

@@ -44,7 +44,7 @@ form serves every V.  The walk makes one Python callback per ideal with a
 multiple in range and per higher prime power; the prime leaves q * pi
 below each such ideal q are summed in one numpy step.  zagier_L1 (with
 R_V_estimate and choose_V) and L_chi take their values at the prime leaves
-from one array pass, gaussian.euler_symbols over the walk's prime list, so
+from one array pass, gaussian.euler_symbols over the walk's prime array, so
 only the visited ideals make callbacks; normalization_sum's prime values
 are a closed form, filled in by one extend call per prime.  Each sum is
 exact over N(q) <= 40 V; the neglected tail is exp(-40)-suppressed and the
@@ -187,8 +187,9 @@ def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None, rows=None,
         val_q * sum_j a(pi_j) weight(V, N(q) N(pi_j)),
 
     over the contiguous range of primes that are leaves for V's own cutoff.
-    rows(primes, lo, hi) gives a(pi_j) for primes[lo:hi] along the first
-    axis, as consecutive pieces; by default one piece of a table filled by
+    rows(primes, lo, hi), with primes the walk's gaussian.prime_ideals_upto
+    array, gives a(pi_j) for primes[lo:hi] along the first axis, as
+    consecutive pieces; by default one piece of a table filled by
     extend(root, N(pi), pi, 1), once per prime, and for the symbol series
     one piece of a _leaf_rows table.
 
@@ -204,10 +205,10 @@ def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None, rows=None,
     _require_positive(cutoff_mult=mult)
     limits = [max(int(mult * V), 1) for V in Vs]
     primes = g.prime_ideals_upto(max(limits))
-    norms = np.array([npj for npj, _ in primes], dtype=np.float64)
+    norms = primes[:, 0].astype(np.float64)
     if rows is None:
-        table = np.array([0.0 if a is None else a
-                          for a in (extend(root, npj, pj, 1) for npj, pj in primes)])
+        table = np.array([0.0 if a is None else a for a in
+                          (extend(root, npj, (re, im), 1) for npj, re, im in primes.tolist())])
 
         def rows(primes, lo, hi):
             return [table[lo:hi]]

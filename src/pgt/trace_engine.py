@@ -275,19 +275,19 @@ class _DeltaFactors:
     def __init__(self, traces: TraceSet, bound: int):
         k, ca, cb = _valuation_divide(traces.da, traces.db, 1, 1, 2, 64)
         at, col, q, s = [], [], [], []  # odd-exponent incidences; each column's q and s_w
-        for npi, pi in g.prime_ideals_upto(bound):
-            if pi == (1, 1):
+        for npi, re, im in g.prime_ideals_upto(bound).tolist():
+            if npi == 2:
                 continue
-            if pi[1]:
-                qw, sw = npi, g.i_mod_split(pi, npi)
+            if im:
+                qw, sw = npi, g.i_mod_split((re, im), npi)
                 hit = np.flatnonzero(_mod(ca + sw * cb, qw) == 0)
             else:
-                qw, sw = pi[0], 0
+                qw, sw = re, 0
                 hit = np.flatnonzero((_mod(ca, qw) == 0) & (_mod(cb, qw) == 0))
             if len(hit) == 0:
                 continue
             v, ca[hit], cb[hit] = _valuation_divide(ca[hit], cb[hit],
-                                                    *g.primary_associate(*pi), npi, 64)
+                                                    *g.primary_associate(re, im), npi, 64)
             odd = hit[v % 2 == 1]
             if len(odd):
                 at.append(odd)
@@ -378,7 +378,7 @@ def _block_start(primes, k: int) -> int:
     """Index of the first prime of row block k: k * ROW_BLOCK, moved past
     the first prime of a conjugate pair (both have the same norm)."""
     s = min(k * ROW_BLOCK, len(primes))
-    return s + (0 < s < len(primes) and primes[s][0] == primes[s - 1][0])
+    return s + bool(0 < s < len(primes) and primes[s, 0] == primes[s - 1, 0])
 
 
 class LambdaVectors:
@@ -466,36 +466,36 @@ class LambdaVectors:
         residues da + t db with t < p, exact in int64 while
         |n^2 - 4| (1 + p) < 2^63."""
         tr = self.tr
+        rows = primes[a:b].tolist()
         out = np.empty((b - a, len(tr)), dtype=np.int8)
         local = []
-        j = a
-        while j < b:
-            npj, pj = primes[j]
-            if pj == (1, 1):
-                out[j - a] = self._build(npj, pj, 1)
+        j = 0
+        while j < b - a:
+            npj, re, im = rows[j]
+            if npj == 2:
+                out[j] = self._build(npj, (re, im), 1)
                 j += 1
                 continue
-            # a split pj is followed by its conjugate
-            if (pj[1] and npj > self.bound and npj * npj > self.limit
+            # a split prime is followed by its conjugate
+            if (im and npj > self.bound and npj * npj > self.limit
                     and npj > RECIPROCITY_PER_TRACE * len(tr)):
-                local += [j - a, j + 1 - a]
+                local += [j, j + 1]
                 j += 2
                 continue
-            p, r = _residues(tr, npj, pj)
-            out[j - a:j - a + len(r)] = self._chartab(p)[np.stack(r)]
+            p, r = _residues(tr, npj, (re, im))
+            out[j:j + len(r)] = self._chartab(p)[np.stack(r)]
             j += len(r)
         if local:
             if self._factors is None:
                 self._factors = _DeltaFactors(tr, self.bound)
-            pis = np.array([primes[a + j][1] for j in local], dtype=np.int64)
-            out[local] = self._factors.rows(*g.primary_associate(pis[:, 0], pis[:, 1]))
+            out[local] = self._factors.rows(*g.primary_associate(*primes[a:b][local, 1:].T))
         return out
 
     def rows(self, primes, lo: int, hi: int):
-        """The e = 1 rows of primes[lo:hi] (primes: the walk's prime list,
-        prime_ideals_upto(limit)) as consecutive pieces, one per block,
-        built as they are consumed: a block the cache does not admit is not
-        held for the rest of the range."""
+        """The e = 1 rows of primes[lo:hi] (primes: the walk's array of rows
+        (norm, re, im), prime_ideals_upto(limit)) as consecutive pieces, one
+        per block, built as they are consumed: a block the cache does not
+        admit is not held for the rest of the range."""
         k = lo // ROW_BLOCK
         if lo < _block_start(primes, k):
             k -= 1

@@ -1,5 +1,6 @@
 """Residue symbols, discriminant splits, and the pinned character."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -24,7 +25,8 @@ def test_residue_symbol_examples():
 
 def test_residue_symbol_matches_square_enumeration():
     # brute-force the square set of each small odd prime
-    for npi, pp in prime_ideals_upto(200):
+    for npi, re, im in prime_ideals_upto(200).tolist():
+        pp = (re, im)
         if npi == 2:
             continue
         pi = canonical_rep(G(*pp))
@@ -47,7 +49,8 @@ def test_residue_symbol_matches_square_enumeration():
 
 
 def test_residue_symbol_multiplicative_in_top():
-    for npi, pp in prime_ideals_upto(200):
+    for npi, re, im in prime_ideals_upto(200).tolist():
+        pp = (re, im)
         if npi == 2:
             continue
         pi = canonical_rep(G(*pp))
@@ -87,7 +90,7 @@ def _euler_symbol_reference(x, pi) -> int:
     return -1
 
 
-_ODD_PRIMES = [pp for npi, pp in prime_ideals_upto(10**5) if npi != 2]
+_ODD_PRIMES = [(a, b) for npi, a, b in prime_ideals_upto(10**5).tolist() if npi != 2]
 _SPLIT = [pp for pp in _ODD_PRIMES if pp[1] != 0]
 _INERT = [pp for pp in _ODD_PRIMES if pp[1] == 0]
 _COMPONENT = st.integers(-(2**31 - 1), 2**31 - 1)
@@ -123,29 +126,31 @@ _BIG = 2**70 + 3
     (_BIG, -_BIG), (-_BIG, 5), (2**64 + 1, 2**63),   # components beyond int64
 ])
 def test_euler_symbols_match_euler_symbol(x):
-    primes = [t for t in prime_ideals_upto(2 * 10**5) if t[0] != 2]
+    primes = prime_ideals_upto(2 * 10**5)[1:]
     got = g.euler_symbols(x, primes)
     assert got.dtype == "int8"
-    assert got.tolist() == [g.euler_symbol(x, pp) for _, pp in primes]
+    assert got.tolist() == [g.euler_symbol(x, (a, b)) for _, a, b in primes.tolist()]
 
 
 def test_euler_symbols_int64_guard():
     # exact up to the largest norms below 2^31: the split p = 2147483629 and
     # the inert (46327) of norm 46327^2, in every unit associate; a norm at or
     # above 2^31 (the next split p, the next inert q^2) is refused
-    edge = [(2147483629, mul(u, (12925, 44502))) for u in g.UNIT_PAIRS] + \
-        [(46327**2, mul(u, (46327, 0))) for u in g.UNIT_PAIRS]
+    edge = [(2147483629, *mul(u, (12925, 44502))) for u in g.UNIT_PAIRS] + \
+        [(46327**2, *mul(u, (46327, 0))) for u in g.UNIT_PAIRS]
     for x in [(3, 1), (-_BIG, 2**40 + 7), (12925, 44502), (2**31 - 2, 46326)]:
-        assert g.euler_symbols(x, edge).tolist() == [g.euler_symbol(x, pp) for _, pp in edge]
-    for beyond in [(2147483693, (39677, 23942)), (46351**2, (46351, 0))]:
+        assert g.euler_symbols(x, np.array(edge)).tolist() == \
+            [g.euler_symbol(x, (a, b)) for _, a, b in edge]
+    for beyond in [(2147483693, 39677, 23942), (46351**2, 46351, 0)]:
         with pytest.raises(OverflowGuardError, match="2\\^31"):
-            g.euler_symbols((3, 1), edge + [beyond])
-    assert g.euler_symbols((3, 1), []).tolist() == []
+            g.euler_symbols((3, 1), np.array(edge + [beyond]))
+    assert g.euler_symbols((3, 1), np.zeros((0, 3), dtype=np.int64)).tolist() == []
 
 
 def test_i_mod_split_is_a_ring_map():
     # i -> t sends pi to 0 and respects products, for every associate
-    for npi, pp in prime_ideals_upto(2000):
+    for npi, re, im in prime_ideals_upto(2000).tolist():
+        pp = (re, im)
         if pp[1] == 0 or npi == 2:
             continue
         for u in g.UNIT_PAIRS:

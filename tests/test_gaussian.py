@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from pgt import gaussian
@@ -231,8 +232,58 @@ def test_residue_ring_reduce_consistent():
             assert ring.index((a, b)) == ring.index(r)
 
 
+def _tuple_sieve(limit):
+    """The canonical prime ideals of norm <= limit as (norm, (re, im))
+    tuples sorted by (norm, re): a rational sieve, and the prime above each
+    split p from split_prime_above."""
+    out = []
+    if limit >= 2:
+        out.append((2, (1, 1)))
+    if limit >= 4:
+        sieve = bytearray([1]) * (limit + 1)
+        sieve[0:2] = b"\x00\x00"
+        for p in range(2, math.isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p:: p] = b"\x00" * ((limit - p * p) // p + 1)
+        for p in range(3, limit + 1, 2):
+            if not sieve[p]:
+                continue
+            if p % 4 == 1:
+                pi = split_prime_above(p)
+                out.append((p, pi))
+                out.append((p, canonical_pair((pi[0], -pi[1]))))
+            elif p * p <= limit:
+                out.append((p * p, (p, 0)))
+    out.sort(key=lambda t: (t[0], t[1][0]))
+    return out
+
+
+def _as_tuples(primes):
+    assert primes.dtype == np.int64 and primes.shape == (len(primes), 3)
+    return [(n, (a, b)) for n, a, b in primes.tolist()]
+
+
+# the inert q <= 47, around whose norm q^2 the b = 0 row gains a prime
+_INERT_EDGES = [q * q + d for q in (3, 7, 11, 19, 23, 31, 43, 47) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("limits", [range(2001), _INERT_EDGES, [40_000, 1_530_000]])
+def test_sieve_matches_the_tuple_sieve(limits):
+    for limit in limits:
+        assert _as_tuples(gaussian._sieve_prime_ideals(limit)) == _tuple_sieve(limit), limit
+
+
+def test_sieve_finds_no_split_prime_by_euclid(monkeypatch):
+    # the disk gives both primes over a split p: no square root of -1 mod p
+    calls = []
+    for name in ("split_prime_above", "sqrt_minus_one_mod"):
+        monkeypatch.setattr(gaussian, name, lambda p, name=name: calls.append(name))
+    assert len(gaussian._sieve_prime_ideals(10_000)) == 1232
+    assert calls == []
+
+
 def test_prime_ideals_upto():
-    primes = prime_ideals_upto(50)
+    primes = _as_tuples(prime_ideals_upto(50))
     assert (2, (1, 1)) in primes
     assert (5, (2, 1)) in primes and (5, (1, 2)) in primes
     assert (9, (3, 0)) in primes
@@ -246,10 +297,11 @@ def test_prime_ideals_upto():
 
 def test_prime_ideals_upto_answers_from_the_largest_sieve(monkeypatch):
     # each limit gets what a fresh sieve gives, whichever larger limit was
-    # sieved before, in a list the caller may change without harm
-    fresh = gaussian._sieve_prime_ideals
+    # sieved before, as a read-only view of the kept array
+    want = {}
     sieved = []
-    monkeypatch.setattr(gaussian, "_sieved", (-1, []))
+    fresh = gaussian._sieve_prime_ideals
+    monkeypatch.setattr(gaussian, "_sieved", (-1, np.zeros((0, 3), dtype=np.int64)))
     monkeypatch.setattr(gaussian, "_sieve_prime_ideals",
                         lambda limit: sieved.append(limit) or fresh(limit))
     tops = [2000, 150_000]
@@ -257,28 +309,35 @@ def test_prime_ideals_upto_answers_from_the_largest_sieve(monkeypatch):
         prime_ideals_upto(top)
         for limit in [*range(2001), 40_000, 130_854, 149_999, 150_000]:
             if limit <= top:
-                assert prime_ideals_upto(limit) == fresh(limit), (top, limit)
+                if limit not in want:
+                    want[limit] = _tuple_sieve(limit)
+                got = prime_ideals_upto(limit)
+                assert _as_tuples(got) == want[limit], (top, limit)
+                assert got.base is gaussian._sieved[1]
         assert sieved == tops[:k + 1]
-    got = prime_ideals_upto(150_000)
-    got.clear()
-    prime_ideals_upto(50).append((2, (1, 1)))
-    assert prime_ideals_upto(50) == fresh(50)
-    assert prime_ideals_upto(150_000) == fresh(150_000)
+    kept = gaussian._sieved[1]
+    for view in (prime_ideals_upto(50), prime_ideals_upto(150_000), kept):
+        with pytest.raises(ValueError):
+            view[0, 0] = 3
+        with pytest.raises(ValueError):
+            view[:, 1] += 1
+    assert _as_tuples(prime_ideals_upto(50)) == want[50]
+    assert _as_tuples(prime_ideals_upto(150_000)) == want[150_000]
     assert sieved == tops
 
 
 def test_prime_ideals_upto_under_racing_threads(monkeypatch):
-    # threads that grow the kept list under each other still each get the
-    # list a fresh sieve gives
-    fresh = {limit: gaussian._sieve_prime_ideals(limit) for limit in range(0, 3001, 97)}
-    monkeypatch.setattr(gaussian, "_sieved", (-1, []))
+    # threads that grow the kept array under each other still each get the
+    # primes of the tuple sieve
+    want = {limit: _tuple_sieve(limit) for limit in range(0, 3001, 97)}
+    monkeypatch.setattr(gaussian, "_sieved", (-1, np.zeros((0, 3), dtype=np.int64)))
     bad = []
 
     def work(seed):
         rng = random.Random(seed)
         for _ in range(60):
-            limit = rng.choice(list(fresh))
-            if prime_ideals_upto(limit) != fresh[limit]:
+            limit = rng.choice(list(want))
+            if _as_tuples(prime_ideals_upto(limit)) != want[limit]:
                 bad.append(limit)
 
     interval = sys.getswitchinterval()

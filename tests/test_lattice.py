@@ -89,6 +89,13 @@ def test_eta_fit_rejects_nan_m():
         eta_fit([1e3, math.nan], n_centers=3, seed=1)
 
 
+@pytest.mark.parametrize("n_centers", [2.5, math.nan, True, 2.0, "3"])
+def test_eta_fit_rejects_a_non_int_n_centers(n_centers):
+    # 2.5 and nan used to raise TypeError from range, and True ran as 1
+    with pytest.raises(ValueError, match="n_centers"):
+        eta_fit([1e2, 1e3], n_centers=n_centers, seed=1)
+
+
 _small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 

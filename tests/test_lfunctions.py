@@ -105,15 +105,15 @@ def test_L_chi_walk_runs_no_primality_test(monkeypatch):
     V, doublings = 25.0, 2
     L_chi(1.0, char, V, doublings=doublings)
     limit = int(lf.CUTOFF_MULT * V * 2**doublings)
-    reached = {pp for npi, pp in gaussian.prime_ideals_upto(limit) if npi != 2}
+    reached = {(a, b) for npi, a, b in gaussian.prime_ideals_upto(limit).tolist() if npi != 2}
     assert primality == []
     assert len(symbols) == len(set(symbols))
     assert set(symbols) <= (extended & reached) - pinned
     assert reached - extended  # primes the walk reaches only as leaves
     x, primes, got = passes.pop()
     assert passes == [] and x == char.D.pair
-    assert {pp for _, pp in primes} == reached
-    assert got.tolist() == [euler_symbol(x, pp) for _, pp in primes]
+    assert {(a, b) for _, a, b in primes.tolist()} == reached
+    assert got.tolist() == [euler_symbol(x, (a, b)) for _, a, b in primes.tolist()]
 
 
 @settings(max_examples=25, deadline=None)
@@ -382,7 +382,8 @@ def test_szmidt_coefficients_at_primes():
     prod = szmidt_product_coefficients(delta, 200)
     ch = quadratic_character(delta)
     from pgt.gaussian import prime_ideals_upto, gcd_pair
-    for npi, pp in prime_ideals_upto(200):
+    for npi, re, im in prime_ideals_upto(200).tolist():
+        pp = (re, im)
         if npi == 2 or norm(gcd_pair(pp, delta.pair)) != 1:
             continue
         rep = canonical_rep(G(*pp))

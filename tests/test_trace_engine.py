@@ -24,8 +24,8 @@ G = GaussianInt
 PP_NORM_MAX = 2000
 
 # every prime power pi^e of norm <= PP_NORM_MAX: split, inert and (1+i)
-PRIME_POWERS = [(npi, pi, e)
-                for npi, pi in prime_ideals_upto(PP_NORM_MAX)
+PRIME_POWERS = [(npi, (a, b), e)
+                for npi, a, b in prime_ideals_upto(PP_NORM_MAX).tolist()
                 for e in range(1, 12) if npi**e <= PP_NORM_MAX]
 
 
@@ -177,8 +177,8 @@ def test_one_symbol_build_per_rational_prime(monkeypatch):
     gv_sweep(trace_set(2000.0, 2100.0), (V,))
     limit = int(40 * V)
     # the rational prime under each odd prime ideal: p for inert (p), N for split
-    reached = {pi[0] if pi[1] == 0 else npi for npi, pi in prime_ideals_upto(limit)
-               if pi != (1, 1)}
+    reached = {a if b == 0 else npi for npi, a, b in prime_ideals_upto(limit).tolist()
+               if npi != 2}
     assert tables and local  # both sides of the crossover
     assert sorted(tables + local) == sorted(reached)
 
@@ -199,6 +199,22 @@ def test_rows_beyond_the_budget_build_one_table_per_prime(monkeypatch):
         monkeypatch.setattr(trace_engine, "CACHE_BYTES", budget)
         gv_sweep(traces, (V,))
     assert sorted(built[row_bytes // 2]) == sorted(built[1 << 30]) == sorted(set(built[1 << 30]))
+
+
+def test_row_cache_keys_are_plain_ints(monkeypatch):
+    # the prime array is read through .tolist(), so no numpy scalar reaches
+    # a cache key or a block index
+    keys = []
+    real = LambdaVectors._put
+    monkeypatch.setattr(LambdaVectors, "_put",
+                        lambda self, key, arr: keys.append(key) or real(self, key, arr))
+    gv_sweep(trace_set(1000.0, 1100.0), (1000.0,))
+
+    def plain(key):
+        return all(map(plain, key)) if type(key) is tuple else type(key) in (int, str)
+
+    assert {type(k[0]) for k in keys if type(k) is tuple} == {tuple, str}
+    assert all(map(plain, keys))
 
 
 def test_walk_extends_only_ideals_with_multiples_in_range(monkeypatch):
@@ -251,14 +267,15 @@ def test_reciprocity_rows_equal_table_rows_and_scalar_lambda(monkeypatch, m):
     assert local.dtype == table.dtype == np.int8
     assert local.tobytes() == table.tobytes() == default.tobytes()
     ns = [G(a, b) for a, b in pairs]
-    want = [[lambda_at_prime_power(pi, 1, n * n - G(4, 0), n) for n in ns] for _, pi in primes]
+    want = [[lambda_at_prime_power((a, b), 1, n * n - G(4, 0), n) for n in ns]
+            for _, a, b in primes.tolist()]
     assert table.tolist() == want
 
 
 def test_supplementary_laws_match_euler_symbol():
     # [i/pi] = (-1)^((p-1)/4) and [(1+i)/pi] = (-1)^((a-b-b^2-1)/4) at the
     # primary associate a + bi of every split prime of norm <= 2e5
-    split = [pi for _, pi in prime_ideals_upto(200000) if pi[0] and pi[1] and pi != (1, 1)]
+    split = [(a, b) for npi, a, b in prime_ideals_upto(200000).tolist() if b and npi != 2]
     a, b = primary_associate(np.array([pi[0] for pi in split]), np.array([pi[1] for pi in split]))
     unit, two = trace_engine._supplements(a, b)
     assert unit.tolist() == [euler_symbol((0, 1), pi) for pi in split]
@@ -268,7 +285,7 @@ def test_supplementary_laws_match_euler_symbol():
 def test_primary_reciprocity_matches_euler_symbol():
     # [w/pi] = [pi/w] for the primary associates of every pair of distinct
     # odd prime ideals of norm <= 3000; the canonical associates break it
-    odd = [pi for _, pi in prime_ideals_upto(3000) if pi != (1, 1)]
+    odd = [(a, b) for npi, a, b in prime_ideals_upto(3000).tolist() if npi != 2]
     for pi in odd:
         x, y = primary_associate(*pi)
         assert x % 2 == 1 and y % 2 == 0 and (x + y) % 4 == 1
@@ -308,7 +325,8 @@ def test_reciprocity_rows_match_table_rows_on_every_unit_and_power_of_two():
     assert {k for _, k in shapes} >= {0, 2, 4, 6, 9}
     prov = LambdaVectors(tr, 1.0)
     fac = trace_engine._DeltaFactors(tr, prov.bound)
-    split = [(npi, pi) for npi, pi in prime_ideals_upto(8000) if npi > prov.bound and pi[1]]
+    split = [(npi, (a, b)) for npi, a, b in prime_ideals_upto(8000).tolist()
+             if npi > prov.bound and b]
     pis = np.array([pi for _, pi in split])
     local = fac.rows(*primary_associate(pis[:, 0], pis[:, 1]))
     table = np.stack([trace_engine._sq_char_table(npi)[trace_engine._residues(tr, npi, pi)[1][0]]
@@ -325,7 +343,8 @@ def test_reciprocity_rows_match_scalar_lambda(pairs, skip):
     # from a drawn offset, against the scalar lambda
     tr = _trace_set(pairs)
     prov = LambdaVectors(tr, 1.0)
-    split = [pi for npi, pi in prime_ideals_upto(40000) if npi > prov.bound and pi[1]]
+    split = [(a, b) for npi, a, b in prime_ideals_upto(40000).tolist()
+             if npi > prov.bound and b]
     pis = np.array(split[2 * skip:2 * skip + 30])
     rows = trace_engine._DeltaFactors(tr, prov.bound).rows(*primary_associate(pis[:, 0], pis[:, 1]))
     ns = [G(a, b) for a, b in pairs]
@@ -343,12 +362,14 @@ def test_walk_ideals_visits_each_ideal_once(limit, other):
     seen = [[], []]
 
     def extend(val, npj, pj, e):
+        # Python ints, never numpy scalars: nrm * npj * npj must not wrap
+        assert type(npj) is int and type(pj) is tuple and {type(c) for c in pj} == {int}
         for _ in range(e):
             val = mul(val, pj)
         return val
 
     def leaves(k, nrm, val, lo, hi):
-        seen[k] += [canonical_pair(mul(val, pj)) for _, pj in primes[lo:hi]]
+        seen[k] += [canonical_pair(mul(val, (a, b))) for _, a, b in primes[lo:hi].tolist()]
 
     walk_ideals(primes, limits, extend,
                 lambda k, nrm, val: seen[k].append(canonical_pair(val)), leaves, root=(1, 0))
