@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -740,60 +739,63 @@ def prime_ideals_upto(limit: int) -> np.ndarray:
     return primes[:int(np.searchsorted(primes[:, 0], limit, side="right"))]
 
 
-def walk_ideals(primes, limits, extend, term, leaves, root=1) -> None:
-    """Reach every ideal of norm <= L, for each L in `limits`, in factored form.
+def leaf_pairs(primes) -> np.ndarray:
+    """N(pi_j) N(pi_(j+1)) for each row j of a prime_ideals_upto array, the
+    last row's the int64 maximum: in a walk to L, q * pi_j is a prime leaf
+    of q when N(q) times it exceeds L.  Ascending, as the norms are."""
+    return np.append(primes[:-1, 0] * primes[1:, 0], np.iinfo(np.int64).max)
 
-    `primes` is prime_ideals_upto(max(limits)), read as Python ints.  One
-    depth-first walk to the largest limit serves every limit.  The value of
+
+def walk_ideals(primes, limit, extend, before, after=None, root=1) -> None:
+    """Reach every ideal of norm <= limit in factored form.
+
+    `primes` is prime_ideals_upto(limit), read as Python ints.  The value of
     an ideal is built one prime power at a time: extend(value_q, N(pi),
     (re, im), e) returns the value of q * pi^e, or None to prune that ideal
     together with every ideal the walk reaches through it.
 
     The walk goes from q * pi_j on to the primes after pi_j.  When even
-    q * pi_j * pi_(j+1) lies beyond L, q * pi_j is a prime leaf of q for L:
-    the walk does not build it, since its value is value_q times the value
-    at pi_j (the walk assumes a multiplicative value), and the prime leaves
-    of q are the primes j of one contiguous range.  For each L (index k in
-    `limits`) every ideal of norm <= L is reached exactly once, either
-      * as a visited ideal, term(k, N(q), value_q), called before q's
-        subtree; the unit ideal, whose value is `root`, comes first; or
-      * as one prime of a leaf range, leaves(k, N(q), value_q, lo, hi) for
-        the ideals q * pi_j, lo <= j < hi, called after q's subtree.
+    q * pi_j * pi_(j+1) lies beyond the limit, q * pi_j is a prime leaf of q
+    (leaf_pairs): the walk does not build it, since its value is value_q
+    times the value at pi_j (the walk assumes a multiplicative value).  It
+    visits every other ideal, the unit ideal (value `root`) first, and
+    hands each to its caller as before(i, N(q), value_q, reach) ahead of
+    q's subtree and, when given, after(i, N(q), value_q, reach) behind it.
+    i is the first prime row the walk may multiply q by, and reach is the
+    least norm of a multiple the walk goes on to from q (N(q) itself for a
+    power pi^e, e >= 2, and for the unit).  A walk to any L <= limit visits
+    q exactly when reach <= L, and then the prime leaves of q for L are the
+    rows j >= i with N(q) N(pi_j) <= L < N(q) N(pi_j) N(pi_(j+1)), one
+    contiguous range; every ideal of norm <= L is so reached exactly once.
     extend runs once per visited ideal other than the unit, and once per
     pruned one.  Deterministic order: primes ascending by (norm, re),
-    exponents ascending, so sums accumulated by the callbacks round the same
-    way on every run, and for each L exactly as in a walk to L alone.
+    exponents ascending, the same for every ideal within L as in a walk to
+    L alone.  The one caller, lfunctions.smoothed_sums, walks to its largest
+    cutoff and sums a vector series in the two hooks; a scalar series'
+    before hook only records the visit, and its sums follow the walk in
+    passes of at most LEAF_CHUNK elements, since a sum per visit would cost
+    a weight call per visit.
     """
-    top = max(limits)
     norms, res, ims = primes.T.tolist()
-    # N(pi_j) N(pi_(j+1)): q * pi_j is a prime leaf for L when N(q) times it exceeds L
-    pairs = (primes[:-1, 0] * primes[1:, 0]).tolist() + [math.inf]
+    pairs = leaf_pairs(primes).tolist()
 
     def rec(i, nrm, val, reach):
-        # reach: the least norm of a multiple the walk goes on to (N(q) for
-        # a power e >= 2); q is a prime leaf of every limit below it
-        for k, limit in enumerate(limits):
-            if reach <= limit:
-                term(k, nrm, val)
+        before(i, nrm, val, reach)
         for j in range(i, len(norms)):
             npj = norms[j]
-            if nrm * npj * npj > top:
+            if nrm * npj * npj > limit:
                 break
             pj = (res[j], ims[j])
             # when q * pi_j is a prime leaf, only its powers e >= 2 are visited
-            e, nn = (1, nrm * npj) if nrm * pairs[j] <= top else (2, nrm * npj * npj)
-            while nn <= top:
+            e, nn = (1, nrm * npj) if nrm * pairs[j] <= limit else (2, nrm * npj * npj)
+            while nn <= limit:
                 child = extend(val, npj, pj, e)
                 if child is not None:
                     rec(j + 1, nn, child, nrm * pairs[j] if e == 1 else nn)
                 e += 1
                 nn *= npj
-        for k, limit in enumerate(limits):
-            m = limit // nrm
-            lo = max(i, bisect_right(pairs, m))
-            hi = bisect_right(norms, m)
-            if lo < hi:
-                leaves(k, nrm, val, lo, hi)
+        if after is not None:
+            after(i, nrm, val, reach)
 
     try:
         rec(0, 1, root, 1)

@@ -62,8 +62,8 @@ def fit_exponent(samples) -> FitResult:
 
 def compensated_sum(terms) -> complex:
     """Kahan sum of real or complex terms, the real and imaginary parts each
-    carrying its own compensation; every long oscillatory sum (Kloosterman,
-    spectral) accumulates here."""
+    carrying its own compensation; the long oscillatory sums of spectral
+    accumulate here."""
     sr = si = cr = ci = 0.0
     for term in terms:
         yr = term.real - cr

@@ -78,15 +78,17 @@ def _count_row_rational(b1: Fraction, rem: Fraction) -> int:
 def circle_count(b, M) -> LatticeCountResult:
     """Exact |Z^2 intersect closed ball of radius sqrt(M) at center b|.
 
-    b is a pair of reals; int/Fraction components take the exact integer
-    path.  M lies in [0, 1e9]; a larger finite M is refused as beyond the
-    cap, a negative or non-finite M as invalid.
+    b is a pair of finite reals; int/Fraction components take the exact
+    integer path.  M lies in [0, 1e9]; a larger finite M is refused as
+    beyond the cap, a negative or non-finite M as invalid.
     """
     if not 0 <= M < math.inf:
         raise ValueError(f"M must lie in [0, {CIRCLE_M_CAP:g}], got {M!r}")
     if M > CIRCLE_M_CAP:
         raise CutoffExceededError(f"M = {M} beyond cap {CIRCLE_M_CAP}")
     b1, b2 = b
+    if not all(-math.inf < c < math.inf for c in (b1, b2)):
+        raise ValueError(f"b must be a pair of finite reals, got {b!r}")
     exact = all(isinstance(c, (int, Fraction)) for c in (b1, b2)) and \
         isinstance(M, (int, Fraction))
     count = 0

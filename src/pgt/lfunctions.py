@@ -42,19 +42,27 @@ supplies how a(q) extends by a prime power and its weight w_V, e^(-N/V)/N
 unless given (L_chi off s = 1 takes e^(-N/V) N^-s); one walk in factored
 form serves every V.  The walk makes one Python callback per ideal with a
 multiple in range and per higher prime power; the prime leaves q * pi
-below each such ideal q are summed in one numpy step.  zagier_L1 (with
-R_V_estimate and choose_V) and L_chi take their values at the prime leaves
-from one array pass, gaussian.euler_symbols over the walk's prime array, so
-only the visited ideals make callbacks; normalization_sum's prime values
-are a closed form, filled in by one extend call per prime.  Each sum is
-exact over N(q) <= 40 V; the neglected tail is exp(-40)-suppressed and the
-attached tail_estimate bounds it.
+below each such ideal q are summed by numpy, at a time the root selects.
+A vector series (trace_engine's G_V, a column per trace) sums each visited
+ideal's term and leaf range at the visit, one array pass per range, so a
+trace's value never depends on the traces beside it.  A scalar series
+(every series here) would pay a weight call per visit that way, so its
+walk only records the visits, and the sums follow in passes of whole
+visits, at most LEAF_CHUNK elements each (0.7 MiB of temporaries, unless
+one ideal's leaf range alone is longer), one weight call per V and pass.
+zagier_L1 (with R_V_estimate and choose_V) and L_chi take their values at
+the prime leaves from one array pass, gaussian.euler_symbols over the
+walk's prime array, so only the visited ideals call extend;
+normalization_sum's prime values are a closed form, filled in by one extend
+call per prime.  Each sum is exact over N(q) <= 40 V; the neglected tail is
+exp(-40)-suppressed and the attached tail_estimate bounds it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +181,29 @@ def _exp_weight(V, nrm):
     return exp(-nrm / V) / nrm
 
 
+def _sweep_limits(Vs, cutoff_mult=None) -> list:
+    """The one input check of a smoothed sweep: Vs a non-empty sequence of
+    positive, finite V, and cutoff_mult (CUTOFF_MULT when None, read at call
+    time) positive and finite.  Returns each V's cutoff
+    max(int(cutoff_mult * V), 1), so the unit ideal is always in range."""
+    if len(Vs) == 0:
+        raise ValueError(f"Vs must hold at least one V, got {Vs!r}")
+    for V in Vs:
+        _require_positive(V=V)
+    mult = CUTOFF_MULT if cutoff_mult is None else cutoff_mult
+    _require_positive(cutoff_mult=mult)
+    return [max(int(mult * V), 1) for V in Vs]
+
+
+# Elements (visited ideals and prime leaves, over every V) per pass of a
+# scalar series' sums.  An element takes at most about 40 bytes of
+# temporaries (29 to 36 under tracemalloc, real and complex weights), so a
+# pass stays within 0.7 MiB unless one ideal's leaf range alone is longer,
+# since a pass takes whole visits: the unit ideal's range, the primes of
+# norm in (sqrt(L), L], which a sum per leaf range held at once as well.
+LEAF_CHUNK = 1 << 14
+
+
 def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None, rows=None,
                   weight=_exp_weight) -> list:
     """[sum_q a(q) weight(V, N(q)) for V in Vs] from one ideal walk.
@@ -181,8 +212,8 @@ def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None, rows=None,
     as in gaussian.walk_ideals (a scalar, or a numpy vector of several
     series), and weight(V, N), e^(-N/V) / N by default, takes an int norm
     or a float64 array of norms.  The walk visits only the ideals with a
-    multiple in range and the prime powers pi^e, e >= 2; at each visited q
-    it adds the prime leaves q * pi_j in one step,
+    multiple in range and the prime powers pi^e, e >= 2; below each visited
+    q the prime leaves q * pi_j add
 
         val_q * sum_j a(pi_j) weight(V, N(q) N(pi_j)),
 
@@ -194,18 +225,23 @@ def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None, rows=None,
     one piece of a _leaf_rows table.
 
     One walk to the largest cutoff serves every V; the sum for V takes the
-    ideals of norm <= max(int(cutoff_mult * V), 1), visited and added in the
-    same order, with the same products, as a walk to that cutoff alone, so
-    each sum is bit-identical to the one-V call.  cutoff_mult defaults to
-    CUTOFF_MULT, read at call time.
+    ideals of norm <= max(int(cutoff_mult * V), 1), with the same products
+    and in the same order as a walk to that cutoff alone, so each sum is
+    bit-identical to the one-V call.  Vs must be a non-empty sequence.
+    cutoff_mult defaults to CUTOFF_MULT, read at call time.
+
+    The root selects how the terms are added.  A vector series (gv_sweep:
+    a column per trace) adds each visited ideal's term before its subtree
+    and its leaf range after it, one array pass per range, and so keeps
+    each trace's value independent of the traces beside it.  A scalar
+    series would pay a weight call per visit that way (1,204 in one
+    zagier_L1 at V = 1000), so its walk records the visits and
+    _scalar_sums adds them afterwards, one weight call per V on each pass
+    of at most LEAF_CHUNK elements; its rows(primes, 0, len(primes)) must
+    be one piece, the whole table.
     """
-    for V in Vs:
-        _require_positive(V=V)
-    mult = CUTOFF_MULT if cutoff_mult is None else cutoff_mult
-    _require_positive(cutoff_mult=mult)
-    limits = [max(int(mult * V), 1) for V in Vs]
+    limits = _sweep_limits(Vs, cutoff_mult)
     primes = g.prime_ideals_upto(max(limits))
-    norms = primes[:, 0].astype(np.float64)
     if rows is None:
         table = np.array([0.0 if a is None else a for a in
                           (extend(root, npj, (re, im), 1) for npj, re, im in primes.tolist())])
@@ -213,38 +249,109 @@ def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None, rows=None,
         def rows(primes, lo, hi):
             return [table[lo:hi]]
 
+    scalar = np.ndim(root) == 0
+    if scalar:
+        visits = []
+        hooks = (lambda *visit: visits.append(visit),)
+    else:
+        sums, hooks = _vector_hooks(Vs, limits, primes, rows, weight, root)
+    g.walk_ideals(primes, max(limits), extend, *hooks, root=root)
+    return _scalar_sums(Vs, limits, primes, rows, weight, visits) if scalar else sums
+
+
+def _vector_hooks(Vs, limits, primes, rows, weight, root):
+    """smoothed_sums of a vector series: its accumulators, one per V, and
+    the walk's two hooks, which add a visit's term before its subtree and
+    its leaf range, found by bisection, after it."""
+    norms = primes[:, 0].astype(np.float64)
+    pnorms, pairs = primes[:, 0].tolist(), g.leaf_pairs(primes).tolist()
     sums = [root * 0.0 for _ in Vs]
 
-    def term(k, nrm, val):
-        sums[k] += val * weight(Vs[k], nrm)
+    def term(i, nrm, val, reach):
+        for k, limit in enumerate(limits):
+            if reach <= limit:
+                sums[k] += val * weight(Vs[k], nrm)
 
-    def leaves(k, nrm, val, lo, hi):
-        w = weight(Vs[k], nrm * norms[lo:hi])
-        total, at = 0.0, 0
-        for piece in rows(primes, lo, hi):
-            total = total + _row_sum(w[at:at + len(piece)], piece)
-            at += len(piece)
-        sums[k] += val * total
+    def leaves(i, nrm, val, reach):
+        for k, limit in enumerate(limits):
+            m = limit // nrm
+            lo = max(i, bisect_right(pairs, m))
+            hi = bisect_right(pnorms, m)
+            if lo < hi:
+                w = weight(Vs[k], nrm * norms[lo:hi])
+                total, at = 0.0, 0
+                for piece in rows(primes, lo, hi):
+                    total = total + _row_sum(w[at:at + len(piece)], piece)
+                    at += len(piece)
+                sums[k] += val * total
 
-    g.walk_ideals(primes, limits, extend, term, leaves, root=root)
-    return sums
+    return sums, (term, leaves)
+
+
+def _scalar_sums(Vs, limits, primes, rows, weight, visits) -> list:
+    """smoothed_sums of a scalar series from its walk's visits, each
+    (i, N(q), value_q, reach) as gaussian.walk_ideals hands it over.
+
+    For V with cutoff L, a visit is V's when reach <= L, and its prime
+    leaves are the rows max(i, lo) <= j < hi found by np.searchsorted of
+    L // N(q) in leaf_pairs and in the norms.  Passes take whole visits,
+    up to LEAF_CHUNK elements over every V and at least one visit.  In a
+    pass, V's terms and leaves take one weight call on their float64 norms,
+    N(q) and N(q) * N(pi_j); each visit's leaf products a(pi_j) w_j are
+    added by one np.add.reduceat, whose sum of a segment does not depend on
+    the segments beside it.  A visit then adds val_q (w_q + leaf sum), and
+    V's sum is np.sum over its visits in walk order, so no value depends on
+    LEAF_CHUNK or on the other Vs.
+    """
+    start, nrm, val, reach = (np.array(column) for column in zip(*visits))
+    pnorms = primes[:, 0]
+    norms, pairs = pnorms.astype(np.float64), g.leaf_pairs(primes)
+    first, size = [], []  # per V: each visit's first leaf row, and its elements (0: not V's)
+    for limit in limits:
+        m = limit // nrm
+        lo = np.maximum(start, np.searchsorted(pairs, m, side="right"))
+        hi = np.searchsorted(pnorms, m, side="right")
+        first.append(lo)
+        size.append(np.where(reach <= limit, 1 + np.maximum(hi - lo, 0), 0))
+    done = np.concatenate(([0], np.cumsum(sum(size))))  # elements before each visit
+    table, = rows(primes, 0, len(primes))
+    nrm = nrm.astype(np.float64)
+    parts = [[] for _ in Vs]
+    a = 0
+    while a < len(start):
+        b = max(a + 1, int(np.searchsorted(done, done[a] + LEAF_CHUNK, side="right")) - 1)
+        for k, V in enumerate(Vs):
+            own = np.flatnonzero(size[k][a:b]) + a
+            if len(own) == 0:
+                continue
+            n = size[k][own] - 1  # leaves per visit
+            at = np.cumsum(n) - n  # each visit's first leaf element
+            j = np.repeat(first[k][own] - at, n)
+            j += np.arange(len(j))  # each leaf element's prime row
+            x = np.empty(len(own) + len(j))
+            x[:len(own)] = nrm[own]
+            np.multiply(np.repeat(nrm[own], n), norms[j], out=x[len(own):])
+            w = weight(V, x)
+            del x
+            leaf = w[len(own):] * table[j]
+            total = w[:len(own)].astype(leaf.dtype)
+            total[n > 0] += np.add.reduceat(leaf, at[n > 0])
+            parts[k].append(val[own] * total)
+        a = b
+    return [np.sum(np.concatenate(p)) for p in parts]
 
 
 def _leaf_rows(x, first):
-    """smoothed_sums rows for a series whose value is `first` at primes[0] =
-    (1+i) and the quadratic residue symbol (x / pi) at every odd prime pi.
+    """smoothed_sums rows for a scalar series whose value is `first` at
+    primes[0] = (1+i) and the quadratic residue symbol (x / pi) at every odd
+    prime pi.
 
     The symbols come from one gaussian.euler_symbols pass, and the table
-    takes the dtype of [first] and int8.  It is built at the first call,
-    after smoothed_sums has checked its arguments, if the walk has leaves.
+    takes the dtype of [first] and int8.  smoothed_sums asks for the whole
+    table once, after its walk.
     """
-    table = None
-
     def rows(primes, lo, hi):
-        nonlocal table
-        if table is None:
-            table = np.concatenate(([first], g.euler_symbols(x, primes[1:])))
-        return [table[lo:hi]]
+        return [np.concatenate(([first], g.euler_symbols(x, primes[1:])))[lo:hi]]
 
     return rows
 

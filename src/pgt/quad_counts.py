@@ -19,7 +19,7 @@ the divisors of q in lambda_, over all N(q) <= Qmax in szmidt_coefficient_check.
 
 The phase <m, a/c> equals an exact integer divided by N(c), so every
 exponential here is a root of unity evaluated from an exact rational angle;
-sums are accumulated by harness.compensated_sum (Kahan summation).  A
+a sum takes one math.fsum per real and imaginary part (correctly rounded).  A
 Kloosterman sum reads the units of Z[i]/(c) and their inverses from _units,
 one int64 numpy pass over the transversal, primitive c or not: the power
 a^(phi(c)-1) both tests each residue a for a unit and inverts it.  The pass
@@ -33,17 +33,16 @@ residue-class bincount per row.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
 from .errors import CutoffExceededError
 from . import gaussian as g
 from .gaussian import CanonicalIdealRep, GaussianInt, ResidueRing
-from .harness import compensated_sum
 
 RHO_BRUTE_NORM_CUTOFF = 10**6   # refuse brute enumeration beyond N(2q) > 1e6
 # brute rho values kept per (q, delta).  szmidt_coefficient_check takes each
@@ -358,9 +357,8 @@ def kloosterman(m: GaussianInt, n: GaussianInt, c: CanonicalIdealRep) -> Klooste
     The units and their inverses come from _units, cached for N(c) <=
     KLOOSTERMAN_CACHE_NORM and enumerated afresh above it.  Each phase is an
     exact integer over N(c) (_phases), the same for any representative of
-    the inverse; accumulation is Kahan-compensated separately in the real
-    and imaginary parts, in transversal order, with math.cos and math.sin
-    per term.
+    the inverse; the real and imaginary parts are each one math.fsum over
+    math.cos and math.sin of the phases.
     """
     nc = c.norm()
     if nc > KLOOSTERMAN_NORM_CUTOFF:
@@ -371,7 +369,7 @@ def kloosterman(m: GaussianInt, n: GaussianInt, c: CanonicalIdealRep) -> Klooste
     (x, xi), (y, yi) = np.divmod(units.astype(np.int64), d2)
     k = (_phases(m.pair, cp, nc, x, y) + _phases(n.pair, cp, nc, xi, yi)) % nc
     theta = (2.0 * math.pi / nc * k).tolist()
-    value = compensated_sum(map(complex, map(math.cos, theta), map(math.sin, theta)))
+    value = complex(math.fsum(map(math.cos, theta)), math.fsum(map(math.sin, theta)))
     return KloostermanValue(m=m, n=n, c=c, value=value)
 
 
@@ -401,5 +399,7 @@ def kloosterman_identity_check(q: CanonicalIdealRep, k: GaussianInt) -> float:
     b = np.flatnonzero(rho)
     x, y = np.divmod(b, ring.d2)
     theta = (2.0 * math.pi / nq * _phases(k.pair, q.pair, nq, x, y)).tolist()
-    lhs = compensated_sum(map(cmath.rect, rho[b].tolist(), theta))
+    r = rho[b].tolist()
+    lhs = complex(math.fsum(map(mul, r, map(math.cos, theta))),
+                  math.fsum(map(mul, r, map(math.sin, theta))))
     return abs(lhs - kloosterman(k, k, q).value)

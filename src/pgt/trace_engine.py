@@ -81,7 +81,7 @@ from functools import cache
 import numpy as np
 
 from . import gaussian as g
-from .lfunctions import CUTOFF_MULT, _require_positive, smoothed_sums
+from .lfunctions import CUTOFF_MULT, _sweep_limits, smoothed_sums
 
 
 # ---------------------------------------------------------------------------
@@ -539,15 +539,13 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT) -> list:
     (lambda values at desk scale stay far below 2^53, so products are
     exact); the prime leaves below it come from LambdaVectors.rows.
     CACHE_BYTES bounds the LambdaVectors cache, rows included; the values do
-    not depend on it.  cutoff_mult and every V must be positive and finite.
+    not depend on it.  Vs must be a non-empty sequence, and cutoff_mult and
+    every V positive and finite.
     """
+    _sweep_limits(Vs, cutoff_mult)
     if len(traces) == 0:
         # no walk, which would build the rows of every prime up to the
-        # cutoff for an empty window such as (X, X+1]; the inputs are
-        # checked all the same
-        for V in Vs:
-            _require_positive(V=V)
-        _require_positive(cutoff_mult=cutoff_mult)
+        # cutoff for an empty window such as (X, X+1]
         return [np.zeros(0) for _ in Vs]
     reps, inverse = _orbit_reps(traces)
     prov = LambdaVectors(reps, cutoff_mult * max(Vs))

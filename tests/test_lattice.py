@@ -83,6 +83,15 @@ def test_circle_rejects_negative_and_nan_m(M):
         lambda_partial_sum(q, M)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_circle_rejects_a_non_finite_center(c):
+    # nan died in math.ceil with "cannot convert float NaN to integer", and
+    # +-inf with an OverflowError
+    for b in ((c, 0.0), (0.0, c), (Fraction(1, 2), c)):
+        with pytest.raises(ValueError, match="b must be a pair of finite reals"):
+            circle_count(b, 4.0)
+
+
 def test_eta_fit_rejects_nan_m():
     # used to return a nan exponent
     with pytest.raises(ValueError):

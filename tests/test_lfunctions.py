@@ -94,11 +94,11 @@ def test_L_chi_walk_runs_no_primality_test(monkeypatch):
         passes.append((x, primes, got))
         return got
 
-    def walk(primes, limits, extend, *args, **kwargs):
+    def walk(primes, limit, extend, *args, **kwargs):
         def recorded(val, npj, pj, e):
             extended.add(pj)
             return extend(val, npj, pj, e)
-        walk_ideals(primes, limits, recorded, *args, **kwargs)
+        walk_ideals(primes, limit, recorded, *args, **kwargs)
 
     monkeypatch.setattr(gaussian, "euler_symbols", vector_pass)
     monkeypatch.setattr(gaussian, "walk_ideals", walk)
@@ -199,6 +199,127 @@ def test_smoothed_sums_multi_v_is_one_v_bit_for_bit(Vs):
         assert smoothed_sums(Vs, _ext, **kw) == [smoothed_sums([V], _ext, **kw)[0] for V in Vs]
 
 
+def _per_leaf_sums(Vs, extend, root=1.0, weight=lf._exp_weight):
+    """The scalar sums as smoothed_sums added them at each visit: one walk
+    to each V's own cutoff, each visited ideal's term added before its
+    subtree, and its prime leaves, found by a scan of the primes after it,
+    with one weight call behind it."""
+    sums = []
+    for V in Vs:
+        limit = max(int(lf.CUTOFF_MULT * V), 1)
+        primes = pgt.gaussian.prime_ideals_upto(limit)
+        norms = primes[:, 0].astype(np.float64)
+        table = np.array([extend(root, npj, (a, b), 1) or 0.0 for npj, a, b in primes.tolist()])
+        total = root * 0.0
+
+        def before(i, nrm, val, reach):
+            nonlocal total
+            total += val * weight(V, nrm)
+
+        def after(i, nrm, val, reach):
+            nonlocal total
+            leaves = []
+            for j in range(i, len(norms)):
+                if nrm * norms[j] > limit:
+                    break
+                if j + 1 == len(norms) or nrm * norms[j] * norms[j + 1] > limit:
+                    leaves.append(j)
+            if leaves:
+                total += val * np.sum(weight(V, nrm * norms[leaves]) * table[leaves])
+
+        pgt.gaussian.walk_ideals(primes, limit, extend, before, after, root=root)
+        sums.append(total)
+    return sums
+
+
+def _close(got, want):
+    # the sums add the same terms in another order: 1e-14 on values of order 1
+    return all(abs(a - b) <= 1e-14 * max(1.0, abs(b)) for a, b in zip(got, want, strict=True))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(0.01, 150.0), min_size=1, max_size=4))
+def test_scalar_series_match_the_per_leaf_walk(Vs):
+    for kw in ({}, {"weight": _other_weight}, {"root": 0.5 - 0.25j}):
+        assert _close(smoothed_sums(Vs, _ext, **kw), _per_leaf_sums(Vs, _ext, **kw)), kw
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.tuples(st.integers(-30, 30), st.integers(-30, 30)), V=st.floats(0.05, 40.0))
+@example(n=(2, 1), V=0.1)
+def test_zagier_and_L_chi_match_the_per_leaf_walk(n, V):
+    # each through its own prime values: lambda at every prime power for G_V,
+    # characters.chi at every prime for L_chi
+    n = G(*n)
+    delta = n * n - G(4, 0)
+    assume(not delta.is_zero() and not is_perfect_square(delta))
+    char = quadratic_character(delta)
+
+    def lam(val, npj, pj, e):
+        return val * qc.lambda_at_prime_power(pj, e, delta, n) or None
+
+    def chi_ext(val, npj, pj, e):
+        x = chi(char, canonical_rep(G(*pj)))
+        return val * x ** e if x else None
+
+    assert _close([zagier_L1(delta, V, n=n).value], _per_leaf_sums([V], lam))
+    for s in (1.0, 2.0, 0.75 + 0.5j, 0.5):
+        r = L_chi(s, char, V, doublings=2)
+        want = _per_leaf_sums([V, 2 * V, 4 * V], chi_ext, root=1 + 0j, weight=(
+            lambda W, nrm: lf._exp_weight(W, nrm) * nrm ** (1 - s)))
+        assert _close([r.value, r.band], [want[-1], abs(want[-1] - want[-2])]), s
+
+
+def test_scalar_sums_do_not_depend_on_the_chunk_bound(monkeypatch):
+    # a pass takes whole visits, so a bound of one element sums each visit
+    # in a pass of its own; every value comes out the same bits
+    n = G(7, 3)
+    delta = n * n - G(4, 0)
+    char = quadratic_character(delta)
+
+    def values():
+        return [repr(v) for v in (
+            zagier_L1(delta, 30.0, n=n), R_V_estimate(delta, 4.0), normalization_sum(30.0),
+            *(L_chi(s, char, 4.0) for s in (1.0, 2.0, 0.75 + 0.5j, 0.5)),
+            smoothed_sums([3.0, 30.0, 0.5], _ext),
+            smoothed_sums([30.0, 3.0], _ext, weight=_other_weight),
+            smoothed_sums([30.0], _ext, root=0.5 - 0.25j))]
+
+    want = values()
+    for chunk in (1, 2, 97, 10**9):
+        monkeypatch.setattr(lf, "LEAF_CHUNK", chunk)
+        assert values() == want, chunk
+
+
+def test_scalar_series_call_weight_once_per_pass(monkeypatch):
+    # with every element in one pass, one weight call per V (a call per
+    # visited ideal and per leaf range before); with one visit per pass,
+    # one per pass that holds a visit of V's, a visit with reach <= V's cutoff
+    reaches, calls = [], []
+    walk_ideals = pgt.gaussian.walk_ideals
+
+    def walk(primes, limit, extend, before, *args, **kwargs):
+        def recorded(i, nrm, val, reach):
+            reaches.append(reach)
+            before(i, nrm, val, reach)
+        walk_ideals(primes, limit, extend, recorded, *args, **kwargs)
+
+    def weight(V, nrm):
+        calls.append(V)
+        return lf._exp_weight(V, nrm)
+
+    monkeypatch.setattr(pgt.gaussian, "walk_ideals", walk)
+    Vs = [125.0, 250.0, 500.0, 1000.0]
+    for chunk in (10**9, 1):
+        monkeypatch.setattr(lf, "LEAF_CHUNK", chunk)
+        reaches.clear()
+        calls.clear()
+        smoothed_sums(Vs, _ext, weight=weight)
+        passes = {V: 1 if chunk > 1 else sum(r <= lf.CUTOFF_MULT * V for r in reaches)
+                  for V in Vs}
+        assert {V: calls.count(V) for V in Vs} == passes, chunk
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.01, 150.0))
 def test_smoothed_sums_unit_coefficients_match_norm_counts(V):
@@ -223,6 +344,11 @@ def test_smoothed_series_reject_bad_v(V):
                  lambda: L_chi(1.0, char, V), lambda: normalization_sum(V),
                  lambda: R_V_estimate(G(5, 0), V)):
         with pytest.raises(ValueError):
+            call()
+    # no V at all used to die in max() of an empty sequence
+    for call in (lambda: smoothed_sums([], _ext),
+                 lambda: trace_engine.gv_sweep(trace_engine.trace_set(10.0, 30.0), ())):
+        with pytest.raises(ValueError, match="Vs must hold at least one V"):
             call()
 
 

@@ -309,9 +309,9 @@ def test_kloosterman_identity_examples():
         assert kloosterman_identity_check(q, k) <= 1e-8, (q, k)
 
 
-def _kloosterman_reference(m, n, c) -> complex:
-    """S(m, n, c) over the transversal: a unit test by gcd_pair, then an
-    inverse by invert_mod, for every residue."""
+def _kloosterman_angles(m, n, c) -> list:
+    """The phase angles of S(m, n, c) over the transversal: a unit test by
+    gcd_pair, then an inverse by invert_mod, for every residue."""
     nc, cp = c.norm(), c.pair
     cbar = (cp[0], -cp[1])
     tau = 2.0 * math.pi / nc
@@ -320,14 +320,19 @@ def _kloosterman_reference(m, n, c) -> complex:
         t = mul(x, cbar)
         return (v[0] * t[0] + v[1] * t[1]) % nc
 
-    terms = []
+    angles = []
     for a in ResidueRing(cp).representatives():
         if norm(g.gcd_pair(a, cp)) != 1:
             continue
         ainv = g.invert_mod(a, cp)
-        ang = tau * ((phase(m.pair, a) + phase(n.pair, ainv)) % nc)
-        terms.append(complex(math.cos(ang), math.sin(ang)))
-    return compensated_sum(terms)
+        angles.append(tau * ((phase(m.pair, a) + phase(n.pair, ainv)) % nc))
+    return angles
+
+
+def _kloosterman_reference(m, n, c) -> complex:
+    """S(m, n, c): math.fsum over the cosines and over the sines."""
+    angles = _kloosterman_angles(m, n, c)
+    return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
 
 
 def test_kloosterman_bit_for_bit_against_reference(monkeypatch):
@@ -344,14 +349,19 @@ def test_kloosterman_bit_for_bit_against_reference(monkeypatch):
         for _ in range(2):
             m = G(rng.randint(-40, 40), rng.randint(-40, 40))
             n = G(rng.randint(-40, 40), rng.randint(-40, 40))
-            cases.append((m, n, c, _kloosterman_reference(m, n, c)))
+            angles = _kloosterman_angles(m, n, c)
+            # the Kahan sum is independent of fsum, and within a few units
+            # of roundoff per term of it
+            kahan = compensated_sum(complex(math.cos(t), math.sin(t)) for t in angles)
+            cases.append((m, n, c, _kloosterman_reference(m, n, c), kahan, len(angles)))
     qc._cached_units.cache_clear()
     for _ in ("cold", "warm"):
-        for m, n, c, want in cases:
+        for m, n, c, want, kahan, terms in cases:
             calls.clear()
             got = kloosterman(m, n, c).value
             assert not calls, c
             assert got == want, (c, m, n)
+            assert abs(got - kahan) <= 1e-15 * terms, (c, m, n)
 
 
 def test_kloosterman_extreme_components_bit_for_bit():

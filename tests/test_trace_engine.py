@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from pgt.characters import is_perfect_square
 from pgt.gaussian import (UNIT_PAIRS, CanonicalIdealRep, GaussianInt, canonical_pair,
                           disk_rows, euler_symbol, exact_div, factor_pair_cached,
-                          ideal_reps_upto, mul, norm, primary_associate,
+                          ideal_reps_upto, leaf_pairs, mul, norm, primary_associate,
                           prime_ideals_upto, walk_ideals)
 from pgt.lfunctions import smoothed_sums, zagier_L1
 from pgt import trace_engine
@@ -355,11 +355,15 @@ def test_reciprocity_rows_match_scalar_lambda(pairs, skip):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 3000), st.integers(1, 3000))
 def test_walk_ideals_visits_each_ideal_once(limit, other):
-    # for each limit, every ideal of norm <= limit is reached exactly once:
-    # as a visited ideal, or as one prime of one leaf range
+    # one walk to the larger limit serves both: for each limit L, every
+    # ideal of norm <= L is reached exactly once, as a visit with reach <= L
+    # or as one prime of that visit's leaf range for L, the rows j >= i with
+    # N(q) N(pi_j) <= L < N(q) N(pi_j) N(pi_(j+1)); the after hook sees each
+    # visit once, the unit ideal's last
     limits = [limit, other]
     primes = prime_ideals_upto(max(limits))
-    seen = [[], []]
+    norms, pairs = primes[:, 0].tolist(), leaf_pairs(primes).tolist()
+    before, after = [], []
 
     def extend(val, npj, pj, e):
         # Python ints, never numpy scalars: nrm * npj * npj must not wrap
@@ -368,13 +372,22 @@ def test_walk_ideals_visits_each_ideal_once(limit, other):
             val = mul(val, pj)
         return val
 
-    def leaves(k, nrm, val, lo, hi):
-        seen[k] += [canonical_pair(mul(val, (a, b))) for _, a, b in primes[lo:hi].tolist()]
-
-    walk_ideals(primes, limits, extend,
-                lambda k, nrm, val: seen[k].append(canonical_pair(val)), leaves, root=(1, 0))
-    for k, L in enumerate(limits):
-        assert sorted(seen[k]) == sorted(ideal_reps_upto(L))
+    walk_ideals(primes, max(limits), extend, lambda *visit: before.append(visit),
+                lambda *visit: after.append(visit), root=(1, 0))
+    assert before[0] == after[-1] == (0, 1, (1, 0), 1)
+    assert sorted(before) == sorted(after)
+    for L in limits:
+        seen = []
+        for i, nrm, val, reach in before:
+            assert type(reach) is int and nrm == norm(val)
+            if reach <= L:
+                seen.append(canonical_pair(val))
+            for j in range(i, len(norms)):
+                if nrm * norms[j] > L:
+                    break
+                if nrm * pairs[j] > L:
+                    seen.append(canonical_pair(mul(val, tuple(primes[j, 1:].tolist()))))
+        assert sorted(seen) == sorted(ideal_reps_upto(L))
 
 
 def test_sweep_and_series_leave_no_reference_cycles():
