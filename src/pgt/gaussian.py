@@ -14,13 +14,15 @@ Conventions used everywhere in this package:
 
 Hot loops in other modules work on plain (re, im) integer pairs through the
 mul/norm/... helpers below; the GaussianInt dataclass is the API-level type.
-ResidueRing.reduce also takes numpy int64 arrays of components, which is how
-whole transversals are multiplied at once.  The prime ideals come from one
-sieve of the disk per process (prime_ideals_upto keeps its largest array, a
-read-only int64 array of rows (norm, re, im)), and the prime above a single
-split p from an integer Euclid (split_prime_above).  The quadratic residue
-symbol is Euler's criterion, one rational pow per prime (euler_symbol) or
-one int64 array pass over rows of primes (euler_symbols).
+ResidueRing.reduce and index, valuation and primary_associate also take
+numpy int64 arrays of components, one statement for one element and for
+many: whole transversals, and the trace sweep's n^2 - 4, are handled so.
+The prime ideals come from one sieve of the disk per process
+(prime_ideals_upto keeps its largest array, a read-only int64 array of
+rows (norm, re, im)), and the prime above a single split p from an integer
+Euclid (split_prime_above).  The quadratic residue symbol is Euler's
+criterion, one rational pow per prime (euler_symbol) or one int64 array
+pass over rows of primes (euler_symbols).
 """
 
 from __future__ import annotations
@@ -105,12 +107,22 @@ def exact_div(a, d):
 
 
 def valuation(pi, a, cap: int):
-    """(v, a / pi^v) with v = v_pi(a) capped at cap, by repeated division;
-    a = 0 gives (cap, 0)."""
-    v = 0
-    while v < cap and divides(pi, a):
-        a, v = exact_div(a, pi), v + 1
-    return v, a
+    """(v, (a0, a1)) with v = v_pi(a) capped at cap and a0 + a1*i = a / pi^v;
+    a = 0 gives (cap, (0, 0)).  Branch-free: the components of a may be ints
+    or int64 arrays (elementwise, exact while |a| (|re pi| + |im pi|) < 2^63).
+    An element pi does not divide keeps its value, so the steps stop once
+    none divides; with cap >= 1 the arrays returned are new, never a's own."""
+    p0, p1 = pi
+    npi = p0 * p0 + p1 * p1
+    a0, a1 = a
+    v = 0 * a0
+    for _ in range(cap):
+        t0, t1 = a0 * p0 + a1 * p1, a1 * p0 - a0 * p1
+        div = (t0 % npi == 0) & (t1 % npi == 0)
+        a0, a1, v = a0 + div * (t0 // npi - a0), a1 + div * (t1 // npi - a1), v + div
+        if not np.count_nonzero(div):
+            break
+    return v, (a0, a1)
 
 
 def canonical_pair(a):
@@ -521,10 +533,8 @@ def _factor_pair(a):
             pi = split_prime_above(p)
             above = (pi, conj(pi))
         for q in above:
-            k = 0
-            while divides(q, rem):
-                rem = exact_div(rem, q)
-                k += 1
+            # N(q) >= 2, so no exponent reaches the bit length of n
+            k, rem = valuation(q, rem, n.bit_length())
             if k:
                 out[canonical_pair(q)] = k
     if norm(rem) != 1:
@@ -682,13 +692,9 @@ class ResidueRing:
         x = (a[0] - k * self.eoff) % self.d1
         return (x, y)
 
-    def index(self, a) -> int:
+    def index(self, a):
+        """The index x*d2 + y of a's representative; ints or arrays, as reduce."""
         x, y = self.reduce(a)
-        return x * self.d2 + y
-
-    def index_arrays(self, a, b):
-        """Vectorized index for numpy integer arrays of components (a, b)."""
-        x, y = self.reduce((a, b))
         return x * self.d2 + y
 
     def representatives(self):

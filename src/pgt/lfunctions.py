@@ -53,9 +53,10 @@ one ideal's leaf range alone is longer), one weight call per V and pass.
 zagier_L1 (with R_V_estimate and choose_V) and L_chi take their values at
 the prime leaves from one array pass, gaussian.euler_symbols over the
 walk's prime array, so only the visited ideals call extend;
-normalization_sum's prime values are a closed form, filled in by one extend
-call per prime.  Each sum is exact over N(q) <= 40 V; the neglected tail is
-exp(-40)-suppressed and the attached tail_estimate bounds it.
+normalization_sum's prime values are a closed form, -1/N(pi), taken by one
+array expression over the prime norms.  Each sum is exact over
+N(q) <= 40 V; the neglected tail is exp(-40)-suppressed and the attached
+tail_estimate bounds it.
 """
 
 from __future__ import annotations
@@ -510,8 +511,12 @@ def normalization_sum(V: float) -> float:
     """
     if V < 1:
         raise ValueError("V must be >= 1")
+
+    def rows(primes, lo, hi):
+        return [quad_counts.mu_square_local(primes[lo:hi, 0].astype(np.float64), 1)]
+
     return smoothed_sums((V,), lambda val, npj, pj, e:
-                         val * quad_counts.mu_square_local(npj, e))[0]
+                         val * quad_counts.mu_square_local(npj, e), rows=rows)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,17 @@ Definitions (all sums over Z[i], ideals represented canonically):
 where <x, y> is the standard inner product on R^2 = C.  For delta = n^2 - 4
 there is a bijection x = 2y + n between square roots of delta mod 4q and
 roots of y^2 + n y + 1 mod q, so rho_q(n^2-4) is also a root count mod q.
-The fast path is multiplicative, with one local rule per prime power: a
-closed form in v_pi(delta) and one residue symbol at odd pi, and a lift
-through the two residues mod (1+i) per level at (1+i) (_rho_levels).
+The fast path is multiplicative, and each local rule at pi^e is stated
+once, for Python ints and for the int64 arrays of trace_engine alike.  At
+odd pi, lambda_odd is 0 for odd v and N^(v/2) s^(e-v) for even v, where
+v = v_pi(delta) capped at e and s = (delta pi^-v / pi), and
+rho_{pi^c} = lambda_{pi^c} + lambda_{pi^(c-1)} follows from it.  At every
+pi, lambda_from_rho is lambda_{pi^e} = sum over c <= e of (-1)^(e-c)
+rho_{pi^c}.  At (1+i), rho has two forms: _rho_levels lifts the roots of
+one n through the two residues mod (1+i) per level, and
+trace_engine._even_rho_table counts them over Z[i]/((1+i)^c) for arrays.
+The scalar walk keeps the lift, the tables' oracle: it reaches c = 21 at
+V = 1e5, where the tables for every c <= 21 take 160 MB and 0.4 s (2 vCPUs).
 lambda = (1_sq * mu) * rho is one Dirichlet convolution, lambda_table: over
 the divisors of q in lambda_, over all N(q) <= Qmax in szmidt_coefficient_check.
 
@@ -94,23 +102,41 @@ def _rho_brute(qp, dp) -> int:
     return int(np.count_nonzero(hit))
 
 
+def lambda_odd(e: int, v, s, npi: int):
+    """lambda_{pi^e}(delta) at an odd prime pi of norm npi, the package's one
+    closed form of lambda or rho there, from v = v_pi(delta) capped at e (so
+    that e - v >= 0) and the symbol s = (delta pi^-v / pi).  At v = e it is
+    N^(e/2) or 0 (e even or odd) whatever s, as s^0 = 1, also for s = 0.
+    Branch-free: v and s may be ints or int arrays, elementwise."""
+    return (1 - v % 2) * npi ** (v // 2) * s ** (e - v)
+
+
+def lambda_from_rho(rho):
+    """lambda_{pi^e} from rho = [rho_{pi^c} for c = 0..e], ints or int64
+    arrays: only q1 = pi^k, q2 in {1, pi} survive the Mobius convolution at
+    a prime power, and the alternating sum is taken as rho_c - lambda_(c-1)."""
+    lam = 0
+    for r in rho:
+        lam = r - lam
+    return lam
+
+
 def _rho_levels(pi, e: int, delta, n) -> list:
     """[rho_{pi^c}(delta) for c = 0..e] at a prime pair pi, delta = n^2 - 4.
 
-    At odd pi, 2 is a unit, so x = 2y + n maps the roots of y^2 + n y + 1
-    mod pi^c onto the square roots of delta mod pi^c.  Their count depends
-    only on v = v_pi(delta), capped at e, and s = (delta pi^-v / pi):
-    rho = N^(c//2) for c <= v, and beyond v it is 0 for odd v and
-    (1 + s) N^(v/2) for even v.  n is not read there.  At (1+i) a root y
-    mod (1+i)^c lies under the two residues y and y + (1+i)^c mod
-    (1+i)^(c+1); the roots are lifted one level at a time, keeping the
-    candidates that are roots one level up.  delta and n are pairs.
+    At odd pi, rho_c = lambda_c + lambda_(c-1) (lambda_from_rho inverted),
+    with each lambda_c from lambda_odd at the valuation capped at c; n is
+    not read.  At (1+i) a root y of y^2 + n y + 1 mod (1+i)^c lies under
+    the two residues y and y + (1+i)^c mod (1+i)^(c+1); the roots are
+    lifted one level at a time, keeping the candidates that are roots one
+    level up.  delta and n are pairs.
     """
     npi = g.norm(pi)
     if npi != 2:
         v, u = g.valuation(pi, delta, e)
-        above = 0 if v % 2 or v == e else (1 + g.euler_symbol(u, pi)) * npi ** (v // 2)
-        return [npi ** (c // 2) if c <= v else above for c in range(e + 1)]
+        s = g.euler_symbol(u, pi)
+        lam = [lambda_odd(c, min(v, c), s, npi) for c in range(e + 1)]
+        return lam[:1] + [a + b for a, b in zip(lam[1:], lam)]
     roots, pik, out = [(0, 0)], (1, 0), [1]
     for _ in range(e):
         up = g.mul(pik, pi)
@@ -202,27 +228,28 @@ def lambda_at_prime_power(pi, e: int, delta: GaussianInt,
                           n: GaussianInt | None = None) -> int:
     """lambda_{pi^e}(delta) for a prime pair pi, delta = n^2 - 4.
 
-    Only q1 = pi^k with q2 in {1, pi} survive the Mobius convolution, so
-    lambda = sum over c <= e of (-1)^(e-c) rho_{pi^c}(delta), with the
-    rho_{pi^c} from _rho_levels.  At odd pi this is N^(e/2) or 0 (e even or
-    odd) if v_pi(delta) >= e, else 0 for odd v and N^(v/2) s^(e-v) for even
-    v, and n is not needed; at (1+i) n is recovered from delta + 4 when not
-    supplied.  Agrees with lambda_() everywhere (property-tested); this is
-    the fast path used by the smoothed series.
+    lambda_odd at odd pi, where n is not needed; at (1+i), lambda_from_rho
+    over the lifted levels of _rho_levels, with n recovered from delta + 4
+    when not supplied.  Agrees with lambda_() everywhere (property-tested);
+    this is the fast path used by the smoothed series.
     """
-    if n is None and g.norm(pi) == 2:
+    npi = g.norm(pi)
+    if npi != 2:
+        v, u = g.valuation(pi, delta.pair, e)
+        return lambda_odd(e, v, g.euler_symbol(u, pi), npi)
+    if n is None:
         n = sqrt_perfect_square(delta + GaussianInt(4, 0))
-    rho = _rho_levels(pi, e, delta.pair, None if n is None else n.pair)
-    return sum((-1) ** (e - c) * r for c, r in enumerate(rho))
+    return lambda_from_rho(_rho_levels(pi, e, delta.pair, n.pair))
 
 
 # ---------------------------------------------------------------------------
 # partial sums of lambda over traces (element convention)
 # ---------------------------------------------------------------------------
 
-def mu_square_local(npi, e: int) -> float:
+def mu_square_local(npi, e: int):
     """Local factor at pi^e, N(pi) = npi, of the multiplicative
-    sum over q1^2 q2 = q of mu(q2)/N(q2): 1 for even e, -1/N(pi) for odd."""
+    sum over q1^2 q2 = q of mu(q2)/N(q2): 1 for even e, -1/N(pi) for odd.
+    npi may be a float64 array of norms (at odd e)."""
     return 1.0 if e % 2 == 0 else -1.0 / npi
 
 

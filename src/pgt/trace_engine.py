@@ -17,16 +17,17 @@ computed at once:
     marked square table mod p or, for p beyond the norms of the prime
     factors of n^2-4 and large against the number of traces, by quadratic
     reciprocity from the symbols of pi at those factors (_DeltaFactors);
-    for e >= 2 the unit part of n^2-4 is mapped the same way and the value
-    follows the valuation pattern N^(v/2) s^(e-v), the alternating sum of
-    the rho levels of quad_counts._rho_levels.
+    for e >= 2, gaussian.valuation divides pi out of n^2-4 (capped at e),
+    the rest is mapped the same way, and the value is quad_counts.lambda_odd,
+    the closed form of the scalar path.
   * inert p:          the symbol is legendre(N(x) mod p) since the norm is
-    the Frobenius trace map to F_p; same valuation pattern for e >= 2.
-  * pi = (1+i):       lambda_{(1+i)^e} = sum over c <= e of
-    (-1)^(e-c) rho_{(1+i)^c}, with rho_(1) = 1, summed per trace from one
-    table of rho_{(1+i)^c} over Z[i]/((1+i)^c) per c and process, built
-    from the unit histogram of y + y^(-1) with inverses via a vectorized
-    Newton iteration mod 2^f (no loops in Python).
+    the Frobenius trace map to F_p; the same for e >= 2.
+  * pi = (1+i):       quad_counts.lambda_from_rho, the scalar path's
+    alternating sum, over rows of one table of rho_{(1+i)^c} over
+    Z[i]/((1+i)^c) per c and process (_even_rho_table), built from the unit
+    histogram of y + y^(-1) with inverses via a vectorized Newton iteration
+    mod 2^f (no loops in Python).  The scalar path lifts the roots of one n
+    instead (quad_counts._rho_levels), the tables' oracle.
 
 The traces themselves are the gaussian.disk_rows points of an annulus in
 N(n), filtered and ordered by the vectorized `thresholds`.  The sum is
@@ -82,6 +83,7 @@ import numpy as np
 
 from . import gaussian as g
 from .lfunctions import CUTOFF_MULT, _sweep_limits, smoothed_sums
+from .quad_counts import lambda_from_rho, lambda_odd
 
 
 # ---------------------------------------------------------------------------
@@ -175,38 +177,6 @@ def _sq_char_table(p: int) -> np.ndarray:
     return tab
 
 
-def _pattern_from_valuation(e: int, v: np.ndarray, s: np.ndarray, N: int) -> np.ndarray:
-    """Vector lambda_{pi^e} from capped valuation v and unit symbol s."""
-    out = np.zeros(len(v), dtype=np.float64)
-    sat = v >= e
-    if e % 2 == 0:
-        out[sat] = float(N) ** (e // 2)
-    lo = (~sat) & (v % 2 == 0)
-    if lo.any():
-        sv = s[lo].astype(np.float64)
-        out[lo] = (float(N) ** (v[lo] // 2)) * sv ** (e - v[lo])
-    return out
-
-
-def _valuation_divide(da, db, p0, p1, npi, e):
-    """(v, ua, ub): valuation of da+db*i at the prime p0+p1*i, capped at e."""
-    ca = da.copy()
-    cb = db.copy()
-    v = np.zeros(len(da), dtype=np.int64)
-    active = np.ones(len(da), dtype=bool)
-    for _ in range(e):
-        ta = ca * p0 + cb * p1
-        tb = cb * p0 - ca * p1
-        div = active & (ta % npi == 0) & (tb % npi == 0)
-        if not div.any():
-            break
-        ca = np.where(div, ta // npi, ca)
-        cb = np.where(div, tb // npi, cb)
-        v += div
-        active = div
-    return v, ca, cb
-
-
 @cache
 def _even_rho_table(c: int):
     """(rho, ring): rho[index of n in ring] = rho_{(1+i)^c}(n^2-4), over the
@@ -236,7 +206,7 @@ def _even_rho_table(c: int):
     ib = (-ub * inv) % M
     ba = -(ua + ia)
     bb = -(ub + ib)
-    idx = ring.index_arrays(ba, bb)
+    idx = ring.index((ba, bb))
     rho = np.bincount(idx, minlength=ring.n_elements).astype(np.int64)
     rho.flags.writeable = False  # shared by every sweep of the process
     return rho, ring
@@ -273,7 +243,7 @@ class _DeltaFactors:
     """
 
     def __init__(self, traces: TraceSet, bound: int):
-        k, ca, cb = _valuation_divide(traces.da, traces.db, 1, 1, 2, 64)
+        k, (ca, cb) = g.valuation((1, 1), (traces.da, traces.db), 64)
         at, col, q, s = [], [], [], []  # odd-exponent incidences; each column's q and s_w
         for npi, re, im in g.prime_ideals_upto(bound).tolist():
             if npi == 2:
@@ -286,8 +256,8 @@ class _DeltaFactors:
                 hit = np.flatnonzero((_mod(ca, qw) == 0) & (_mod(cb, qw) == 0))
             if len(hit) == 0:
                 continue
-            v, ca[hit], cb[hit] = _valuation_divide(ca[hit], cb[hit],
-                                                    *g.primary_associate(re, im), npi, 64)
+            v, (ca[hit], cb[hit]) = g.valuation(g.primary_associate(re, im),
+                                                (ca[hit], cb[hit]), 64)
             odd = hit[v % 2 == 1]
             if len(odd):
                 at.append(odd)
@@ -362,16 +332,16 @@ ROW_BLOCK = 64
 RECIPROCITY_PER_TRACE = 8
 
 
-def _residues(tr: TraceSet, npj: int, pj):
-    """(p, [n^2-4 mod pi]) for an inert pi = (p), whose map to Z/p is the
-    norm; (p, [n^2-4 mod pi, n^2-4 mod conj(pi)]) for a split pi over p,
-    since i = t (mod pi) and i = -t (mod conj(pi)), whose canonical pair is
-    pi's reversed."""
+def _residues(da, db, npj: int, pj):
+    """(p, [x mod pi]) for an inert pi = (p), whose map to Z/p is the
+    norm; (p, [x mod pi, x mod conj(pi)]) for a split pi over p, since
+    i = t (mod pi) and i = -t (mod conj(pi)), whose canonical pair is pi's
+    reversed; x = da + db*i, int64 arrays."""
     if pj[1] == 0:
         p = pj[0]
-        return p, [_mod(_mod(tr.da, p) ** 2 + _mod(tr.db, p) ** 2, p)]
+        return p, [_mod(_mod(da, p) ** 2 + _mod(db, p) ** 2, p)]
     t = g.i_mod_split(pj, npj)
-    return npj, [_mod(tr.da + t * tr.db, npj), _mod(tr.da - t * tr.db, npj)]
+    return npj, [_mod(da + t * db, npj), _mod(da - t * db, npj)]
 
 
 def _block_start(primes, k: int) -> int:
@@ -421,32 +391,21 @@ class LambdaVectors:
         return tab
 
     def _build(self, npj: int, pj, e: int) -> np.ndarray:
-        """lambda vector; int8 for exponent 1 (values in {-1,0,1}), float64 else."""
+        """lambda vector; int8 for exponent 1 (values in {-1,0,1}), int64 else."""
         tr = self.tr
         if pj == (1, 1):
-            # lambda_{(1+i)^e} = sum over c <= e of (-1)^(e-c) rho_{(1+i)^c}
-            # with rho_(1) = 1, summed as rho_c minus the sum up to c - 1
-            out = np.ones(len(tr), dtype=np.int64)
-            for c in range(1, e + 1):
-                rho, ring = _even_rho_table(c)
-                out = rho[ring.index_arrays(tr.na, tr.nb)] - out
-            return out
+            # rho_(1) = 1, then one table of rho_{(1+i)^c} per level c
+            return lambda_from_rho([1] + [rho[ring.index((tr.na, tr.nb))] for rho, ring
+                                          in map(_even_rho_table, range(1, e + 1))])
         if e == 1:
-            p, res = _residues(tr, npj, pj)
+            p, res = _residues(tr.da, tr.db, npj, pj)
             rows = self._chartab(p)[np.stack(res)]
             if len(rows) == 2:  # one table serves both ideals over p
                 self._put((pj[::-1], 1), rows[1])
             return rows[0]
-        if pj[1] == 0:  # inert p, norm p^2
-            p = pj[0]
-            v, ca, cb = _valuation_divide(tr.da, tr.db, p, 0, p * p, e)
-            s = self._chartab(p)[_mod(_mod(ca, p) ** 2 + _mod(cb, p) ** 2, p)]
-            return _pattern_from_valuation(e, v, s, p * p)
-        p = npj
-        t = g.i_mod_split(pj, p)
-        v, ca, cb = _valuation_divide(tr.da, tr.db, pj[0], pj[1], p, e)
-        s = self._chartab(p)[_mod(ca + t * cb, p)]
-        return _pattern_from_valuation(e, v, s, p)
+        v, u = g.valuation(pj, (tr.da, tr.db), e)
+        p, res = _residues(*u, npj, pj)
+        return lambda_odd(e, v, self._chartab(p)[res[0]], npj)
 
     def vec(self, npj: int, pj, e: int) -> np.ndarray:
         key = (pj, e)
@@ -482,7 +441,7 @@ class LambdaVectors:
                 local += [j, j + 1]
                 j += 2
                 continue
-            p, r = _residues(tr, npj, (re, im))
+            p, r = _residues(tr.da, tr.db, npj, (re, im))
             out[j:j + len(r)] = self._chartab(p)[np.stack(r)]
             j += len(r)
         if local:

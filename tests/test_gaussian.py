@@ -8,6 +8,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgt import gaussian
 from pgt.errors import OverflowGuardError, ZeroInputError
@@ -203,6 +204,30 @@ def test_divisors_sorted_and_complete():
     assert len(ds) == 6
     for d in ds:
         assert divides(d.pair, (6, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 1), (2, 1), (1, 2), (3, 0), (7, 0), (2, 3)]),
+       st.lists(st.tuples(st.integers(-2**20, 2**20), st.integers(-2**20, 2**20)),
+                min_size=1, max_size=12),
+       st.integers(0, 7), st.integers(1, 6))
+def test_valuation_of_arrays_is_elementwise(pi, pairs, k, cap):
+    # a * pi^k, so that v reaches cap when k >= cap, and a = 0 (v = cap)
+    pik = (1, 0)
+    for _ in range(k):
+        pik = mul(pik, pi)
+    pairs = [mul(a, pik) for a in pairs] + [(0, 0)]
+    a0, a1 = np.array(pairs, dtype=np.int64).T
+    v, (b0, b1) = gaussian.valuation(pi, (a0, a1), cap)
+    want = [gaussian.valuation(pi, a, cap) for a in pairs]
+    assert list(zip(v.tolist(), zip(b0.tolist(), b1.tolist()))) == want
+    assert not (np.shares_memory(b0, a0) or np.shares_memory(b1, a1))
+    for a, (w, b) in zip(pairs, want):
+        pw = (1, 0)
+        for _ in range(w):
+            pw = mul(pw, pi)
+        assert mul(b, pw) == a and (w == cap or not divides(pi, b)), (a, w, b)
+        assert w >= min(k, cap)
 
 
 def test_residue_ring_is_transversal():

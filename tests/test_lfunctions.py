@@ -633,6 +633,21 @@ def test_normalization_sum_trend():
     assert math.isfinite(normalization_sum(10.0))
 
 
+def test_normalization_sum_takes_its_prime_leaves_from_one_array(monkeypatch):
+    # the walk calls mu_square_local once per ideal it extends; the prime
+    # leaves' -1/N(pi) come from one call on the array of norms, so there
+    # are fewer calls than prime ideals up to the cutoff, and the value is
+    # the one of a table filled prime by prime
+    V = 1000.0
+    local = qc.mu_square_local
+    want = smoothed_sums((V,), lambda val, npj, pj, e: val * local(npj, e))[0]
+    calls = []
+    monkeypatch.setattr(qc, "mu_square_local",
+                        lambda npi, e: calls.append(npi) or local(npi, e))
+    assert normalization_sum(V) == want
+    assert 0 < len(calls) < len(pgt.gaussian.prime_ideals_upto(int(lf.CUTOFF_MULT * V)))
+
+
 def test_R_V_estimate_proxy_decreases():
     e1 = R_V_estimate(G(5, 0), 50.0)
     e2 = R_V_estimate(G(5, 0), 400.0)

@@ -83,6 +83,11 @@ def test_lambda_vectors_match_scalar_lambda(pairs, data, descending):
             for _ in range(2):
                 assert prov.vec(npi, pi, e).tolist() == want, (pi, e, pairs)
             assert want == [lambda_(q, n * n - G(4, 0), n=n) for n in ns], (pi, e)
+            if e >= 2:
+                # the vector and the scalar lambda both take lambda_odd at an
+                # odd pi; the x-enumeration rho shares no code with it
+                assert want == [lambda_(q, n * n - G(4, 0), method="bruteforce")
+                                for n in ns], (pi, e)
 
 
 def _two_power_traces():
@@ -329,8 +334,8 @@ def test_reciprocity_rows_match_table_rows_on_every_unit_and_power_of_two():
              if npi > prov.bound and b]
     pis = np.array([pi for _, pi in split])
     local = fac.rows(*primary_associate(pis[:, 0], pis[:, 1]))
-    table = np.stack([trace_engine._sq_char_table(npi)[trace_engine._residues(tr, npi, pi)[1][0]]
-                      for npi, pi in split])
+    table = np.stack([trace_engine._sq_char_table(npi)[
+        trace_engine._residues(tr.da, tr.db, npi, pi)[1][0]] for npi, pi in split])
     assert local.tobytes() == table.tobytes()
 
 
@@ -495,6 +500,29 @@ def test_gv_sweep_matches_single_trace_single_v_sweeps(pairs, V, budget):
         fused = gv_sweep(ts, (V, V / 4.0))
         assert fused[0].tobytes() == whole.tobytes()
         assert fused[1].tobytes() == gv_per_trace(ts, V / 4.0).tobytes()
+
+
+@pytest.mark.parametrize("window", ["trace_set", "odd"])
+def test_gv_sweep_leaves_the_trace_set_unchanged(monkeypatch, window):
+    # both walks take local symbols, so _DeltaFactors divides the primes out
+    # of n^2 - 4 in place: into copies, never into the da and db of the
+    # TraceSet swept or of the one it reads.  No n^2 - 4 of the odd traces
+    # 3 and 5 + 2i is divisible by (1+i), where a valuation returning its
+    # input arrays unchanged would alias them
+    tr, V = (trace_set(2000.0, 2100.0), 2000.0) if window == "trace_set" else \
+        (_trace_set([(3, 0), (5, 2)]), 30.0)
+    before = tr.da.copy(), tr.db.copy()
+    read, init = [], trace_engine._DeltaFactors.__init__
+
+    def spy(self, traces, bound):
+        read.append((traces, traces.da.copy(), traces.db.copy()))
+        init(self, traces, bound)
+
+    monkeypatch.setattr(trace_engine._DeltaFactors, "__init__", spy)
+    gv_sweep(tr, (V,))
+    assert len(read) == 1
+    for ts, da, db in [(tr, *before)] + read:
+        assert ts.da.tobytes() == da.tobytes() and ts.db.tobytes() == db.tobytes()
 
 
 def test_gv_sweep_of_no_traces_builds_no_tables(monkeypatch):
