@@ -250,14 +250,21 @@ def cmd_kloosterman(args) -> int:
     return 0
 
 
-def cmd_spectral(args) -> int:
+def _eigenvalues(path: str):
+    """The eigenvalue table in path, or None after one stderr line when the
+    file is missing, unreadable or malformed (the command then exits 2)."""
     try:
-        table = spec_mod.load_eigenvalues(args.file)
-    except FileNotFoundError:
-        print(f"eigenvalue file not found: {args.file}", file=sys.stderr)
-        return 2
+        return spec_mod.load_eigenvalues(path)
+    except OSError as exc:
+        print(f"cannot read eigenvalue file {path}: {exc.strerror}", file=sys.stderr)
     except EigenvalueFileError as exc:
-        print(f"bad eigenvalue file {args.file}: {exc}", file=sys.stderr)
+        print(f"bad eigenvalue file {path}: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_spectral(args) -> int:
+    table = _eigenvalues(args.file)
+    if table is None:
         return 2
     s = spec_mod.spectral_sum(table, args.t, args.x)
     obj = {
@@ -312,12 +319,9 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.eigenvalues is not None:
-        try:
-            open(args.eigenvalues, "rb").close()
-        except FileNotFoundError:
-            print(f"eigenvalue file not found: {args.eigenvalues}", file=sys.stderr)
-            return 2
+    # a bad file stops the run before its first criterion, not after ten
+    if args.eigenvalues is not None and _eigenvalues(args.eigenvalues) is None:
+        return 2
     results, ok = run_all(quick=args.quick, eigenvalue_path=args.eigenvalues)
     total = sum(r.runtime for r in results)
     print(f"{'OK' if ok else 'FAILURES PRESENT'}; total runtime {total:.0f}s")

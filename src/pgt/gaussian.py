@@ -776,11 +776,12 @@ def walk_ideals(primes, limit, extend, before, after=None, root=1) -> None:
     extend runs once per visited ideal other than the unit, and once per
     pruned one.  Deterministic order: primes ascending by (norm, re),
     exponents ascending, the same for every ideal within L as in a walk to
-    L alone.  The one caller, lfunctions.smoothed_sums, walks to its largest
-    cutoff and sums a vector series in the two hooks; a scalar series'
-    before hook only records the visit, and its sums follow the walk in
-    passes of at most LEAF_CHUNK elements, since a sum per visit would cost
-    a weight call per visit.
+    L alone.  Each caller walks to its largest cutoff and sums one shape of
+    series.  lfunctions.smoothed_sums sums a scalar series after the walk,
+    in passes of at most LEAF_CHUNK elements, and its before hook only
+    records the visit, since a sum per visit would cost a weight call per
+    visit.  trace_engine.gv_sweep sums G_V over traces as it walks: a
+    visit's term in before, its prime leaves in after.
     """
     norms, res, ims = primes.T.tolist()
     pairs = leaf_pairs(primes).tolist()

@@ -7,7 +7,7 @@ owns that conversion in its single global constant.)
 
 Objects:
 
-  smoothed_sums     the one evaluator of the smoothed series below.
+  smoothed_sums     the one evaluator of the scalar smoothed series below.
   zeta_qi(s)        Dedekind zeta of Q(i), partial ideal sum + tail bound.
   L_chi(s, chi, V)  exponentially smoothed L(s, chi_D), with a convergence
                     band from doubling V.
@@ -35,21 +35,19 @@ Objects:
   normalization_sum the mu-square-weighted smoothed sum that tends to 1.
   R_V_estimate      empirical proxy for the smoothing remainder.
 
-Every smoothed series  sum_q a(q) w_V(N(q))  of the package -- G_V here
-and in trace_engine, L_chi, normalization_sum -- is evaluated by one
-function, smoothed_sums, the only caller of gaussian.walk_ideals: a series
-supplies how a(q) extends by a prime power and its weight w_V, e^(-N/V)/N
-unless given (L_chi off s = 1 takes e^(-N/V) N^-s); one walk in factored
-form serves every V.  The walk makes one Python callback per ideal with a
-multiple in range and per higher prime power; the prime leaves q * pi
-below each such ideal q are summed by numpy, at a time the root selects.
-A vector series (trace_engine's G_V, a column per trace) sums each visited
-ideal's term and leaf range at the visit, one array pass per range, so a
-trace's value never depends on the traces beside it.  A scalar series
-(every series here) would pay a weight call per visit that way, so its
-walk only records the visits, and the sums follow in passes of whole
-visits, at most LEAF_CHUNK elements each (0.7 MiB of temporaries, unless
-one ideal's leaf range alone is longer), one weight call per V and pass.
+Every scalar smoothed series  sum_q a(q) w_V(N(q))  of the package --
+G_V, L_chi, normalization_sum -- is evaluated by one function,
+smoothed_sums, on gaussian.walk_ideals (whose other caller,
+trace_engine.gv_sweep, sums G_V for a column per trace itself): a series
+supplies how a(q) extends by a prime power, its values at the primes, and
+its weight w_V, e^(-N/V)/N unless given (L_chi off s = 1 takes
+e^(-N/V) N^-s); one walk in factored form serves every V.  The walk
+makes one Python callback per ideal with a multiple in range and per
+higher prime power, and only records the visits; the terms and the prime
+leaves q * pi below each visited q are summed by numpy after it, in
+passes of whole visits, at most LEAF_CHUNK elements each (0.7 MiB of
+temporaries, unless one ideal's leaf range alone is longer), one weight
+call per V and pass.
 zagier_L1 (with R_V_estimate and choose_V) and L_chi take their values at
 the prime leaves from one array pass, gaussian.euler_symbols over the
 walk's prime array, so only the visited ideals call extend;
@@ -63,7 +61,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,19 +160,6 @@ def _require_cutoff(**values) -> None:
             raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
-def _row_sum(w, rows):
-    """sum_j w[j] * rows[j] along the first axis.
-
-    einsum sums each column of a two-dimensional `rows` in the order of j,
-    so one column's sum does not depend on the others; numpy reduces a
-    single column as one contiguous vector, in another order, so that column
-    is summed as the first of two equal ones.
-    """
-    if rows.ndim == 2 and rows.shape[1] == 1:
-        return np.einsum("j,jm->m", w, np.repeat(rows, 2, axis=1))[:1]
-    return np.einsum("j,j...->...", w, rows)
-
-
 def _exp_weight(V, nrm):
     """e^(-N/V) / N, with math.exp on an int norm and np.exp on an array."""
     exp = np.exp if isinstance(nrm, np.ndarray) else math.exp
@@ -205,93 +189,49 @@ def _sweep_limits(Vs, cutoff_mult=None) -> list:
 LEAF_CHUNK = 1 << 14
 
 
-def smoothed_sums(Vs, extend, root=1.0, cutoff_mult=None, rows=None,
-                  weight=_exp_weight) -> list:
+def smoothed_sums(Vs, extend, root=1.0, leaf=None, weight=_exp_weight) -> list:
     """[sum_q a(q) weight(V, N(q)) for V in Vs] from one ideal walk.
 
-    a(q) is multiplicative, built by `extend` from `root` at the unit ideal
-    as in gaussian.walk_ideals (a scalar, or a numpy vector of several
-    series), and weight(V, N), e^(-N/V) / N by default, takes an int norm
-    or a float64 array of norms.  The walk visits only the ideals with a
-    multiple in range and the prime powers pi^e, e >= 2; below each visited
-    q the prime leaves q * pi_j add
+    a(q) is multiplicative, built by `extend` from the scalar `root` at the
+    unit ideal as in gaussian.walk_ideals, and weight(V, N), e^(-N/V) / N by
+    default, takes an int norm or a float64 array of norms.  The walk
+    visits only the ideals with a multiple in range and the prime powers
+    pi^e, e >= 2; below each visited q the prime leaves q * pi_j add
 
         val_q * sum_j a(pi_j) weight(V, N(q) N(pi_j)),
 
     over the contiguous range of primes that are leaves for V's own cutoff.
-    rows(primes, lo, hi), with primes the walk's gaussian.prime_ideals_upto
-    array, gives a(pi_j) for primes[lo:hi] along the first axis, as
-    consecutive pieces; by default one piece of a table filled by
-    extend(root, N(pi), pi, 1), once per prime, and for the symbol series
-    one piece of a _leaf_rows table.
+    leaf(primes), with primes the walk's gaussian.prime_ideals_upto array,
+    gives a(pi_j) for every row; by default a table filled by
+    extend(root, N(pi), pi, 1), once per prime, and for the symbol series a
+    _leaf_rows table.
 
     One walk to the largest cutoff serves every V; the sum for V takes the
-    ideals of norm <= max(int(cutoff_mult * V), 1), with the same products
+    ideals of norm <= max(int(CUTOFF_MULT * V), 1), with the same products
     and in the same order as a walk to that cutoff alone, so each sum is
     bit-identical to the one-V call.  Vs must be a non-empty sequence.
-    cutoff_mult defaults to CUTOFF_MULT, read at call time.
 
-    The root selects how the terms are added.  A vector series (gv_sweep:
-    a column per trace) adds each visited ideal's term before its subtree
-    and its leaf range after it, one array pass per range, and so keeps
-    each trace's value independent of the traces beside it.  A scalar
-    series would pay a weight call per visit that way (1,204 in one
-    zagier_L1 at V = 1000), so its walk records the visits and
-    _scalar_sums adds them afterwards, one weight call per V on each pass
-    of at most LEAF_CHUNK elements; its rows(primes, 0, len(primes)) must
-    be one piece, the whole table.
+    Adding each visit's term and leaf range as the walk goes would cost a
+    weight call per visit (1,204 in one zagier_L1 at V = 1000), so the walk
+    only records the visits and _scalar_sums adds them afterwards, one
+    weight call per V on each pass of at most LEAF_CHUNK elements.
     """
-    limits = _sweep_limits(Vs, cutoff_mult)
+    limits = _sweep_limits(Vs)
     primes = g.prime_ideals_upto(max(limits))
-    if rows is None:
+    if leaf is None:
         table = np.array([0.0 if a is None else a for a in
                           (extend(root, npj, (re, im), 1) for npj, re, im in primes.tolist())])
-
-        def rows(primes, lo, hi):
-            return [table[lo:hi]]
-
-    scalar = np.ndim(root) == 0
-    if scalar:
-        visits = []
-        hooks = (lambda *visit: visits.append(visit),)
     else:
-        sums, hooks = _vector_hooks(Vs, limits, primes, rows, weight, root)
-    g.walk_ideals(primes, max(limits), extend, *hooks, root=root)
-    return _scalar_sums(Vs, limits, primes, rows, weight, visits) if scalar else sums
+        table = leaf(primes)
+    visits = []
+    g.walk_ideals(primes, max(limits), extend, lambda *visit: visits.append(visit), root=root)
+    return _scalar_sums(Vs, limits, primes, table, weight, visits)
 
 
-def _vector_hooks(Vs, limits, primes, rows, weight, root):
-    """smoothed_sums of a vector series: its accumulators, one per V, and
-    the walk's two hooks, which add a visit's term before its subtree and
-    its leaf range, found by bisection, after it."""
-    norms = primes[:, 0].astype(np.float64)
-    pnorms, pairs = primes[:, 0].tolist(), g.leaf_pairs(primes).tolist()
-    sums = [root * 0.0 for _ in Vs]
-
-    def term(i, nrm, val, reach):
-        for k, limit in enumerate(limits):
-            if reach <= limit:
-                sums[k] += val * weight(Vs[k], nrm)
-
-    def leaves(i, nrm, val, reach):
-        for k, limit in enumerate(limits):
-            m = limit // nrm
-            lo = max(i, bisect_right(pairs, m))
-            hi = bisect_right(pnorms, m)
-            if lo < hi:
-                w = weight(Vs[k], nrm * norms[lo:hi])
-                total, at = 0.0, 0
-                for piece in rows(primes, lo, hi):
-                    total = total + _row_sum(w[at:at + len(piece)], piece)
-                    at += len(piece)
-                sums[k] += val * total
-
-    return sums, (term, leaves)
-
-
-def _scalar_sums(Vs, limits, primes, rows, weight, visits) -> list:
+def _scalar_sums(Vs, limits, primes, table, weight, visits) -> list:
     """smoothed_sums of a scalar series from its walk's visits, each
-    (i, N(q), value_q, reach) as gaussian.walk_ideals hands it over.
+    (i, N(q), value_q, reach) as gaussian.walk_ideals hands it over, and
+    its values a(pi_j) at the prime rows, `table`.
 
     For V with cutoff L, a visit is V's when reach <= L, and its prime
     leaves are the rows max(i, lo) <= j < hi found by np.searchsorted of
@@ -315,7 +255,6 @@ def _scalar_sums(Vs, limits, primes, rows, weight, visits) -> list:
         first.append(lo)
         size.append(np.where(reach <= limit, 1 + np.maximum(hi - lo, 0), 0))
     done = np.concatenate(([0], np.cumsum(sum(size))))  # elements before each visit
-    table, = rows(primes, 0, len(primes))
     nrm = nrm.astype(np.float64)
     parts = [[] for _ in Vs]
     a = 0
@@ -343,18 +282,11 @@ def _scalar_sums(Vs, limits, primes, rows, weight, visits) -> list:
 
 
 def _leaf_rows(x, first):
-    """smoothed_sums rows for a scalar series whose value is `first` at
+    """smoothed_sums leaf of a scalar series whose value is `first` at
     primes[0] = (1+i) and the quadratic residue symbol (x / pi) at every odd
-    prime pi.
-
-    The symbols come from one gaussian.euler_symbols pass, and the table
-    takes the dtype of [first] and int8.  smoothed_sums asks for the whole
-    table once, after its walk.
-    """
-    def rows(primes, lo, hi):
-        return [np.concatenate(([first], g.euler_symbols(x, primes[1:])))[lo:hi]]
-
-    return rows
+    prime pi: one gaussian.euler_symbols pass, in the dtype of [first] and
+    int8."""
+    return lambda primes: np.concatenate(([first], g.euler_symbols(x, primes[1:])))
 
 
 def L_chi(s: complex, character: QuadraticCharacter, V: float,
@@ -385,7 +317,7 @@ def L_chi(s: complex, character: QuadraticCharacter, V: float,
 
     # values complex like the symbol table's, so smoothed_sums' own extend
     # table sums the same; the default weight at s = 1 takes no complex pow
-    sums = smoothed_sums(vs, extend, root=1 + 0j, rows=_leaf_rows(D_pair, complex(ev)),
+    sums = smoothed_sums(vs, extend, root=1 + 0j, leaf=_leaf_rows(D_pair, complex(ev)),
                          weight=_exp_weight if w == 0 else
                          lambda V, nrm: _exp_weight(V, nrm) * nrm ** w)
     band = abs(sums[-1] - sums[-2]) if doublings >= 1 else float("nan")
@@ -486,7 +418,7 @@ def _zagier_sums(delta: GaussianInt, n: GaussianInt | None, Vs) -> list:
 
     # at an odd pi, lambda_pi(delta) is the symbol (delta / pi)
     return smoothed_sums(Vs, extend,
-                         rows=_leaf_rows(delta.pair, extend(1.0, 2, (1, 1), 1) or 0.0))
+                         leaf=_leaf_rows(delta.pair, extend(1.0, 2, (1, 1), 1) or 0.0))
 
 
 def zagier_L1(delta: GaussianInt, V: float,
@@ -511,12 +443,9 @@ def normalization_sum(V: float) -> float:
     """
     if V < 1:
         raise ValueError("V must be >= 1")
-
-    def rows(primes, lo, hi):
-        return [quad_counts.mu_square_local(primes[lo:hi, 0].astype(np.float64), 1)]
-
-    return smoothed_sums((V,), lambda val, npj, pj, e:
-                         val * quad_counts.mu_square_local(npj, e), rows=rows)[0]
+    mu = quad_counts.mu_square_local
+    return smoothed_sums((V,), lambda val, npj, pj, e: val * mu(npj, e),
+                         leaf=lambda primes: mu(primes[:, 0].astype(np.float64), 1))[0]
 
 
 # ---------------------------------------------------------------------------

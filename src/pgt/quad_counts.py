@@ -277,17 +277,11 @@ def lambda_partial_sum(q: CanonicalIdealRep, Z: float):
     if not 1 <= Z < math.inf:
         raise ValueError(f"Z must be finite and >= 1, got {Z!r}")
     ring, table = _lambda_residues(q)
-    nq = ring.n_elements
     # count elements per residue class, row by row over the disk 0 < N(n) <= Z
     # (one bincount per row keeps memory flat in Z)
-    d1, d2, eoff = ring.d1, ring.d2, ring.eoff
     total = 0
     for b, a in g.disk_rows(0, Z):
-        k = b // d2
-        y = b - k * d2
-        x = (a - k * eoff) % d1
-        idx = x * d2 + y
-        counts = np.bincount(idx, minlength=nq)
+        counts = np.bincount(ring.index((a, b)), minlength=ring.n_elements)
         total += int(np.dot(counts, table))
     main = math.pi * Z * _mu_square_coeff(q.pair)
     return total, main, total - main

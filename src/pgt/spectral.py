@@ -51,13 +51,23 @@ class EigenvalueTable:
 
 
 def load_eigenvalues(path: str) -> EigenvalueTable:
-    """Parse an eigenvalue file; validates ordering, positivity and finiteness."""
+    """Parse an eigenvalue file; validates its encoding (UTF-8), ordering,
+    positivity and finiteness, raising EigenvalueFileError with the line of
+    the first fault.  A path that cannot be read raises OSError."""
     rs: list[float] = []
     source = ""
     with open(path, "rb") as fh:
         raw = fh.read()
     checksum = hashlib.sha256(raw).hexdigest()
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte: the lines of the text before it,
+        # one more when that text ends a line
+        line = len((raw[:exc.start].decode("utf-8") + "?").splitlines())
+        raise EigenvalueFileError(f"byte {raw[exc.start]:#04x} is not UTF-8",
+                                  line=line) from None
+    for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
             continue

@@ -31,15 +31,17 @@ computed at once:
 
 The traces themselves are the gaussian.disk_rows points of an annulus in
 N(n), filtered and ordered by the vectorized `thresholds`.  The sum is
-lfunctions.smoothed_sums, the one evaluator of every smoothed series in
-the package, here with a vector root.  Its depth-first gaussian.walk_ideals
-over the sorted prime list fixes the term order (hence floating-point
-rounding), and a prime power whose product vector vanishes on every trace
-prunes its subtree.  The walk visits only the ideals with a multiple in
-range (1,248 of 31,407 at the 40,000 cutoff of V = 1000) and the higher
-prime powers; the prime leaves q * pi_j of an ideal q are summed in one
-step, one int8 row lambda_pi_j(n^2-4) per prime, as
-val_q * sum_j w_j row_j with w_j = e^(-N(q) N(pi_j)/V) / (N(q) N(pi_j)).
+gv_sweep's own, on the package's one ideal walker, gaussian.walk_ideals
+(lfunctions.smoothed_sums, the other caller, sums the scalar series).  The
+depth-first walk over the sorted prime list fixes the term order (hence
+floating-point rounding), and a prime power whose product vector vanishes
+on every trace prunes its subtree.  The walk visits only the ideals with
+a multiple in range (1,248 of 31,407 at the 40,000 cutoff of V = 1000)
+and the higher prime powers.  Each visit adds its term before its subtree
+and its prime leaves q * pi_j after it, in one step, one int8 row
+lambda_pi_j(n^2-4) per prime, as val_q * sum_j w_j row_j with
+w_j = e^(-N(q) N(pi_j)/V) / (N(q) N(pi_j)).  (A scalar series records
+its visits and sums them after the walk.)
 Every vector and row builder is property-tested against the scalar
 quad_counts.lambda_.
 
@@ -55,9 +57,9 @@ No work is done twice for an answer already known:
     in the order of the primes, whatever the other columns.  In floating
     point a trace with Im(delta) < 0 gets conj(delta)'s walk, which adds
     the same terms in another order: within ~1e-14 of walking delta itself.
-  * several V in one walk: `gv_sweep` hands its Vs to smoothed_sums, whose
-    accumulator for each V is bit-identical to its own `gv_per_trace`.  The
-    quarter-V validation of geodesics rides along the V sweep this way.
+  * several V in one walk: `gv_sweep` keeps an accumulator for each V,
+    bit-identical to its own `gv_per_trace`.  The quarter-V validation of
+    geodesics rides along the V sweep this way.
   * one symbol build per rational prime: a Legendre table mod p, or the
     local symbols of reciprocity when p^2 lies beyond the cutoff and p
     beyond the factor bound and large against the number of traces, fills
@@ -76,13 +78,14 @@ No work is done twice for an answer already known:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
 from . import gaussian as g
-from .lfunctions import CUTOFF_MULT, _sweep_limits, smoothed_sums
+from .lfunctions import CUTOFF_MULT, _exp_weight, _sweep_limits
 from .quad_counts import lambda_from_rho, lambda_odd
 
 
@@ -489,32 +492,78 @@ def _orbit_reps(traces: TraceSet):
     return reps, inverse.reshape(-1)
 
 
+def _row_sum(w, rows):
+    """sum_j w[j] * rows[j, m] for each column m of rows.
+
+    einsum sums each column of `rows` in the order of j, so one column's
+    sum does not depend on the others; numpy reduces a single column as one
+    contiguous vector, in another order, so that column is summed as the
+    first of two equal ones.
+    """
+    if rows.shape[1] == 1:
+        return np.einsum("j,jm->m", w, np.repeat(rows, 2, axis=1))[:1]
+    return np.einsum("j,jm->m", w, rows)
+
+
 def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT) -> list:
     """[G_V(n^2-4) for every trace in `traces`, for V in Vs] from one walk.
 
-    One lfunctions.smoothed_sums walk over the orbit representatives, with
-    one accumulator per V; each array is bit-identical to gv_per_trace at
-    its V.  The running product over prime powers is a float64 vector
-    (lambda values at desk scale stay far below 2^53, so products are
-    exact); the prime leaves below it come from LambdaVectors.rows.
-    CACHE_BYTES bounds the LambdaVectors cache, rows included; the values do
-    not depend on it.  Vs must be a non-empty sequence, and cutoff_mult and
-    every V positive and finite.
+    One gaussian.walk_ideals over the orbit representatives, to the largest
+    cutoff max(int(cutoff_mult * V), 1), with one accumulator per V; each
+    array is bit-identical to gv_per_trace at its V.  The running product
+    over prime powers is a float64 vector (lambda values at desk scale stay
+    far below 2^53, so products are exact), and a product that vanishes on
+    every trace prunes its subtree.  A visited ideal adds its term before
+    its subtree, for each V whose cutoff its reach lies within, and its
+    prime leaves after it, for each V a range found by bisection, as
+    val_q * sum_j w_j row_j over the int8 blocks of LambdaVectors.rows;
+    each column is summed in the order of j, so a trace's value never
+    depends on the traces beside it.
+
+    The order is load-bearing: the leaves go after the subtree, so the deep
+    nodes, whose ranges hold the small primes only, ask for rows first, and
+    the cache, which admits what comes first, keeps the rows that the most
+    nodes read.  Summed before the subtree, the unit ideal's range (every
+    prime above sqrt(cutoff)) would fill the budget with the large primes'
+    blocks.  CACHE_BYTES bounds the LambdaVectors cache, rows included; the
+    values do not depend on it.  Vs must be a non-empty sequence, and
+    cutoff_mult and every V positive and finite.
     """
-    _sweep_limits(Vs, cutoff_mult)
+    limits = _sweep_limits(Vs, cutoff_mult)
     if len(traces) == 0:
         # no walk, which would build the rows of every prime up to the
         # cutoff for an empty window such as (X, X+1]
         return [np.zeros(0) for _ in Vs]
     reps, inverse = _orbit_reps(traces)
     prov = LambdaVectors(reps, cutoff_mult * max(Vs))
+    primes = g.prime_ideals_upto(max(limits))
+    norms = primes[:, 0].astype(np.float64)
+    pnorms, pairs = primes[:, 0].tolist(), g.leaf_pairs(primes).tolist()
+    sums = [np.zeros(len(reps)) for _ in Vs]
 
     def extend(vec, npj, pj, e):
         child = vec * prov.vec(npj, pj, e)
         return child if child.any() else None
 
-    sums = smoothed_sums(Vs, extend, root=np.ones(len(reps)), cutoff_mult=cutoff_mult,
-                         rows=prov.rows)
+    def term(i, nrm, val, reach):
+        for k, limit in enumerate(limits):
+            if reach <= limit:
+                sums[k] += val * _exp_weight(Vs[k], nrm)
+
+    def leaves(i, nrm, val, reach):
+        for k, limit in enumerate(limits):
+            m = limit // nrm
+            lo = max(i, bisect_right(pairs, m))
+            hi = bisect_right(pnorms, m)
+            if lo < hi:
+                w = _exp_weight(Vs[k], nrm * norms[lo:hi])
+                total, at = 0.0, 0
+                for piece in prov.rows(primes, lo, hi):
+                    total = total + _row_sum(w[at:at + len(piece)], piece)
+                    at += len(piece)
+                sums[k] += val * total
+
+    g.walk_ideals(primes, max(limits), extend, term, leaves, root=np.ones(len(reps)))
     return [acc[inverse] for acc in sums]
 
 

@@ -187,18 +187,39 @@ def test_cli_spectral(capsys, tmp_path):
     assert obj["S_re"] == pytest.approx(2.0)
 
 
+def _bad_eigenvalue_files(tmp_path) -> list:
+    """Eigenvalue files that are malformed, unsorted, missing, not UTF-8 and
+    not readable (a directory)."""
+    files = {"eig.txt": b"6.6\nnan\n3.0\ninf\n", "unsorted.txt": b"2.0\n1.0\n",
+             "binary.txt": b"1.0\n\xff\n"}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    return [tmp_path / name for name in files] + [tmp_path / "missing.txt", tmp_path]
+
+
 def test_cli_spectral_bad_file_is_usage_error(capsys, tmp_path):
-    # a malformed file is one stderr line and exit 2, like a missing one
-    p = tmp_path / "eig.txt"
-    p.write_text("6.6\nnan\n3.0\ninf\n")
-    for path in (p, tmp_path / "missing.txt"):
+    # a malformed file is one stderr line and exit 2, like a missing one; a
+    # file that is not UTF-8 or a directory used to end in a traceback
+    for path in _bad_eigenvalue_files(tmp_path):
         assert main(["spectral", "--file", str(path), "--t", "2.5", "--x", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-    p.write_text("1.0\nnan\n")
-    main(["spectral", "--file", str(p), "--t", "2.5", "--x", "1"])
-    assert "line 2" in capsys.readouterr().err
+        assert len(captured.err.splitlines()) == 1, path
+    p = tmp_path / "eig.txt"
+    for data in (b"1.0\nnan\n", b"1.0\n\xff\n", b"1.0\r\n2.\xff\n"):
+        p.write_bytes(data)
+        main(["spectral", "--file", str(p), "--t", "2.5", "--x", "1"])
+        assert "line 2" in capsys.readouterr().err, data
+
+
+def test_cli_verify_bad_eigenvalue_file_is_usage_error(capsys, tmp_path):
+    # the file is loaded before the first criterion: an unsorted one used to
+    # run criteria 1-10 and then end in a traceback
+    for path in _bad_eigenvalue_files(tmp_path):
+        assert main(["verify", "--quick", "--eigenvalues", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, path
 
 
 def test_cli_required_and_exclusive_options(capsys):

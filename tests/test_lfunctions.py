@@ -372,13 +372,6 @@ def test_L_chi_rejects_bad_tol(tol):
         L_chi(1.0, quadratic_character(G(5, 0)), 50.0, tol=tol)
 
 
-@pytest.mark.parametrize("cutoff_mult", [0.0, -1.0, math.nan, math.inf])
-def test_smoothed_sums_rejects_bad_cutoff_mult(cutoff_mult):
-    # -1 used to sum the unit ideal alone, nan to die in int()
-    with pytest.raises(ValueError):
-        smoothed_sums([10.0], _ext, cutoff_mult=cutoff_mult)
-
-
 def _callers(*names):
     """(module, innermost enclosing function) of every call in the package
     to a function of one of the given names, plain or as an attribute."""
@@ -397,9 +390,11 @@ def _callers(*names):
 
 
 def test_walk_ideals_has_one_caller():
-    # every smoothed series goes through smoothed_sums; a second walker
-    # call would fork the sum again
-    assert _callers("walk_ideals") == [("lfunctions", "smoothed_sums")]
+    # one caller per shape of series: every scalar series goes through
+    # smoothed_sums, the vector of G_V over traces through gv_sweep; a third
+    # walker call would fork a sum again
+    assert _callers("walk_ideals") == [("lfunctions", "smoothed_sums"),
+                                       ("trace_engine", "gv_sweep")]
 
 
 def test_factorization_products_and_brute_rho_have_one_home():
