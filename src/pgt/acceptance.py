@@ -70,7 +70,10 @@ class CriterionResult:
             yield prefix + text
 
 
-def _clause(details: list, ok: bool, text: str) -> bool:
+def _clause(details: list, ok, text: str) -> bool:
+    """Record a clause; its verdict is a Python bool, also from a numpy
+    comparison."""
+    ok = bool(ok)
     details.append((ok, text))
     return ok
 
@@ -236,7 +239,7 @@ def criterion_6(quick: bool = False) -> CriterionResult:
     d: list = []
     ok = True
     vs = (1e2, 1e3) if quick else (1e2, 1e3, 1e4)
-    devs = [(V, abs(lf.normalization_sum(V) - 1.0)) for V in vs]
+    devs = [(V, abs(float(lf.normalization_sum(V)) - 1.0)) for V in vs]
     ok &= _clause(d, all(b[1] < a[1] for a, b in zip(devs, devs[1:])),
                   f"|sum - 1| decreasing: {[(f'{v:.0e}', round(x, 5)) for v, x in devs]}")
     ok &= _clause(d, devs[-1][1] <= 0.1,

@@ -65,19 +65,27 @@ No work is done twice for an answer already known:
     beyond the factor bound and large against the number of traces, fills
     the rows of both split ideals over p at once; a table is kept only while
     the walk can ask for a higher power over p (p^2 within the cutoff).  The
-    n^2 - 4 are factored once per sweep, at the first prime that takes the
-    local symbols, and their factors' Legendre tables are built with them.
+    n^2 - 4 are factored once per sweep, before the first block of prime
+    rows when the walk reaches a prime that takes the local symbols, and
+    their factors' Legendre tables serve the rows over those factors too.
   * a byte budget: vectors, kept tables and blocks of prime rows are
-    cached while they fit in CACHE_BYTES (64 MiB), and a cached entry is
-    never evicted.  The walk reads the rows of the small primes at every
+    cached while a later visit can read them and they fit in CACHE_BYTES
+    (64 MiB), and a cached entry is never evicted.  A visit q reads an
+    entry of norm N only when N(q) N lies within a cutoff, and every visit
+    but the unit ideal has N(q) >= 2, so the blocks of the primes above
+    half the largest cutoff and above the second largest, which the unit
+    alone reads, once, are not cached (30 of 66 blocks, 15 MB, in psi(1e4)
+    at V = 1000).  The walk reads the rows of the small primes at every
     node and those of the large ones at few, in ascending scans that repeat;
     on that pattern least-recently-used eviction keeps nothing once a scan
     outgrows the budget, while admission keeps the rows that are read most,
-    built once each.
+    built once each.  A vector is stored in int8 or int16 when its values
+    fit, as they do at desk scale.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
@@ -242,10 +250,12 @@ class _DeltaFactors:
     pi form one row of a matrix over the columns w, with [i/pi] and
     [(1+i)/pi] as two more columns, and each trace multiplies the columns of
     its factor list.  The trial division is exact in int64 while
-    |delta| (1 + bound) < 2^62.
+    |delta| (1 + bound) < 2^62.  table(q) gives the Legendre table mod q
+    (LambdaVectors._chartab, which reads `tables` back for the walk's rows
+    over q, so that each table is built once).
     """
 
-    def __init__(self, traces: TraceSet, bound: int):
+    def __init__(self, traces: TraceSet, bound: int, table):
         k, (ca, cb) = g.valuation((1, 1), (traces.da, traces.db), 64)
         at, col, q, s = [], [], [], []  # odd-exponent incidences; each column's q and s_w
         for npi, re, im in g.prime_ideals_upto(bound).tolist():
@@ -277,10 +287,13 @@ class _DeltaFactors:
         self.q = np.array(q, dtype=np.int64)
         self.s = np.array(s, dtype=np.int64)
         self.inert = self.s == 0
-        # one int8 array of the Legendre tables mod each q, at offset off
+        # one int8 array of the Legendre tables mod each q, table(q), at
+        # offset off; tables[q] is q's, a view
         qs, inv = np.unique(self.q, return_inverse=True)
-        self.off = (np.cumsum(qs) - qs)[inv.reshape(-1)]
-        self.tab = np.concatenate([np.zeros(0, np.int8), *map(_sq_char_table, qs.tolist())])
+        start = np.cumsum(qs) - qs
+        self.off = start[inv.reshape(-1)]
+        self.tab = np.concatenate([np.zeros(0, np.int8), *map(table, qs.tolist())])
+        self.tables = {q: self.tab[o:o + q] for q, o in zip(qs.tolist(), start.tolist())}
         # the traces in descending order of factor count, trace j at position
         # pos[j]: the f-th factors of the traces with more than f are cols[f],
         # one per position of a prefix
@@ -308,15 +321,16 @@ class _DeltaFactors:
         return acc[:, self.pos]
 
 
-# 64 MiB holds every row and vector of psi(1e4) at V = 1000 (4,195 prime
-# rows of 7,950 orbit representatives, 33 MB).  psi(1e4) at V = 1e4 needs
-# 257 MiB of rows; the cache keeps what it admits first, which is the rows
-# of the small primes that every node of the walk reads, and a block it
-# did not admit is rebuilt when a later node asks for it again.  Each of
-# the 3,233 rational primes below p = 8 * 7,950 still gets one Legendre
-# table; above it a rebuild takes the local symbols, whose cost does not
-# grow with p (43,630 local rows, 27,454 with a 1 GiB budget).  The call
-# takes 7-9.5 s on 2 vCPUs, 6 s with a 1 GiB budget
+# 64 MiB holds every row and vector that psi(1e4) at V = 1000 reads twice
+# (36 of its 66 row blocks over 7,950 orbit representatives and 106 int8 or
+# int16 vectors, 19 MB).  psi(1e4) at V = 1e4 would keep 139 MiB; the cache
+# keeps what it admits first, which is the rows of the small primes that
+# every node of the walk reads, and a block it did not admit is rebuilt
+# when a later node asks for it again.  Each of the 3,233 rational primes
+# below p = 8 * 7,950 still gets one Legendre table; above it a rebuild
+# takes the local symbols, whose cost does not grow with p (40,110 local
+# rows, 27,454 with a 1 GiB budget).  The call takes 5.7 s on 2 vCPUs,
+# 5.0 s with a 1 GiB budget
 CACHE_BYTES = 1 << 26
 
 # leaf rows are built and cached in blocks of this many consecutive primes
@@ -354,30 +368,57 @@ def _block_start(primes, k: int) -> int:
     return s + bool(0 < s < len(primes) and primes[s, 0] == primes[s - 1, 0])
 
 
+def _narrowest(vec: np.ndarray) -> np.ndarray:
+    """vec as int8 or int16, the narrower that holds its values, else
+    unchanged.  At an odd pi, |lambda_{pi^e}| <= sqrt(N(pi^e)), 200 at the
+    cutoff 40,000 of V = 1000."""
+    lo, hi = vec.min(initial=0), vec.max(initial=0)
+    for t in (np.int8, np.int16):
+        if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max:
+            return vec.astype(t, copy=False)
+    return vec
+
+
 class LambdaVectors:
-    """Per-trace lambda_{pi^e}(n^2-4) vectors and prime rows, kept while they
+    """Per-trace lambda_{pi^e}(n^2-4) vectors and prime rows for a walk to
+    the cutoffs `limits`, kept while a later visit can read them and they
     fit in CACHE_BYTES.
 
     The cache holds vectors, Legendre tables and blocks of prime rows.  It
-    admits an entry while the entry fits in what is left of CACHE_BYTES and
-    never evicts one, so what the walk builds first, the rows of the small
-    primes that every node reads, stays for the whole sweep.  A table is
-    cached only when the walk to `limit` can ask for it again, i.e. when a
-    second power over its prime lies within limit (p*p <= limit); a larger
+    admits an entry that a later (visit, V) pair of the walk can read while
+    the entry fits in what is left of CACHE_BYTES, and never evicts one, so
+    what the walk builds first, the rows of the small primes that every
+    node reads, stays for the whole sweep.  A visit q reads an entry of
+    norm N (a vector: N(pi^e); a row block: its first prime's norm) only
+    when N(q) N lies within a cutoff, and every visit but the unit ideal
+    has N(q) >= 2.  The unit extends by a vector once, whatever V, and
+    reads a block once for each cutoff at or above N; so a vector is kept
+    when 2N lies within the largest cutoff, and a block also when N lies
+    within the second largest.  The blocks of the top primes, which the
+    unit alone reads, once, are not kept.  Vectors are stored in the
+    narrowest integer type that holds them (_narrowest).
+
+    A table is kept when the walk can ask for it again, i.e. when a second
+    power over its prime lies within the cutoff (p*p <= limit); a larger
     split prime's symbol serves the rows of both ideals over p, built
     together.  Each rational prime's symbols come from one build: its
-    Legendre table (p bytes), or, for a split p with p*p > limit, beyond
-    `bound` and large against the number of traces, the local symbols of
-    _DeltaFactors, which factors the traces' n^2 - 4 once.
+    Legendre table (p bytes), or, for a split p beyond `local_from` (with
+    p*p > limit, beyond `bound` and large against the number of traces),
+    the local symbols of _DeltaFactors.  That factors the traces' n^2 - 4
+    once, before the first row block of a walk that reaches such a p, and
+    its factors' tables serve the walk's rows over them.
     """
 
-    def __init__(self, traces: TraceSet, limit: float):
+    def __init__(self, traces: TraceSet, limits):
         self.tr = traces
-        self.limit = limit
+        # the largest cutoff and the second largest (0 for one cutoff)
+        self.limit, self.second = (sorted(limits, reverse=True) + [0])[:2]
         self.cached_bytes = 0
         self._cache: dict = {}
         # max N(n +- 2), a bound on the norm of every prime factor of n^2 - 4
         self.bound = int(((np.abs(traces.na) + 2) ** 2 + traces.nb ** 2).max(initial=0))
+        self.local_from = max(self.bound, RECIPROCITY_PER_TRACE * len(traces),
+                              math.isqrt(int(self.limit)))
         self._factors = None
 
     def _put(self, key, arr: np.ndarray) -> None:
@@ -387,11 +428,18 @@ class LambdaVectors:
 
     def _chartab(self, p: int) -> np.ndarray:
         tab = self._cache.get(p)
+        if tab is None and self._factors is not None:
+            tab = self._factors.tables.get(p)
         if tab is None:
             tab = _sq_char_table(p)
             if p * p <= self.limit:
                 self._put(p, tab)
         return tab
+
+    def _delta_factors(self) -> _DeltaFactors:
+        if self._factors is None:
+            self._factors = _DeltaFactors(self.tr, self.bound, self._chartab)
+        return self._factors
 
     def _build(self, npj: int, pj, e: int) -> np.ndarray:
         """lambda vector; int8 for exponent 1 (values in {-1,0,1}), int64 else."""
@@ -403,7 +451,7 @@ class LambdaVectors:
         if e == 1:
             p, res = _residues(tr.da, tr.db, npj, pj)
             rows = self._chartab(p)[np.stack(res)]
-            if len(rows) == 2:  # one table serves both ideals over p
+            if len(rows) == 2 and 2 * npj <= self.limit:  # one table serves both ideals over p
                 self._put((pj[::-1], 1), rows[1])
             return rows[0]
         v, u = g.valuation(pj, (tr.da, tr.db), e)
@@ -414,20 +462,23 @@ class LambdaVectors:
         key = (pj, e)
         out = self._cache.get(key)
         if out is None:
-            out = self._build(npj, pj, e)
-            self._put(key, out)
+            out = _narrowest(self._build(npj, pj, e))
+            if 2 * npj ** e <= self.limit:
+                self._put(key, out)
         return out
 
     def _prime_rows(self, primes, a: int, b: int) -> np.ndarray:
         """int8 rows lambda_pi(n^2-4) (e = 1) for primes[a:b], a conjugate
-        pair never cut.  A split p beyond self.bound, with p^2 beyond the
-        cutoff and p > RECIPROCITY_PER_TRACE * traces, takes both its rows
-        from reciprocity, in one _DeltaFactors.rows call for the block (the
-        traces' n^2 - 4 are factored at the first such p of the sweep); every
-        other prime reads a Legendre table, one per rational prime, at the
-        residues da + t db with t < p, exact in int64 while
+        pair never cut.  A split p beyond local_from takes both its rows
+        from reciprocity, in one _DeltaFactors.rows call for the block;
+        every other prime reads a Legendre table, one per rational prime, at
+        the residues da + t db with t < p, exact in int64 while
         |n^2 - 4| (1 + p) < 2^63."""
         tr = self.tr
+        if self.local_from < self.limit:
+            # the walk reaches local symbols: factor the n^2 - 4 before the
+            # first block builds the tables of their factors
+            self._delta_factors()
         rows = primes[a:b].tolist()
         out = np.empty((b - a, len(tr)), dtype=np.int8)
         local = []
@@ -439,8 +490,7 @@ class LambdaVectors:
                 j += 1
                 continue
             # a split prime is followed by its conjugate
-            if (im and npj > self.bound and npj * npj > self.limit
-                    and npj > RECIPROCITY_PER_TRACE * len(tr)):
+            if im and npj > self.local_from:
                 local += [j, j + 1]
                 j += 2
                 continue
@@ -448,9 +498,8 @@ class LambdaVectors:
             out[j:j + len(r)] = self._chartab(p)[np.stack(r)]
             j += len(r)
         if local:
-            if self._factors is None:
-                self._factors = _DeltaFactors(tr, self.bound)
-            out[local] = self._factors.rows(*g.primary_associate(*primes[a:b][local, 1:].T))
+            out[local] = self._delta_factors().rows(
+                *g.primary_associate(*primes[a:b][local, 1:].T))
         return out
 
     def rows(self, primes, lo: int, hi: int):
@@ -467,7 +516,9 @@ class LambdaVectors:
             block = self._cache.get(("rows", a))
             if block is None:
                 block = self._prime_rows(primes, a, b)
-                self._put(("rows", a), block)
+                nrm = int(primes[a, 0])
+                if 2 * nrm <= self.limit or nrm <= self.second:
+                    self._put(("rows", a), block)
             yield block[max(lo, a) - a:min(hi, b) - a]
             k, a = k + 1, b
 
@@ -483,9 +534,12 @@ def _orbit_reps(traces: TraceSet):
 
     The representative is the member with Im(delta) >= 0: a trace with
     db < 0 is swept as conj(n) = (na, -nb).  It depends only on the class.
+    A class is keyed on one int64, ascending in (da, |db|) as the rows of a
+    two-column unique are, which sorts an order of magnitude faster.
     """
-    _, first, inverse = np.unique(np.stack((traces.da, np.abs(traces.db)), axis=1),
-                                  axis=0, return_index=True, return_inverse=True)
+    adb = np.abs(traces.db)
+    key = (traces.da - traces.da.min(initial=0)) * (adb.max(initial=0) + 1) + adb
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     nb = np.where(traces.db < 0, -traces.nb, traces.nb)
     reps = TraceSet(lo=traces.lo, hi=traces.hi, na=traces.na[first], nb=nb[first],
                     weight=traces.weight[first], thr=traces.thr[first])
@@ -535,7 +589,7 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT) -> list:
         # cutoff for an empty window such as (X, X+1]
         return [np.zeros(0) for _ in Vs]
     reps, inverse = _orbit_reps(traces)
-    prov = LambdaVectors(reps, cutoff_mult * max(Vs))
+    prov = LambdaVectors(reps, limits)
     primes = g.prime_ideals_upto(max(limits))
     norms = primes[:, 0].astype(np.float64)
     pnorms, pairs = primes[:, 0].tolist(), g.leaf_pairs(primes).tolist()

@@ -146,3 +146,14 @@ def test_criterion_12_verify_runner(capsys):
     quick_red = [l for l in lines if "FAIL" in l]
     # quick mode shrinks grids; the constant gate still fails there
     assert code == (1 if quick_red else 0)
+
+
+def test_quick_criteria_report_plain_values():
+    # detail lines print plain floats, not numpy reprs such as
+    # np.float64(0.06164), and every verdict is a Python bool
+    results, _ = acc.run_all(quick=True, echo=lambda line: None)
+    for res in results:
+        assert type(res.passed) is bool, res.number
+        for ok, text in res.details:
+            assert ok is None or type(ok) is bool, (res.number, text)
+            assert "np." not in text, (res.number, text)

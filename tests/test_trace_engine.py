@@ -1,5 +1,6 @@
 """Property tests: the vector lambda builders and their cache, which admits
-entries up to a byte budget and never evicts one, the factored-ideal walker, the disk enumerator, the orbit invariance of G_V,
+the entries a later visit can read up to a byte budget and never evicts one,
+the factored-ideal walker, the disk enumerator, the orbit invariance of G_V,
 and the orbit and two-accumulator sweep against one-trace, one-V sweeps."""
 
 import gc
@@ -72,7 +73,7 @@ def test_lambda_vectors_match_scalar_lambda(pairs, data, descending):
     ns = [G(a, b) for a, b in pairs]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trace_engine, "CACHE_BYTES", budget)
-        prov = LambdaVectors(_trace_set(pairs), PP_NORM_MAX)
+        prov = LambdaVectors(_trace_set(pairs), [PP_NORM_MAX])
         # PRIME_POWERS lists pi = (a, b) before its conjugate (b, a) when
         # a < b; descending asks for the conjugate first, whose e = 1 build
         # fills pi's
@@ -106,7 +107,7 @@ def _two_power_traces():
 def test_deep_two_power_vectors_match_scalar_lambda():
     # PRIME_POWERS stops at (1+i)^10; the sweeps reach (1+i)^16 to (1+i)^18
     pairs = _two_power_traces()
-    prov = LambdaVectors(_trace_set(pairs), 1.0)
+    prov = LambdaVectors(_trace_set(pairs), [1])
     ns = [G(a, b) for a, b in pairs]
     seen = set()
     for e in range(11, 19):
@@ -114,6 +115,30 @@ def test_deep_two_power_vectors_match_scalar_lambda():
         assert prov.vec(2, (1, 1), e).tolist() == want, e
         seen.update(want)
     assert min(seen) < 0 < max(seen) and len(seen) > 5, seen
+
+
+def test_narrowed_vectors_equal_their_int64_builds():
+    # each vector is stored in int8 or int16 and equals its build element by
+    # element: every prime power of norm <= PP_NORM_MAX over GRID, and the
+    # deep (1+i) powers, whose values leave int8
+    dtypes = set()
+    for pairs, powers in ((GRID, PRIME_POWERS),
+                          (_two_power_traces(), [(2, (1, 1), e) for e in range(11, 19)])):
+        prov = LambdaVectors(_trace_set(pairs), [1])
+        for npi, pi, e in powers:
+            got, built = prov.vec(npi, pi, e), prov._build(npi, pi, e)
+            assert built.dtype == (np.int8 if e == 1 and pi != (1, 1) else np.int64)
+            assert got.tolist() == built.tolist(), (pi, e)
+            dtypes.add(got.dtype)
+    assert dtypes == {np.dtype(np.int8), np.dtype(np.int16)}
+
+
+def test_narrowest_keeps_int64_beyond_int16():
+    for vals, dtype in (([-128, 0, 127], np.int8), ([-129], np.int16), ([128], np.int16),
+                        ([-32768, 32767], np.int16), ([32768], np.int64),
+                        ([-32769, 5], np.int64), ([], np.int8)):
+        got = trace_engine._narrowest(np.array(vals, dtype=np.int64))
+        assert got.dtype == dtype and got.tolist() == vals, vals
 
 
 @settings(max_examples=12, deadline=None)
@@ -126,7 +151,7 @@ def test_lambda_vector_cache_stays_within_its_budget(pairs, rng):
     for budget in _budgets(len(pairs)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trace_engine, "CACHE_BYTES", budget)
-            prov = LambdaVectors(_trace_set(pairs), PP_NORM_MAX)
+            prov = LambdaVectors(_trace_set(pairs), [PP_NORM_MAX])
             keys, held_before = set(), 0
             for npi, pi, e in asks:
                 prov.vec(npi, pi, e)
@@ -136,27 +161,10 @@ def test_lambda_vector_cache_stays_within_its_budget(pairs, rng):
                 keys, held_before = set(prov._cache), held
 
 
-def _count_row_tables(monkeypatch, record):
-    """Have _sq_char_table call record(p) for each table the lambda rows
-    build; the tables _DeltaFactors builds for the prime factors of n^2 - 4
-    are not row symbols and go unrecorded."""
-    real_table, real_init = trace_engine._sq_char_table, trace_engine._DeltaFactors.__init__
-    factoring = []
-
-    def counted(p):
-        if not factoring:
-            record(p)
-        return real_table(p)
-
-    def init(self, *args):
-        factoring.append(self)
-        try:
-            real_init(self, *args)
-        finally:
-            factoring.pop()
-
-    monkeypatch.setattr(trace_engine, "_sq_char_table", counted)
-    monkeypatch.setattr(trace_engine._DeltaFactors, "__init__", init)
+def _count_tables(monkeypatch, record):
+    """Have _sq_char_table call record(p) for each Legendre table built."""
+    real = trace_engine._sq_char_table
+    monkeypatch.setattr(trace_engine, "_sq_char_table", lambda p: record(p) or real(p))
 
 
 def test_one_symbol_build_per_rational_prime(monkeypatch):
@@ -164,8 +172,11 @@ def test_one_symbol_build_per_rational_prime(monkeypatch):
     # 40V reaches gets one symbol build, never both kinds, never twice:
     # either its Legendre table, which serves both split ideals over p and,
     # below the square root of the cutoff, their higher powers, or the
-    # local symbols of reciprocity for both split ideals over p, in one call
-    tables, local = [], []
+    # local symbols of reciprocity for both split ideals over p, in one call.
+    # The table of a prime factor of some n^2 - 4 serves _DeltaFactors and
+    # the walk's rows alike (each of the 75 was built twice); a factor the
+    # walk does not reach, an inert q with q^2 beyond the cutoff, gets one
+    tables, local, factors = [], [], []
     real_rows = trace_engine._DeltaFactors.rows
 
     def counted_rows(self, a, b):
@@ -175,8 +186,15 @@ def test_one_symbol_build_per_rational_prime(monkeypatch):
         local.extend(set(ps))
         return real_rows(self, a, b)
 
-    _count_row_tables(monkeypatch, tables.append)
+    real_init = trace_engine._DeltaFactors.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        factors.extend(self.q.tolist())
+
+    _count_tables(monkeypatch, tables.append)
     monkeypatch.setattr(trace_engine._DeltaFactors, "rows", counted_rows)
+    monkeypatch.setattr(trace_engine._DeltaFactors, "__init__", init)
     monkeypatch.setattr(trace_engine, "CACHE_BYTES", 1 << 30)
     V = 2000.0
     gv_sweep(trace_set(2000.0, 2100.0), (V,))
@@ -185,7 +203,51 @@ def test_one_symbol_build_per_rational_prime(monkeypatch):
     reached = {a if b == 0 else npi for npi, a, b in prime_ideals_upto(limit).tolist()
                if npi != 2}
     assert tables and local  # both sides of the crossover
-    assert sorted(tables + local) == sorted(reached)
+    assert len(set(factors) & reached) > 70
+    assert sorted(tables + local) == sorted(reached | set(factors))
+
+
+class _CountedReads(dict):
+    """A cache dict that counts the lookups of each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = {}
+
+    def get(self, key, default=None):
+        self.reads[key] = self.reads.get(key, 0) + 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("ratios", [(1.0,), (1.0, 0.25), (1.0, 0.9)])
+def test_row_blocks_are_kept_when_a_later_visit_reads_them(monkeypatch, ratios):
+    # a budget that holds the sweep builds each row block once, and the
+    # cache keeps no block that the walk reads once: the blocks of the top
+    # primes, which only the unit ideal reads, at the largest cutoff.  With
+    # a second cutoff above half the first, the unit reads the blocks
+    # between them twice, and they are kept (a rule of 2N within the
+    # largest cutoff alone built 90 blocks for 66 at V = 1000 and 900)
+    caches, built = [], []
+    real_init, real_rows = LambdaVectors.__init__, LambdaVectors._prime_rows
+
+    def init(self, *args):
+        real_init(self, *args)
+        self._cache = _CountedReads()
+        caches.append(self._cache)
+
+    monkeypatch.setattr(LambdaVectors, "__init__", init)
+    monkeypatch.setattr(LambdaVectors, "_prime_rows",
+                        lambda self, primes, a, b: built.append(a) or real_rows(self, primes, a, b))
+    monkeypatch.setattr(trace_engine, "CACHE_BYTES", 1 << 30)
+    gv_sweep(trace_set(2000.0, 2100.0), [2000.0 * r for r in ratios])
+    (cache,) = caches
+    # block keys are ("rows", a), table keys ints and vector keys (pi, e)
+    reads = {key[1]: n for key, n in cache.reads.items() if type(key) is tuple and key[0] == "rows"}
+    kept = {key[1] for key in cache if type(key) is tuple and key[0] == "rows"}
+    assert sorted(built) == sorted(reads) and len(built) > 100
+    assert all(reads[a] >= 2 for a in kept)
+    assert kept == {a for a, n in reads.items() if n >= 2}
+    assert len(kept) < len(reads)
 
 
 def test_rows_beyond_the_budget_build_one_table_per_prime(monkeypatch):
@@ -198,7 +260,7 @@ def test_rows_beyond_the_budget_build_one_table_per_prime(monkeypatch):
     reps, _ = trace_engine._orbit_reps(traces)
     row_bytes = len(reps) * len(prime_ideals_upto(int(40 * V)))
     built = {}
-    _count_row_tables(monkeypatch, lambda p: built[budget].append(p))
+    _count_tables(monkeypatch, lambda p: built[budget].append(p))
     for budget in (1 << 30, row_bytes // 2):
         built[budget] = []
         monkeypatch.setattr(trace_engine, "CACHE_BYTES", budget)
@@ -256,14 +318,14 @@ def test_reciprocity_rows_equal_table_rows_and_scalar_lambda(monkeypatch, m):
     primes = prime_ideals_upto(20000)
     built = []
     real_rows = trace_engine._DeltaFactors.rows
-    _count_row_tables(monkeypatch, lambda p: built.append("table"))
+    _count_tables(monkeypatch, lambda p: built.append("table"))
     monkeypatch.setattr(trace_engine._DeltaFactors, "rows",
                         lambda self, a, b: built.append("local") or real_rows(self, a, b))
 
     def rows(per_trace):
         monkeypatch.setattr(trace_engine, "RECIPROCITY_PER_TRACE", per_trace)
         built.clear()
-        out = np.concatenate(list(LambdaVectors(tr, 1.0).rows(primes, 0, len(primes))))
+        out = np.concatenate(list(LambdaVectors(tr, [1]).rows(primes, 0, len(primes))))
         return out, set(built)
 
     default, how_d = rows(trace_engine.RECIPROCITY_PER_TRACE)
@@ -328,8 +390,8 @@ def test_reciprocity_rows_match_table_rows_on_every_unit_and_power_of_two():
     shapes = {_unit_and_k(G(a, b)) for a, b in GRID}
     assert {u for u, _ in shapes} == set(UNIT_PAIRS)
     assert {k for _, k in shapes} >= {0, 2, 4, 6, 9}
-    prov = LambdaVectors(tr, 1.0)
-    fac = trace_engine._DeltaFactors(tr, prov.bound)
+    prov = LambdaVectors(tr, [1])
+    fac = trace_engine._DeltaFactors(tr, prov.bound, prov._chartab)
     split = [(npi, (a, b)) for npi, a, b in prime_ideals_upto(8000).tolist()
              if npi > prov.bound and b]
     pis = np.array([pi for _, pi in split])
@@ -347,11 +409,11 @@ def test_reciprocity_rows_match_scalar_lambda(pairs, skip):
     # the local rows of 30 consecutive split primes beyond the factor bound,
     # from a drawn offset, against the scalar lambda
     tr = _trace_set(pairs)
-    prov = LambdaVectors(tr, 1.0)
+    prov = LambdaVectors(tr, [1])
     split = [(a, b) for npi, a, b in prime_ideals_upto(40000).tolist()
              if npi > prov.bound and b]
     pis = np.array(split[2 * skip:2 * skip + 30])
-    rows = trace_engine._DeltaFactors(tr, prov.bound).rows(*primary_associate(pis[:, 0], pis[:, 1]))
+    rows = trace_engine._DeltaFactors(tr, prov.bound, prov._chartab).rows(*primary_associate(pis[:, 0], pis[:, 1]))
     ns = [G(a, b) for a, b in pairs]
     assert rows.tolist() == [[lambda_at_prime_power(tuple(pi), 1, n * n - G(4, 0), n) for n in ns]
                              for pi in pis.tolist()]
@@ -483,6 +545,20 @@ def orbit_shaped_sets(draw):
     return draw(st.permutations(pairs))
 
 
+@settings(max_examples=40, deadline=None)
+@given(orbit_shaped_sets())
+def test_orbit_key_matches_two_column_unique(pairs):
+    # the one-int64 class key orders the classes as the (da, |db|) rows of
+    # a two-column unique: the same first members and the same inverse
+    ts = _trace_set(pairs)
+    _, first, inverse = np.unique(np.stack((ts.da, np.abs(ts.db)), axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    reps, got = trace_engine._orbit_reps(ts)
+    assert got.tolist() == inverse.reshape(-1).tolist()
+    assert reps.na.tolist() == ts.na[first].tolist()
+    assert reps.nb.tolist() == np.where(ts.db < 0, -ts.nb, ts.nb)[first].tolist()
+
+
 @settings(max_examples=25, deadline=None)
 @given(orbit_shaped_sets(), st.sampled_from([0.05, 10.0, 30.0, 75.0]),
        st.sampled_from([0, 60, CACHE_BYTES]))
@@ -514,9 +590,9 @@ def test_gv_sweep_leaves_the_trace_set_unchanged(monkeypatch, window):
     before = tr.da.copy(), tr.db.copy()
     read, init = [], trace_engine._DeltaFactors.__init__
 
-    def spy(self, traces, bound):
+    def spy(self, traces, *args):
         read.append((traces, traces.da.copy(), traces.db.copy()))
-        init(self, traces, bound)
+        init(self, traces, *args)
 
     monkeypatch.setattr(trace_engine._DeltaFactors, "__init__", spy)
     gv_sweep(tr, (V,))
