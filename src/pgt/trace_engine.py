@@ -38,9 +38,13 @@ floating-point rounding), and a prime power whose product vector vanishes
 on every trace prunes its subtree.  The walk visits only the ideals with
 a multiple in range (1,248 of 31,407 at the 40,000 cutoff of V = 1000)
 and the higher prime powers.  Each visit adds its term before its subtree
-and its prime leaves q * pi_j after it, in one step, one int8 row
-lambda_pi_j(n^2-4) per prime, as val_q * sum_j w_j row_j with
-w_j = e^(-N(q) N(pi_j)/V) / (N(q) N(pi_j)).  (A scalar series records
+and its prime leaves q * pi after it, in one step over one int8 row per
+norm N: lambda_pi(n^2-4) where one ideal has that norm, and
+lambda_pi + lambda_conj(pi), in -2..2, for a split pair, whose two leaves
+share the weight w_N = e^(-N(q) N/V) / (N(q) N); the step adds
+val_q * sum_N w_N row_N.  A range that starts at conj(pi), past pi (the
+visit ends in pi, or the leaf bound falls between the two), adds
+conj(pi)'s own row, its e = 1 vector, first.  (A scalar series records
 its visits and sums them after the walk.)
 Every vector and row builder is property-tested against the scalar
 quad_counts.lambda_.
@@ -63,11 +67,12 @@ No work is done twice for an answer already known:
   * one symbol build per rational prime: a Legendre table mod p, or the
     local symbols of reciprocity when p^2 lies beyond the cutoff and p
     beyond the factor bound and large against the number of traces, fills
-    the rows of both split ideals over p at once; a table is kept only while
-    the walk can ask for a higher power over p (p^2 within the cutoff).  The
-    n^2 - 4 are factored once per sweep, before the first block of prime
-    rows when the walk reaches a prime that takes the local symbols, and
-    their factors' Legendre tables serve the rows over those factors too.
+    the one row of both split ideals over p at once; a table is kept only
+    while the walk can ask for a higher power over p (p^2 within the
+    cutoff).  The n^2 - 4 are factored once per sweep, before the first
+    block of prime rows when the walk reaches a prime that takes the local
+    symbols, and their factors' Legendre tables serve the rows over those
+    factors too.
   * a byte budget: vectors, kept tables and blocks of prime rows are
     cached while a later visit can read them and they fit in CACHE_BYTES
     (64 MiB), and a cached entry is never evicted.  A visit q reads an
@@ -86,7 +91,6 @@ No work is done twice for an answer already known:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -153,8 +157,12 @@ def trace_set(lo: float, hi: float) -> TraceSet:
 
     Candidates are the gaussian.disk_rows points of the annulus
     lo - 3 < N(n) <= hi + 3 (the threshold differs from N(n) by at most
-    2 + 1/N boundary terms), filtered by the exact threshold.
+    2 + 1/N boundary terms), filtered by the exact threshold.  Both bounds
+    must be finite; lo may be negative.
     """
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {bound!r}")
     rows = list(g.disk_rows(lo - 3.0, hi + 3.0))
     empty = np.zeros(0, dtype=np.int64)
     na = np.concatenate([empty] + [a for _, a in rows])
@@ -322,21 +330,22 @@ class _DeltaFactors:
 
 
 # 64 MiB holds every row and vector that psi(1e4) at V = 1000 reads twice
-# (36 of its 66 row blocks over 7,950 orbit representatives and 106 int8 or
-# int16 vectors, 19 MB).  psi(1e4) at V = 1e4 would keep 139 MiB; the cache
-# keeps what it admits first, which is the rows of the small primes that
-# every node of the walk reads, and a block it did not admit is rebuilt
-# when a later node asks for it again.  Each of the 3,233 rational primes
-# below p = 8 * 7,950 still gets one Legendre table; above it a rebuild
-# takes the local symbols, whose cost does not grow with p (40,110 local
-# rows, 27,454 with a 1 GiB budget).  The call takes 5.7 s on 2 vCPUs,
-# 5.0 s with a 1 GiB budget
+# (36 of its 66 row blocks over 7,950 orbit representatives, one int8 row
+# per norm, and 106 int8 or int16 vectors, 10 MB).  psi(1e4) at V = 1e4
+# would keep 71 MiB; the cache keeps what it admits first, which is the
+# rows of the small primes that every node of the walk reads, and a block
+# it did not admit is rebuilt when a later node asks for it again.  Each of
+# the 3,233 rational primes below p = 8 * 7,950 still gets one Legendre
+# table; above it a rebuild takes the local symbols, whose cost does not
+# grow with p (29,116 local rows, 27,454, one per split ideal, with a 1 GiB
+# budget).  The call takes 3.7 to 3.8 s and 134 MB of peak RSS on 2 vCPUs,
+# 3.7 s and 142 MB with a 1 GiB budget
 CACHE_BYTES = 1 << 26
 
-# leaf rows are built and cached in blocks of this many consecutive primes
-# of the walk (one more where a block would cut a conjugate pair); a fixed
-# count, so that the pieces a range is summed in depend neither on the
-# traces nor on the cutoff
+# leaf rows are built and cached in blocks of this many consecutive prime
+# ideals of the walk (one more where a block would cut a conjugate pair),
+# one row per norm among them; a fixed count, so that the pieces a range is
+# summed in depend neither on the traces nor on the cutoff
 ROW_BLOCK = 64
 
 # a split p beyond the bound of the traces' prime factors and with p^2
@@ -382,7 +391,9 @@ def _narrowest(vec: np.ndarray) -> np.ndarray:
 class LambdaVectors:
     """Per-trace lambda_{pi^e}(n^2-4) vectors and prime rows for a walk to
     the cutoffs `limits`, kept while a later visit can read them and they
-    fit in CACHE_BYTES.
+    fit in CACHE_BYTES.  The rows are one per norm: a split pair's row is
+    lambda_pi + lambda_conj(pi), and a leaf range that starts at conj(pi)
+    reads conj(pi)'s own row as a vector (head).
 
     The cache holds vectors, Legendre tables and blocks of prime rows.  It
     admits an entry that a later (visit, V) pair of the walk can read while
@@ -400,13 +411,14 @@ class LambdaVectors:
 
     A table is kept when the walk can ask for it again, i.e. when a second
     power over its prime lies within the cutoff (p*p <= limit); a larger
-    split prime's symbol serves the rows of both ideals over p, built
-    together.  Each rational prime's symbols come from one build: its
-    Legendre table (p bytes), or, for a split p beyond `local_from` (with
-    p*p > limit, beyond `bound` and large against the number of traces),
-    the local symbols of _DeltaFactors.  That factors the traces' n^2 - 4
-    once, before the first row block of a walk that reaches such a p, and
-    its factors' tables serve the walk's rows over them.
+    split prime's symbol serves both ideals over p, whose rows are built
+    together and summed.  Each rational prime's symbols come from one
+    build: its Legendre table (p bytes), or, for a split p beyond
+    `local_from` (with p*p > limit, beyond `bound` and large against the
+    number of traces), the local symbols of _DeltaFactors.  That factors
+    the traces' n^2 - 4 once, before the first row block of a walk that
+    reaches such a p, and its factors' tables serve the walk's rows over
+    them.
     """
 
     def __init__(self, traces: TraceSet, limits):
@@ -467,46 +479,59 @@ class LambdaVectors:
                 self._put(key, out)
         return out
 
+    # A leaf range that starts at the second ideal of a conjugate pair adds
+    # that ideal's own row, its e = 1 vector, first: the same cached read
+    # under a second name, so that vec stays the walk's extend alone (the
+    # benchmark's tracer times and counts its calls)
+    head = vec
+
     def _prime_rows(self, primes, a: int, b: int) -> np.ndarray:
-        """int8 rows lambda_pi(n^2-4) (e = 1) for primes[a:b], a conjugate
-        pair never cut.  A split p beyond local_from takes both its rows
-        from reciprocity, in one _DeltaFactors.rows call for the block;
-        every other prime reads a Legendre table, one per rational prime, at
-        the residues da + t db with t < p, exact in int64 while
-        |n^2 - 4| (1 + p) < 2^63."""
+        """int8 rows over the traces, one per norm of primes[a:b], a
+        conjugate pair never cut: lambda_pi(n^2-4) (e = 1) for (1+i) and an
+        inert pi, and lambda_pi + lambda_conj(pi), in -2..2, for a split
+        pair, whose leaves share one weight.  A split p beyond local_from
+        takes both its rows from reciprocity, in one _DeltaFactors.rows call
+        for the block; every other prime reads a Legendre table, one per
+        rational prime, at the residues da + t db with t < p, exact in int64
+        while |n^2 - 4| (1 + p) < 2^63."""
         tr = self.tr
         if self.local_from < self.limit:
             # the walk reaches local symbols: factor the n^2 - 4 before the
             # first block builds the tables of their factors
             self._delta_factors()
         rows = primes[a:b].tolist()
-        out = np.empty((b - a, len(tr)), dtype=np.int8)
-        local = []
-        j = 0
+        out = np.empty((np.count_nonzero(np.diff(primes[a:b, 0], prepend=0)), len(tr)),
+                       dtype=np.int8)
+        local, at = [], []  # the local pairs' prime rows, and their norm rows
+        j = r = 0
         while j < b - a:
             npj, re, im = rows[j]
             if npj == 2:
-                out[j] = self._build(npj, (re, im), 1)
+                out[r] = self._build(npj, (re, im), 1)
                 j += 1
-                continue
-            # a split prime is followed by its conjugate
-            if im and npj > self.local_from:
+            elif im and npj > self.local_from:
+                # a split prime is followed by its conjugate
                 local += [j, j + 1]
+                at.append(r)
                 j += 2
-                continue
-            p, r = _residues(tr.da, tr.db, npj, (re, im))
-            out[j:j + len(r)] = self._chartab(p)[np.stack(r)]
-            j += len(r)
+            else:
+                p, res = _residues(tr.da, tr.db, npj, (re, im))
+                tab = self._chartab(p)
+                out[r] = sum(tab[x] for x in res)
+                j += len(res)
+            r += 1
         if local:
-            out[local] = self._delta_factors().rows(
-                *g.primary_associate(*primes[a:b][local, 1:].T))
+            sym = self._delta_factors().rows(*g.primary_associate(*primes[a:b][local, 1:].T))
+            out[at] = sym[0::2] + sym[1::2]
         return out
 
-    def rows(self, primes, lo: int, hi: int):
-        """The e = 1 rows of primes[lo:hi] (primes: the walk's array of rows
-        (norm, re, im), prime_ideals_upto(limit)) as consecutive pieces, one
-        per block, built as they are consumed: a block the cache does not
-        admit is not held for the rest of the range."""
+    def rows(self, primes, rank, lo: int, hi: int):
+        """The rows of _prime_rows for the norms of primes[lo:hi] (primes:
+        the walk's array of rows (norm, re, im), prime_ideals_upto(limit);
+        lo and hi at the first ideal of a norm or the end; rank[j] the
+        number of norms among primes[:j]) as consecutive pieces, one per
+        block, built as they are consumed: a block the cache does not admit
+        is not held for the rest of the range."""
         k = lo // ROW_BLOCK
         if lo < _block_start(primes, k):
             k -= 1
@@ -519,7 +544,7 @@ class LambdaVectors:
                 nrm = int(primes[a, 0])
                 if 2 * nrm <= self.limit or nrm <= self.second:
                     self._put(("rows", a), block)
-            yield block[max(lo, a) - a:min(hi, b) - a]
+            yield block[rank[max(lo, a)] - rank[a]:rank[min(hi, b)] - rank[a]]
             k, a = k + 1, b
 
 
@@ -547,7 +572,8 @@ def _orbit_reps(traces: TraceSet):
 
 
 def _row_sum(w, rows):
-    """sum_j w[j] * rows[j, m] for each column m of rows.
+    """sum_j w[j] * rows[j, m] for each column m of rows: over the norms j of
+    a leaf range, each row the sum of lambda over the ideals of that norm.
 
     einsum sums each column of `rows` in the order of j, so one column's
     sum does not depend on the others; numpy reduces a single column as one
@@ -570,9 +596,12 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT) -> list:
     every trace prunes its subtree.  A visited ideal adds its term before
     its subtree, for each V whose cutoff its reach lies within, and its
     prime leaves after it, for each V a range found by bisection, as
-    val_q * sum_j w_j row_j over the int8 blocks of LambdaVectors.rows;
-    each column is summed in the order of j, so a trace's value never
-    depends on the traces beside it.
+    val_q * (w_head head + sum_N w_N row_N): row_N the int8 row of norm N
+    from the blocks of LambdaVectors.rows, which sums a conjugate pair, so
+    that each pair is added as w_N (a + b), and head the row of conj(pi)
+    alone (LambdaVectors.head) when the range starts past pi.  Each column
+    is summed in the order of the norms, so a trace's value never depends
+    on the traces beside it.
 
     The order is load-bearing: the leaves go after the subtree, so the deep
     nodes, whose ranges hold the small primes only, ask for rows first, and
@@ -591,8 +620,11 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT) -> list:
     reps, inverse = _orbit_reps(traces)
     prov = LambdaVectors(reps, limits)
     primes = g.prime_ideals_upto(max(limits))
-    norms = primes[:, 0].astype(np.float64)
-    pnorms, pairs = primes[:, 0].tolist(), g.leaf_pairs(primes).tolist()
+    pnorms, pairs = primes[:, 0], g.leaf_pairs(primes)
+    # the rows are summed per norm: rank[j] norms lie below prime row j
+    first = np.diff(pnorms, prepend=0) > 0
+    rank = np.append(0, np.cumsum(first))
+    norms = pnorms[first].astype(np.float64)
     sums = [np.zeros(len(reps)) for _ in Vs]
 
     def extend(vec, npj, pj, e):
@@ -607,14 +639,21 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT) -> list:
     def leaves(i, nrm, val, reach):
         for k, limit in enumerate(limits):
             m = limit // nrm
-            lo = max(i, bisect_right(pairs, m))
-            hi = bisect_right(pnorms, m)
+            lo = max(i, int(pairs.searchsorted(m, "right")))
+            hi = int(pnorms.searchsorted(m, "right"))
             if lo < hi:
-                w = _exp_weight(Vs[k], nrm * norms[lo:hi])
-                total, at = 0.0, 0
-                for piece in prov.rows(primes, lo, hi):
-                    total = total + _row_sum(w[at:at + len(piece)], piece)
-                    at += len(piece)
+                total = 0.0
+                if not first[lo]:
+                    # the range starts at conj(pi), past pi: its own row first
+                    npj, re, im = primes[lo].tolist()
+                    total = _exp_weight(Vs[k], nrm * npj) * prov.head(npj, (re, im), 1)
+                    lo += 1
+                if lo < hi:
+                    w = _exp_weight(Vs[k], nrm * norms[rank[lo]:rank[hi]])
+                    at = 0
+                    for piece in prov.rows(primes, rank, lo, hi):
+                        total = total + _row_sum(w[at:at + len(piece)], piece)
+                        at += len(piece)
                 sums[k] += val * total
 
     g.walk_ideals(primes, max(limits), extend, term, leaves, root=np.ones(len(reps)))

@@ -251,14 +251,14 @@ def test_row_blocks_are_kept_when_a_later_visit_reads_them(monkeypatch, ratios):
 
 
 def test_rows_beyond_the_budget_build_one_table_per_prime(monkeypatch):
-    # a budget of half the walk's prime rows: the cache admits the blocks of
-    # the small primes, which the most nodes of the walk read, and keeps
-    # them, so each prime that takes a Legendre table takes one, as under a
-    # budget that holds everything (least-recently-used eviction built 383
-    # tables for these 195 primes)
+    # a budget of half the walk's prime rows, one per norm: the cache admits
+    # the blocks of the small primes, which the most nodes of the walk read,
+    # and keeps them, so each prime that takes a Legendre table takes one,
+    # as under a budget that holds everything (least-recently-used eviction
+    # built 383 tables for these 195 primes)
     traces, V = trace_set(2000.0, 2100.0), 2000.0
     reps, _ = trace_engine._orbit_reps(traces)
-    row_bytes = len(reps) * len(prime_ideals_upto(int(40 * V)))
+    row_bytes = len(reps) * len(np.unique(prime_ideals_upto(int(40 * V))[:, 0]))
     built = {}
     _count_tables(monkeypatch, lambda p: built[budget].append(p))
     for budget in (1 << 30, row_bytes // 2):
@@ -300,22 +300,50 @@ def test_walk_extends_only_ideals_with_multiples_in_range(monkeypatch):
         assert len(calls) == extended, V
 
 
+def test_leaf_ranges_from_conj_pi_add_its_own_row_first(monkeypatch):
+    # a leaf range starts at conj(pi), past pi, when the visit ends in pi or
+    # the leaf bound falls between the two; the sweep adds conj(pi)'s own
+    # row first, read from the vector cache through LambdaVectors.head, so
+    # that vec still counts the walk's extends alone
+    calls, heads = [], []
+    for name, seen in (("vec", calls), ("head", heads)):
+        real = getattr(LambdaVectors, name)
+        monkeypatch.setattr(LambdaVectors, name,
+                            lambda self, *a, real=real, seen=seen: seen.append(a) or real(self, *a))
+    gv_per_trace(trace_set(1000.0, 1100.0), 1000.0)
+    # the 290 heads are second ideals of a pair: (norm, (re, im)) after a row of that norm
+    primes = prime_ideals_upto(40000).tolist()
+    second = {(npi, (a, b)) for (npi, a, b), (n0, _, _) in zip(primes[1:], primes) if npi == n0}
+    assert len(calls) == 1247 and len(heads) > 100
+    assert {(npi, pj) for npi, pj, _ in heads} <= second
+    assert {e for _, _, e in heads} == {1}
+
+
 # 1, 2 and 40 traces: the local symbols of reciprocity pay from
 # p ~ 8 m on, and never below the norm bound of the factors of n^2 - 4
 ROW_TRACES = {1: [(7, 3)], 2: [(7, 3), (-11, 5)],
               40: [(a, b) for a in range(-9, 11, 3) for b in range(1, 12, 2)][:40]}
 
 
+def _norm_rank(primes):
+    """rank[j]: the number of norms among primes[:j], as gv_sweep counts them."""
+    return np.append(0, np.cumsum(np.diff(primes[:, 0], prepend=0) > 0))
+
+
 @pytest.mark.parametrize("m", sorted(ROW_TRACES))
 def test_reciprocity_rows_equal_table_rows_and_scalar_lambda(monkeypatch, m):
-    # every prime ideal of norm <= 2e4, split, inert and (1+i), with every
-    # split row beyond the factor bound by reciprocity, every row by table,
-    # and at the default crossover; the cache's limit of 1 lets reciprocity
-    # take any split prime beyond the bound
+    # one row per norm of a prime ideal of norm <= 2e4, split, inert and
+    # (1+i), with every split pair beyond the factor bound by reciprocity,
+    # every row by table, and at the default crossover: the same bytes, and
+    # each row the sum of the scalar lambda over the ideals of its norm.  The
+    # cache's limit of 1 lets reciprocity take any split prime beyond the
+    # bound.  A head row, the one ideal's row that a leaf range starting at
+    # conj(pi) adds first, is the scalar lambda at conj(pi)
     pairs = ROW_TRACES[m]
     assert len(pairs) == m
     tr = _trace_set(pairs)
     primes = prime_ideals_upto(20000)
+    rank = _norm_rank(primes)
     built = []
     real_rows = trace_engine._DeltaFactors.rows
     _count_tables(monkeypatch, lambda p: built.append("table"))
@@ -325,7 +353,7 @@ def test_reciprocity_rows_equal_table_rows_and_scalar_lambda(monkeypatch, m):
     def rows(per_trace):
         monkeypatch.setattr(trace_engine, "RECIPROCITY_PER_TRACE", per_trace)
         built.clear()
-        out = np.concatenate(list(LambdaVectors(tr, [1]).rows(primes, 0, len(primes))))
+        out = np.concatenate(list(LambdaVectors(tr, [1]).rows(primes, rank, 0, len(primes))))
         return out, set(built)
 
     default, how_d = rows(trace_engine.RECIPROCITY_PER_TRACE)
@@ -334,9 +362,23 @@ def test_reciprocity_rows_equal_table_rows_and_scalar_lambda(monkeypatch, m):
     assert local.dtype == table.dtype == np.int8
     assert local.tobytes() == table.tobytes() == default.tobytes()
     ns = [G(a, b) for a, b in pairs]
-    want = [[lambda_at_prime_power((a, b), 1, n * n - G(4, 0), n) for n in ns]
-            for _, a, b in primes.tolist()]
-    assert table.tolist() == want
+    lam = {(a, b): [lambda_at_prime_power((a, b), 1, n * n - G(4, 0), n) for n in ns]
+           for _, a, b in primes.tolist()}
+    want = {}
+    for npi, a, b in primes.tolist():
+        want[npi] = [x + y for x, y in zip(want.get(npi, [0] * m), lam[(a, b)])]
+    assert len(want) == rank[-1] < len(primes)
+    assert table.tolist() == list(want.values())
+    assert {x for row in want.values() for x in row} >= {-2, 2}
+    # conj(pi) follows pi: its row is read after pi's build put it, as in a sweep
+    prov = LambdaVectors(tr, [20000])
+    heads = 0
+    for j in np.flatnonzero(np.diff(rank) == 0).tolist():
+        (npi, *pi), (_, *conj) = primes[j - 1:j + 1].tolist()
+        prov.vec(npi, tuple(pi), 1)
+        assert prov.head(npi, tuple(conj), 1).tolist() == lam[tuple(conj)], conj
+        heads += 1
+    assert heads == len(primes) - len(want) > 1000
 
 
 def test_supplementary_laws_match_euler_symbol():
@@ -469,6 +511,19 @@ def test_sweep_and_series_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("lo, hi, name", [(math.nan, 100.0, "lo"), (1.0, math.inf, "hi"),
+                                          (-math.inf, 10.0, "lo"), (1.0, math.nan, "hi")])
+def test_trace_set_rejects_non_finite_bounds(lo, hi, name):
+    # nan used to leak math.floor's "cannot convert float NaN to integer",
+    # and an infinite hi its OverflowError
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        trace_set(lo, hi)
+
+
+def test_trace_set_takes_a_negative_lower_bound():
+    assert len(trace_set(-5.0, 10.0)) == 26
 
 
 BAD_CUTOFF_MULTS = [0.0, -1.0, math.nan, math.inf]
