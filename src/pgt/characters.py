@@ -8,28 +8,18 @@ Euler criterion
 computed as one rational pow in the residue field Z[i]/(pi) = F_p or F_q^2
 (gaussian.euler_symbol).  Primality is checked once, at the public entry
 points residue_symbol and QuadraticCharacter.value_at_prime; the series
-walks and the pinning oracle pass primes from factorizations and prime
-lists straight to the cached lookup.  The
-character chi_D attached to a discriminant delta ~ D l^2 is the completely
-multiplicative function on ideals with
+walks pass primes from factorizations and prime lists straight to the
+cached lookup.  The character chi_D attached to a discriminant
+delta ~ D l^2 is the completely multiplicative function on ideals with
 
     chi_D(pi)    = (D / pi)      at odd primes pi,
     chi_D((1+i)) = even_value    in {-1, 0, +1}.
 
-Neither the normalization of D at (1+i) (how much of the even part of delta
-belongs to D rather than l^2), nor the unit rotation of the generator D, nor
-even_value can be read off locally in an obvious way.  All three are pinned
-operationally: a candidate (D, l, even_value) is accepted iff the Dirichlet
-coefficients of T_l^(D) * L(., chi_D) reproduce lambda_q(delta) exactly on a
-validation set of ideals.  The validation set always includes deep powers of
-(1+i) (up to the even valuation of delta plus one), because candidates can
-agree on all coefficients of small norm and first differ at (1+i)^k with
-2^k comparable to the even part of delta.
-
-Both factors are multiplicative, so each coefficient of the product is an
-Euler product, one gaussian.multiplicative call over the factorization of q.
-Take pi^a || l, x = chi_D(pi) and N = N(pi).  The finite factor is
-T_l(s) = prod_pi sum_k t(pi^k) N^(-ks) with
+The split is pinned by the identity sum_q lambda_q(delta) N(q)^-s =
+T_l(s) L(s, chi_D).  Both factors are multiplicative, so each coefficient
+of the product is an Euler product, one gaussian.multiplicative call over
+the factorization of q.  Take pi^a || l, x = chi_D(pi) and N = N(pi).  The
+finite factor is T_l(s) = prod_pi sum_k t(pi^k) N^(-ks) with
 
     t(pi^k) = N^(k/2)           for even k <= 2a,
     t(pi^k) = -x N^((k-1)/2)    for odd k <= 2a - 1,
@@ -37,9 +27,27 @@ T_l(s) = prod_pi sum_k t(pi^k) N^(-ks) with
 
 and the product has [T_l L](pi^e) = sum_{k <= e} t(pi^k) x^(e-k).
 
-The unit rotation matters because (i / pi) = -1 when N(pi) = 5 (mod 8), so
-D and i*D define different characters; the validation set therefore includes
-such a prime whenever one is available.
+The odd parts of D and l are read off the factorization of delta.  What
+is left is local to (1+i): with e0 = v_(1+i)(delta), D takes (1+i)^a for
+some a = e0 (mod 2), a <= 5, l takes (1+i)^b with 2b = e0 - a, and x =
+even_value is +-1 when a = 0 and 0 otherwise.  With X = 2^-s the Euler
+factor of the product at (1+i) is
+
+    sum_{j < b} 2^j X^(2j) + 2^b X^(2b) / (1 - x X),
+
+whose coefficient at X^(2b+m) is 2^b x^m.  So lambda at (1+i)^k for
+k <= e0 + 2 decodes (a, x): a candidate with x = 0 has a zero at k = 2b + 2
+<= e0 + 1, where a candidate with larger b does not, and x = +-1 shows at
+k = e0 + 1; k = e0 + 2 checks x^2.  Exactly one candidate must match, or
+the pin raises PinningError.  lambda there comes from the lifted roots of
+y^2 + n y + 1 when n is known (delta + 4 a square), from the x-enumeration
+rho otherwise, whose cutoff bounds the depth.
+
+The unit of D needs no lambda data.  chi_D depends on D only up to
+squares, and -1 = i^2 is one, but i is not: (i / pi) = -1 when
+N(pi) = 5 (mod 8).  The identity holds with D = delta / l^2 exactly, so
+with base = d_odd (1+i)^a, D is base when delta / (base l^2) is +-1 and
+i base otherwise.
 """
 
 from __future__ import annotations
@@ -47,14 +55,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import NotPrimeError, PinningError, ZeroInputError
+from .errors import CutoffExceededError, NotPrimeError, PinningError, ZeroInputError
 from . import gaussian as g
 from .gaussian import CanonicalIdealRep, GaussianInt
 from . import quad_counts
-
-_PIN_BASE_CUTOFF = 40
-_PIN_MAX_CUTOFF = 320
-_PIN_MAX_EVEN_DEPTH = 17  # (1+i)^k checks; brute rho stays under its cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +108,9 @@ class DiscriminantSplit:
 
 @dataclass
 class PinReport:
-    """What the coefficient-matching oracle saw while pinning a character."""
+    """What the decode at (1+i) read and chose while pinning a character."""
 
-    candidates_tested: int
-    survivors: int
-    checked_norm: int
-    even_depth: int
-    split_prime_used: tuple | None
-    ambiguous: bool
+    even_depth: int  # lambda was read at (1+i)^k for k <= even_depth
     chosen: tuple  # (even_exponent_of_D, unit_label, even_value)
 
 
@@ -120,11 +119,10 @@ class QuadraticCharacter:
     """chi_D as a completely multiplicative function on ideals.
 
     Values at odd primes come from the Euler criterion with D on top; the
-    value at (1+i) and the unit normalization of D were pinned by the
-    coefficient-matching oracle.  Evaluations at odd primes are cached,
-    starting from the symbols the pinning computed for this candidate; the
-    cache only ever receives identical values for a key, so concurrent
-    readers are safe.
+    value at (1+i) and the normalization of D were pinned by the decode at
+    (1+i).  Evaluations at odd primes are cached as the series walks ask
+    for them; the cache only ever receives identical values for a key, so
+    concurrent readers are safe.
     """
 
     D: GaussianInt
@@ -155,7 +153,7 @@ def _validated_args(character: QuadraticCharacter):
 
 
 # ---------------------------------------------------------------------------
-# the coefficient-matching oracle
+# the product coefficients and the decode at (1+i)
 # ---------------------------------------------------------------------------
 
 def _prime_value(D_pair, even_value, cache, pi) -> int:
@@ -191,96 +189,10 @@ def _product_coefficient(D_pair, even_value, cache, l_pair, qpair) -> int:
     return g.multiplicative(qpair, local)
 
 
-def _pin_candidates(delta: GaussianInt, n: GaussianInt | None):
-    """Search (even exponent a, unit u, even_value) consistent with lambda data.
-
-    Returns (survivors, report_data); survivors are tuples
-    (a, u_pair, ev, D_pair, l_pair), and report_data["caches"] maps each
-    candidate to the residue symbols its checks computed.
-    """
-    fac = g.factor_pair_cached(delta.pair)
-    e0 = 0
-    d_odd = (1, 0)
-    l_odd = (1, 0)
-    for pi, e in fac:
-        if g.norm(pi) == 2:
-            e0 = e
-        else:
-            if e % 2:
-                d_odd = g.mul(d_odd, pi)
-            for _ in range(e // 2):
-                l_odd = g.mul(l_odd, pi)
-
-    # validation ideals: everything of small norm, deep (1+i)-powers, and a
-    # split prime with N = 5 (mod 8) not dividing 2*delta (unit discriminator)
-    even_depth = min(e0 + 1, _PIN_MAX_EVEN_DEPTH)
-    if n is None:
-        even_depth = min(even_depth, 15)  # brute rho cutoff guard
-    split_probe = None
-    for nrm, re, im in g.prime_ideals_upto(200).tolist():
-        if nrm % 8 == 5 and not g.divides((re, im), delta.pair):
-            split_probe = (re, im)
-            break
-
-    def validation_set(cutoff):
-        qs = [p for p in g.ideal_reps_upto(cutoff)]
-        w = (1, 1)
-        for _ in range(even_depth):
-            cp = g.canonical_pair(w)
-            if cp not in qs:
-                qs.append(cp)
-            w = g.mul(w, (1, 1))
-        if split_probe is not None and split_probe not in qs:
-            qs.append(split_probe)
-        return qs
-
-    candidates = []
-    for a in range(e0 % 2, min(e0, 5) + 1, 2):
-        l_pair = l_odd
-        for _ in range((e0 - a) // 2):
-            l_pair = g.mul(l_pair, (1, 1))
-        l_pair = g.canonical_pair(l_pair)
-        base = d_odd
-        for _ in range(a):
-            base = g.mul(base, (1, 1))
-        for u in ((1, 0), (0, 1)):
-            D_pair = g.mul(u, base)
-            for ev in ((1, -1) if a == 0 else (0,)):
-                candidates.append((a, u, ev, D_pair, l_pair))
-
-    cutoff = _PIN_BASE_CUTOFF
-    survivors = candidates
-    caches = {cand: {} for cand in candidates}
-    while True:
-        qs = validation_set(cutoff)
-        # lambda_q(delta) over the set, which is closed under divisors: fast
-        # (y-form) rho when n is known, brute rho else
-        lam = quad_counts.lambda_table(
-            sorted(qs, key=lambda d: (g.norm(d), d[0])), delta, n=n,
-            method="fast" if n is not None else "bruteforce")
-        kept = []
-        for cand in survivors:
-            a, u, ev, D_pair, l_pair = cand
-            cache = caches[cand]
-            if all(lam[qpair] == _product_coefficient(D_pair, ev, cache, l_pair, qpair)
-                   for qpair in qs):
-                kept.append(cand)
-        survivors = kept
-        if len(survivors) <= 1 or cutoff >= _PIN_MAX_CUTOFF:
-            break
-        cutoff *= 2
-    meta = {
-        "candidates_tested": len(candidates),
-        "checked_norm": cutoff,
-        "even_depth": even_depth,
-        "split_prime_used": split_probe,
-        "caches": caches,
-    }
-    return survivors, meta
-
-
 def _pin_full(delta: GaussianInt, n: GaussianInt | None = None):
-    """(DiscriminantSplit, QuadraticCharacter) pinned for delta; raises PinningError."""
+    """(DiscriminantSplit, QuadraticCharacter) of delta by the decode at (1+i)
+    (module docstring); raises PinningError unless exactly one candidate
+    (a, even_value) matches lambda at every (1+i)^k, k <= e0 + 2."""
     if delta.is_zero():
         raise ZeroInputError("delta must be nonzero")
     if is_perfect_square(delta):
@@ -290,30 +202,46 @@ def _pin_full(delta: GaussianInt, n: GaussianInt | None = None):
             n = quad_counts.sqrt_perfect_square(delta + GaussianInt(4, 0))
         except ValueError:
             n = None
-    survivors, meta = _pin_candidates(delta, n)
-    if not survivors:
-        raise PinningError(
-            f"no consistent (D, l, even_value) assignment for delta = {delta}; "
-            f"checked ideals to norm {meta['checked_norm']}")
-    survivors.sort(key=lambda c: (c[0], c[1] != (1, 0), -c[2]))
-    a, u, ev, D_pair, l_pair = survivors[0]
-    report = PinReport(
-        candidates_tested=meta["candidates_tested"],
-        survivors=len(survivors),
-        checked_norm=meta["checked_norm"],
-        even_depth=meta["even_depth"],
-        split_prime_used=meta["split_prime_used"],
-        ambiguous=len(survivors) > 1,
-        chosen=(a, "1" if u == (1, 0) else "i", ev),
-    )
+    e0, d_odd, l_odd = 0, (1, 0), (1, 0)
+    for pi, e in g.factor_pair_cached(delta.pair):
+        if g.norm(pi) == 2:
+            e0 = e
+            continue
+        if e % 2:
+            d_odd = g.mul(d_odd, pi)
+        for _ in range(e // 2):
+            l_odd = g.mul(l_odd, pi)
+    depth = e0 + 2
+    powers = [(1, 0)]  # (1+i)^k for k <= depth
+    for _ in range(depth):
+        powers.append(g.mul(powers[-1], (1, 1)))
+    chain = [g.canonical_pair(w) for w in powers]  # closed under divisors
+    try:
+        lam = quad_counts.lambda_table(chain, delta, n=n,
+                                       method="fast" if n is not None else "bruteforce")
+    except CutoffExceededError as exc:
+        raise PinningError(f"cannot decode delta = {delta} at (1+i)^k, k <= {depth}: "
+                           f"{exc}") from exc
+    matches = []
+    for a in range(e0 % 2, min(e0, 5) + 1, 2):
+        base = g.mul(d_odd, powers[a])
+        l_pair = g.canonical_pair(g.mul(l_odd, chain[(e0 - a) // 2]))
+        for ev in ((1, -1) if a == 0 else (0,)):
+            if all(lam[q] == _product_coefficient(base, ev, {}, l_pair, q) for q in chain):
+                matches.append((a, ev, base, l_pair))
+    if len(matches) != 1:
+        raise PinningError(f"{len(matches)} (1+i)-parts of (D, l, even_value) match "
+                           f"lambda of delta = {delta} at (1+i)^k, k <= {depth}")
+    a, ev, base, l_pair = matches[0]
+    unit = g.exact_div(delta.pair, g.mul(base, g.mul(l_pair, l_pair)))
+    u = (1, 0) if unit in ((1, 0), (-1, 0)) else (0, 1)
     split = DiscriminantSplit(
         delta=delta,
-        D=GaussianInt.from_pair(D_pair),
+        D=GaussianInt.from_pair(g.mul(u, base)),
         l=CanonicalIdealRep(GaussianInt.from_pair(l_pair)),
     )
-    char = QuadraticCharacter(D=split.D, even_value=ev, unit_value=1,
-                              validated=True, report=report,
-                              _prime_cache=meta["caches"][survivors[0]])
+    report = PinReport(even_depth=depth, chosen=(a, "1" if u == (1, 0) else "i", ev))
+    char = QuadraticCharacter(D=split.D, even_value=ev, validated=True, report=report)
     return split, char
 
 
@@ -325,7 +253,7 @@ def _pinned(delta: GaussianInt):
 
 
 def discriminant_split(delta: GaussianInt) -> DiscriminantSplit:
-    """Write delta ~ D l^2 with the oracle-pinned normalization of D.
+    """Write delta ~ D l^2 with the normalization of D pinned at (1+i).
 
     Rejects zero and perfect-square delta.  Memoized together with the
     character.
@@ -342,7 +270,7 @@ def pin_even_unit_values(D: GaussianInt):
     """(even_value, unit_value, report) for a pinned discriminant generator D.
 
     Validates D against its own lambda data (delta := D, so l = (1)); the
-    even value is read off the matching, the unit value is +1 by the ideal
+    even value is read off the decode, the unit value is +1 by the ideal
     convention and reported after the consistency check passes.
     """
     if D.is_zero():

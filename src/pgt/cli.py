@@ -61,11 +61,15 @@ def _gaussian(re_part: int, im_part: int, what: str) -> GaussianInt:
 
 
 def parse_discriminant(text: str) -> GaussianInt:
-    """--delta: a Gaussian integer that is neither zero nor a perfect square."""
+    """--delta: a Gaussian integer that is neither zero nor a perfect square,
+    of the form n^2 - 4 (delta + 4 a perfect square), as zagier_L1 needs n."""
     delta = parse_gaussian(text)
     if is_perfect_square(delta):
         raise argparse.ArgumentTypeError(
             f"delta must be nonzero and not a perfect square, got {text!r}")
+    if not is_perfect_square(_gaussian(delta.re + 4, delta.im, f"delta + 4 for {text!r}")):
+        raise argparse.ArgumentTypeError(
+            f"delta + 4 must be a perfect square (delta = n^2 - 4), got {text!r}")
     return delta
 
 

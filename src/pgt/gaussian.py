@@ -755,10 +755,11 @@ def leaf_pairs(primes) -> np.ndarray:
 def walk_ideals(primes, limit, extend, before, after=None, root=1) -> None:
     """Reach every ideal of norm <= limit in factored form.
 
-    `primes` is prime_ideals_upto(limit), read as Python ints.  The value of
-    an ideal is built one prime power at a time: extend(value_q, N(pi),
-    (re, im), e) returns the value of q * pi^e, or None to prune that ideal
-    together with every ideal the walk reaches through it.
+    `primes` is prime_ideals_upto(limit), whose rows with N(pi)^2 <= limit
+    are read as Python ints.  The value of an ideal is built one prime power
+    at a time: extend(value_q, N(pi), (re, im), e) returns the value of
+    q * pi^e, or None to prune that ideal together with every ideal the walk
+    reaches through it.
 
     The walk goes from q * pi_j on to the primes after pi_j.  When even
     q * pi_j * pi_(j+1) lies beyond the limit, q * pi_j is a prime leaf of q
@@ -783,12 +784,14 @@ def walk_ideals(primes, limit, extend, before, after=None, root=1) -> None:
     visit.  trace_engine.gv_sweep sums G_V over traces as it walks: a
     visit's term in before, its prime leaves in after.
     """
-    norms, res, ims = primes.T.tolist()
-    pairs = leaf_pairs(primes).tolist()
+    # no row with N(pi)^2 > limit is read: the loop breaks there even at q = (1)
+    k = int(np.searchsorted(primes[:, 0], math.isqrt(math.floor(limit)), "right"))
+    norms, res, ims = primes[:k].T.tolist()
+    pairs = leaf_pairs(primes[:k + 1])[:k].tolist()  # row k-1 still sees pi_k
 
     def rec(i, nrm, val, reach):
         before(i, nrm, val, reach)
-        for j in range(i, len(norms)):
+        for j in range(i, k):
             npj = norms[j]
             if nrm * npj * npj > limit:
                 break

@@ -20,13 +20,15 @@ Objects:
                     This is the convention under which the product T * L
                     reproduces the integer coefficients lambda_q(delta)
                     exactly -- the szmidt_coefficient_check oracle below
-                    enforces it, and it is what pins the character
+                    enforces it, and its Euler factor at (1+i) is what
+                    the decode in characters reads to pin the character
                     normalization.
   szmidt_product_coefficients
                     the integer coefficients of T_l * L(chi_D), as a plain
                     {ideal pair: int} dict; at pi^e || q the local factor is
                     sum_{k <= e} t(pi^k) chi_D(pi)^(e-k), from the same
-                    characters._product_coefficient the pinning matches.
+                    characters._product_coefficient the decode at (1+i)
+                    matches.
   szmidt_coefficient_check
                     max |lambda_q(delta) - [T_l * L]_q| over small ideals,
                     against quad_counts.lambda_table on the brute-force rho.
@@ -359,7 +361,7 @@ def szmidt_product_coefficients(delta: GaussianInt, cutoff: int) -> dict:
     as {canonical pair of q: coefficient} for every ideal q of norm <= cutoff.
 
     Built from the pinned split/character of delta by the same Euler product
-    the pinning oracle matches against lambda, so every coefficient is an
+    the decode at (1+i) matches against lambda, so every coefficient is an
     integer.  cutoff must be finite and at least 1.
     """
     _require_cutoff(cutoff=cutoff)

@@ -54,8 +54,8 @@ from .gaussian import CanonicalIdealRep, GaussianInt, ResidueRing
 
 RHO_BRUTE_NORM_CUTOFF = 10**6   # refuse brute enumeration beyond N(2q) > 1e6
 # brute rho values kept per (q, delta).  szmidt_coefficient_check takes each
-# once; the reuse is the pinning oracle's bruteforce lambda_table when n is
-# unknown, which revisits its at most 259 validation ideals at each cutoff
+# once; the reuse is the decode at (1+i) when n is unknown, which
+# pin_even_unit_values (unmemoized, called by T_l_poly) repeats per D
 RHO_BRUTE_MEMO = 2**10
 KLOOSTERMAN_NORM_CUTOFF = 10**6
 KLOOSTERMAN_CHUNK = 1 << 16     # residues per vector pass of _units

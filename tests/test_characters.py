@@ -9,9 +9,11 @@ from pgt.errors import NotPrimeError, OverflowGuardError, PinningError
 from pgt.gaussian import (GaussianInt, ResidueRing, canonical_rep,
                           canonical_pair, factor_pair_cached, gcd_pair,
                           ideal_reps_upto, mul, norm, prime_ideals_upto)
-from pgt.characters import (DiscriminantSplit, chi, discriminant_split,
-                            is_perfect_square, pin_even_unit_values,
-                            quadratic_character, residue_symbol)
+from pgt.characters import (DiscriminantSplit, _product_coefficient, chi,
+                            discriminant_split, is_perfect_square,
+                            pin_even_unit_values, quadratic_character,
+                            residue_symbol)
+from pgt.quad_counts import lambda_table, sqrt_perfect_square
 
 G = GaussianInt
 
@@ -201,7 +203,9 @@ def test_pin_even_unit_values():
     ev, uv, report = pin_even_unit_values(sp.D)
     assert uv == 1
     assert ev in (-1, 0, 1)
-    assert report.survivors >= 1
+    # D is odd, so (1+i) divides neither D (a = 0) nor l; lambda read to (1+i)^2
+    a, _, chosen_ev = report.chosen
+    assert (a, chosen_ev, report.even_depth) == (0, ev, 2)
 
     # ramified D: even value must be 0
     sp_even = discriminant_split(G(1, 1) * G(1, 1) - G(4, 0))  # delta = -4+2i
@@ -258,19 +262,85 @@ def test_value_at_prime_checks_primality():
         char.value_at_prime(canonical_rep(G(3, 1)))  # norm 10, not prime
 
 
+def _search_oracle(delta):
+    """Every (D, l, even_value) of the global candidate search that the decode
+    at (1+i) replaced: D = u d_odd (1+i)^a for a = e0 (mod 2) up to
+    min(e0, 5) and u in {1, i}, even_value +-1 at a = 0 and 0 otherwise,
+    kept while its product coefficients match lambda on every ideal of norm
+    <= cutoff (40, doubled up to 320 while more than one survives), on
+    (1+i)^k for k <= e0 + 1, and on a split prime of norm 5 (mod 8) not
+    dividing delta, where (i / pi) = -1 separates D from i D.  lambda from
+    the lifted roots when delta + 4 is a square, the x-enumeration else."""
+    try:
+        n = sqrt_perfect_square(delta + G(4, 0))
+    except ValueError:
+        n = None
+    e0, d_odd, l_odd = 0, (1, 0), (1, 0)
+    for pi, e in factor_pair_cached(delta.pair):
+        if norm(pi) == 2:
+            e0 = e
+            continue
+        d_odd = mul(d_odd, pi) if e % 2 else d_odd
+        for _ in range(e // 2):
+            l_odd = mul(l_odd, pi)
+    powers = [(1, 0)]
+    for _ in range(e0 + 1):
+        powers.append(mul(powers[-1], (1, 1)))
+    probe = next((re, im) for npi, re, im in prime_ideals_upto(200).tolist()
+                 if npi % 8 == 5 and not g.divides((re, im), delta.pair))
+    survivors = [(mul(u, mul(d_odd, powers[a])),
+                  canonical_pair(mul(l_odd, powers[(e0 - a) // 2])), ev)
+                 for a in range(e0 % 2, min(e0, 5) + 1, 2)
+                 for u in ((1, 0), (0, 1))
+                 for ev in ((1, -1) if a == 0 else (0,))]
+    cutoff = 40
+    while True:
+        qs = sorted(set(ideal_reps_upto(cutoff)) | {canonical_pair(w) for w in powers}
+                    | {probe}, key=lambda q: (norm(q), q[0]))
+        lam = lambda_table(qs, delta, n=n, method="fast" if n else "bruteforce")
+        survivors = [(D, l, ev) for D, l, ev in survivors
+                     if all(lam[q] == _product_coefficient(D, ev, {}, l, q) for q in qs)]
+        if len(survivors) <= 1 or cutoff >= 320:
+            return survivors
+        cutoff *= 2
+
+
+def _assert_decode_is_the_oracle(delta):
+    split, char = discriminant_split(delta), quadratic_character(delta)
+    assert _search_oracle(delta) == [(split.D.pair, split.l.pair, char.even_value)], delta
+
+
+def test_decode_matches_search_oracle():
+    # the 322 traces with |Re n| <= 12, 0 <= Im n <= 12 (the unit i is chosen
+    # on 131 of them, (1+i) divides l on 88), and hand-picked even parts:
+    # 32 = -(1+i)^10, 192 = -3 (1+i)^12 and 448 = -7 (1+i)^12 (not a trace)
+    for a in range(-12, 13):
+        for b in range(13):
+            delta = G(a, b) * G(a, b) - G(4, 0)
+            if not is_perfect_square(delta):
+                _assert_decode_is_the_oracle(delta)
+    for d in (5, 12, 32, 45, 192, 448):
+        _assert_decode_is_the_oracle(G(d, 0))
+
+
+def test_decode_refuses_beyond_the_enumeration_cutoff():
+    # 512 = (1+i)^18 i and 768 = -3 (1+i)^16 are not traces: lambda at
+    # (1+i)^k, k <= e0 + 2, would need the x-enumeration past its cutoff
+    for d in (512, 768):
+        with pytest.raises(PinningError, match=f"delta = {d}"):
+            discriminant_split(G(d, 0))
+
+
 def test_pinning_unique_for_acceptance_deltas():
     for n in [G(3, 0), G(4, 0), G(5, 0), G(1, 2), G(3, 2), G(2, 3)]:
         delta = n * n - G(4, 0)
-        char = quadratic_character(delta)
-        assert char.report.survivors == 1
-        assert not char.report.ambiguous
-        assert char.unit_value == 1
+        _assert_decode_is_the_oracle(delta)
+        assert quadratic_character(delta).unit_value == 1
 
 
 def test_pinning_resolves_deep_even_case():
     # delta = 32 = unit * (1+i)^10: candidates only separate at deep powers
-    char = quadratic_character(G(32, 0))
-    assert char.report.survivors == 1
+    _assert_decode_is_the_oracle(G(32, 0))
     split = discriminant_split(G(32, 0))
     prod = mul(split.D.pair, mul(split.l.pair, split.l.pair))
     assert canonical_pair(prod) == canonical_pair((32, 0))

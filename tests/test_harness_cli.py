@@ -63,6 +63,9 @@ def test_cli_rejects_bad_tol_and_seed(capsys):
                 ["interval", "--x", "100", "--y", "-3"],
                 ["smoothed", "--x", "1000", "--y", "nan"],
                 ["lfun", "--delta", "0"], ["lfun", "--delta", "9"],
+                # zagier_L1 needs n with delta = n^2 - 4: --delta 7 passed the
+                # parse and died in a traceback ("11 is not a perfect square")
+                ["lfun", "--delta", "7"], ["lfun", "--delta", str(2**31 - 1)],
                 ["lfun", "--trace", "0"], ["lfun", "--trace", "2"],
                 ["kloosterman", "--m", "1", "--n", "1", "--c", "0"],
                 ["kloosterman", "--m", "1", "--n", "1", "--c", "1001"],
@@ -176,6 +179,8 @@ def test_cli_lfun(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["delta"] == "5"
     assert obj["G_V"] == pytest.approx(obj["product"], abs=1e-4)
+    assert main(["lfun", "--delta", "12", "--v", "100"]) == 0  # n = 4, l = (2)
+    assert json.loads(capsys.readouterr().out)["l"] == "2"
 
 
 def test_cli_spectral(capsys, tmp_path):

@@ -74,13 +74,13 @@ def test_L_chi_walk_runs_no_primality_test(monkeypatch):
     # the walk hands prime pairs from its prime list to the pinned
     # character's cached lookup, and its prime leaves to one vector pass:
     # no Miller-Rabin; the scalar symbol only at the primes the walk extends,
-    # each at most once and none that the pinning already computed; and the
-    # vector symbols agree with the scalar ones at every prime reached
+    # each at most once (the pinning, local to (1+i), leaves the cache
+    # empty); and the vector symbols agree with the scalar ones at every
+    # prime reached
     from pgt import characters, gaussian
     characters._pinned.cache_clear()
     char = quadratic_character(G(7, 3) * G(7, 3) - G(4, 0))
-    pinned = set(char._prime_cache)
-    assert pinned
+    assert char._prime_cache == {}
     primality, symbols, extended, passes = [], [], set(), []
     is_prime_int, euler_symbol = gaussian.is_prime_int, gaussian.euler_symbol
     euler_symbols, walk_ideals = gaussian.euler_symbols, gaussian.walk_ideals
@@ -108,7 +108,7 @@ def test_L_chi_walk_runs_no_primality_test(monkeypatch):
     reached = {(a, b) for npi, a, b in gaussian.prime_ideals_upto(limit).tolist() if npi != 2}
     assert primality == []
     assert len(symbols) == len(set(symbols))
-    assert set(symbols) <= (extended & reached) - pinned
+    assert set(symbols) <= extended & reached
     assert reached - extended  # primes the walk reaches only as leaves
     x, primes, got = passes.pop()
     assert passes == [] and x == char.D.pair
@@ -401,7 +401,7 @@ def test_factorization_products_and_brute_rho_have_one_home():
     # every multiplicative function of an ideal is one gaussian.multiplicative
     # call, and every Mobius convolution of the brute rho is quad_counts.lambda_table
     assert sorted(set(_callers("factor_pair_cached"))) == [
-        ("characters", "__post_init__"), ("characters", "_pin_candidates"),
+        ("characters", "__post_init__"), ("characters", "_pin_full"),
         ("gaussian", "divisor_pairs"), ("gaussian", "multiplicative")]
     brute = _callers("rho_bruteforce", "_rho_brute")
     assert brute
