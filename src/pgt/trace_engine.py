@@ -15,8 +15,8 @@ computed at once:
     gaussian.i_mod_split (the one the scalar Euler criterion uses); for
     e = 1 the value is the Legendre symbol of (n^2-4 mod pi), read from a
     marked square table mod p or, for p beyond the norms of the prime
-    factors of n^2-4 and large against the number of traces, by quadratic
-    reciprocity from the symbols of pi at those factors (_DeltaFactors);
+    factors of n^2-4 and p^2 beyond the cutoff, by quadratic reciprocity
+    from the symbols of pi at those factors (_DeltaFactors);
     for e >= 2, gaussian.valuation divides pi out of n^2-4 (capped at e),
     the rest is mapped the same way, and the value is quad_counts.lambda_odd,
     the closed form of the scalar path.
@@ -66,13 +66,15 @@ No work is done twice for an answer already known:
     geodesics rides along the V sweep this way.
   * one symbol build per rational prime: a Legendre table mod p, or the
     local symbols of reciprocity when p^2 lies beyond the cutoff and p
-    beyond the factor bound and large against the number of traces, fills
-    the one row of both split ideals over p at once; a table is kept only
-    while the walk can ask for a higher power over p (p^2 within the
-    cutoff).  The n^2 - 4 are factored once per sweep, before the first
-    block of prime rows when the walk reaches a prime that takes the local
-    symbols, and their factors' Legendre tables serve the rows over those
-    factors too.
+    beyond the factor bound, fills the one row of both split ideals over p
+    at once; a table is kept only while the walk can ask for a higher power
+    over p (p^2 within the cutoff).  The n^2 - 4 are factored, through
+    n - 2 and n + 2, once per sweep, before the first block of prime rows
+    when the walk reaches a prime that takes the local symbols, and their
+    factors' Legendre tables, kept as one bitmap, serve the rows over
+    those factors too.  On 2 vCPUs at 7,891 traces a local row costs 15 to
+    20 us whatever p, a table row 65 us at p = 2 * 7,891 and more beyond,
+    so every split prime past the factor bound takes the local symbols.
   * a byte budget: vectors, kept tables and blocks of prime rows are
     cached while a later visit can read them and they fit in CACHE_BYTES
     (64 MiB), and a cached entry is never evicted.  A visit q reads an
@@ -242,14 +244,22 @@ def _supplements(a, b):
     return 1 - 2 * (((a * a + b * b) >> 2) & 1), 1 - 2 * (((a - b - b * b - 1) >> 2) & 1)
 
 
+def _smallest_factors(bound: int) -> np.ndarray:
+    """spf[m] = the smallest prime factor of m, for 2 <= m <= bound (int32)."""
+    spf = np.arange(bound + 1, dtype=np.int32)
+    for p in range(math.isqrt(bound), 1, -1):  # the smallest p writes last
+        spf[p * p::p] = p
+    return spf
+
+
 class _DeltaFactors:
     """delta = n^2 - 4 of each trace as u (1+i)^k prod w^e, over the primary
     primes w of norm <= bound, and the quadratic symbols [delta/pi] at split
     primes pi beyond it from the symbols at those factors.
 
-    Every prime factor of delta = (n - 2)(n + 2) has norm <= bound when bound
-    >= max N(n +- 2).  For pi primary over p > bound, reciprocity and the
-    supplementary laws give
+    Every prime factor of delta = (n - 2)(n + 2) has norm <= bound, which
+    must be >= max N(n +- 2).  For pi primary over p > bound, reciprocity
+    and the supplementary laws give
 
         [delta/pi] = [i/pi]^m [(1+i)/pi]^k prod_{e odd} [pi/w]     (u = i^m),
 
@@ -257,76 +267,154 @@ class _DeltaFactors:
     over q (i = s_w mod w), p mod q for an inert w = (q).  So the symbols of
     pi form one row of a matrix over the columns w, with [i/pi] and
     [(1+i)/pi] as two more columns, and each trace multiplies the columns of
-    its factor list.  The trial division is exact in int64 while
-    |delta| (1 + bound) < 2^62.  table(q) gives the Legendre table mod q
-    (LambdaVectors._chartab, which reads `tables` back for the walk's rows
-    over q, so that each table is built once).
+    its factor list.
+
+    n - 2 and n + 2 differ by 4, so they share no odd prime, and both are
+    factored in one vectorized loop with one step per prime factor: the
+    smallest prime factor q of the odd part of the norm names the next
+    factor, (q) when q = 3 (mod 4), else pi over q or conj(pi), whichever
+    divides (the real part of x conj(pi) is 0 mod q for pi | x, since q
+    divides N(x)), and the step divides it out of x exactly.  The odd part
+    of delta, delta / (1+i)^k, is u times a product of primaries, and u is
+    +-i exactly when its real part is even (gaussian.primary_associate).
+    table(q) gives the Legendre table mod q (LambdaVectors._chartab); the
+    tables of the factors are kept as one bitmap of non-residues, from
+    which table() gives them back for the walk's rows over q, so that each
+    is built once.
     """
 
     def __init__(self, traces: TraceSet, bound: int, table):
-        k, (ca, cb) = g.valuation((1, 1), (traces.da, traces.db), 64)
-        at, col, q, s = [], [], [], []  # odd-exponent incidences; each column's q and s_w
-        for npi, re, im in g.prime_ideals_upto(bound).tolist():
-            if npi == 2:
-                continue
-            if im:
-                qw, sw = npi, g.i_mod_split((re, im), npi)
-                hit = np.flatnonzero(_mod(ca + sw * cb, qw) == 0)
-            else:
-                qw, sw = re, 0
-                hit = np.flatnonzero((_mod(ca, qw) == 0) & (_mod(cb, qw) == 0))
-            if len(hit) == 0:
-                continue
-            v, (ca[hit], cb[hit]) = g.valuation(g.primary_associate(re, im),
-                                                (ca[hit], cb[hit]), 64)
-            odd = hit[v % 2 == 1]
-            if len(odd):
-                at.append(odd)
-                col.append(np.full(len(odd), len(q)))
-                q.append(qw)
-                s.append(sw)
-        if np.any(np.abs(ca) + np.abs(cb) != 1):
-            raise ArithmeticError(f"a prime factor of n^2 - 4 has norm beyond {bound}")
-        # the unit u = ca + cb*i is +-1 or +-i, and [-1/pi] = 1: u = +-i and
-        # an odd k list the columns [i/pi] and [(1+i)/pi]
-        for c, odd in enumerate((np.flatnonzero(cb), np.flatnonzero(k % 2))):
-            at.append(odd)
-            col.append(np.full(len(odd), len(q) + c))
-        self.q = np.array(q, dtype=np.int64)
-        self.s = np.array(s, dtype=np.int64)
-        self.inert = self.s == 0
-        # one int8 array of the Legendre tables mod each q, table(q), at
-        # offset off; tables[q] is q's, a view
-        qs, inv = np.unique(self.q, return_inverse=True)
-        start = np.cumsum(qs) - qs
-        self.off = start[inv.reshape(-1)]
-        self.tab = np.concatenate([np.zeros(0, np.int8), *map(table, qs.tolist())])
-        self.tables = {q: self.tab[o:o + q] for q, o in zip(qs.tolist(), start.tolist())}
+        T = len(traces)
+        x0 = np.concatenate([traces.na - 2, traces.na + 2])
+        x1 = np.concatenate([traces.nb, traces.nb])
+        m = x0 * x0 + x1 * x1
+        if m.max(initial=0) > bound:
+            raise ArithmeticError(f"n +- 2 has norm {m.max()}, beyond the factor bound {bound}")
+        # generator of the first prime ideal over each odd q <= bound: a split
+        # pi = (a, b) and its conjugate (b, a), or (q, 0) for an inert q
+        spf = _smallest_factors(bound)
+        gen = np.zeros((bound + 1, 2), dtype=np.int64)
+        primes = g.prime_ideals_upto(bound)[1:]
+        split = primes[primes[:, 2] != 0][0::2]
+        inert = primes[primes[:, 2] == 0, 1]
+        gen[split[:, 0]], gen[inert, 0] = split[:, 1:], inert
+        m //= m & -m  # N of the odd part of n +- 2
+        # the factors of an x come in ascending order of their keys, 2q for pi
+        # or an inert (q), 2q + 1 for conj(pi), in one run of steps per prime:
+        # a run of odd length is an odd exponent, listed when the run ends
+        j = np.tile(np.arange(T), 2)
+        key, odd = np.zeros(2 * T, dtype=np.int64), np.zeros(2 * T, dtype=bool)
+        at, col = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]  # odd exponents
+        while len(m):
+            live = m > 1
+            j, x0, x1, m, key, odd = j[live], x0[live], x1[live], m[live], key[live], odd[live]
+            q = spf[m].astype(np.int64)
+            a, b = gen[q].T
+            conj = (x0 * a + x1 * b) % q != 0
+            a, b = np.where(conj, b, a), np.where(conj, a, b)
+            d = a * a + b * b  # q for a split prime, q^2 for an inert one
+            x0, x1 = (x0 * a + x1 * b) // d, (x1 * a - x0 * b) // d
+            m //= d
+            new = 2 * q + conj
+            ends = (new != key) & odd
+            at.append(j[ends])
+            col.append(key[ends])
+            odd = (new != key) | ~odd
+            key = new
+            at.append(j[(m == 1) & odd])
+            col.append(key[(m == 1) & odd])
+        # one column per key, ascending, then [i/pi] and [(1+i)/pi]: the unit
+        # u = +-i and an odd k list those two
+        at, col = np.concatenate(at), np.concatenate(col)
+        seen = np.zeros(2 * bound + 2, dtype=bool)
+        seen[col] = True
+        keys = np.flatnonzero(seen)
+        col = (np.cumsum(seen) - 1)[col]
+        self.q = keys >> 1
+        self.inert = self.q % 4 == 3
+        w = gen[self.q]
+        w[keys & 1 == 1] = w[keys & 1 == 1, ::-1]  # conj(pi) = (b, a)
+        self.s = np.array([0 if i else g.i_mod_split(tuple(wi), q) for i, wi, q
+                           in zip(self.inert.tolist(), w.tolist(), self.q.tolist())], dtype=np.int64)
+        k, (c0, _) = g.valuation((1, 1), (traces.da, traces.db), 64)
+        unit, two = np.flatnonzero(c0 % 2 == 0), np.flatnonzero(k % 2)
+        at = np.concatenate([at, unit, two])
+        col = np.concatenate([col, np.full(len(unit), len(keys)), np.full(len(two), len(keys) + 1)])
+        # the non-residues mod each q as one bitmap, q's from byte off[q]
+        qs = sorted(set(self.q.tolist()))
+        nbytes = [(q + 7) // 8 for q in qs]
+        self.off = dict(zip(qs, np.cumsum([0] + nbytes[:-1]).tolist()))
+        self.nonres = np.empty(sum(nbytes), dtype=np.uint8)
+        for q, o in self.off.items():
+            self.nonres[o:o + (q + 7) // 8] = np.packbits(table(q) < 0, bitorder="little")
+        # s_w, q and the bit offset of q's table, as float64 columns
+        self.columns = np.array([self.s, self.q, [8 * self.off[q] for q in self.q.tolist()]],
+                                dtype=np.float64)[:, :, None]
         # the traces in descending order of factor count, trace j at position
         # pos[j]: the f-th factors of the traces with more than f are cols[f],
         # one per position of a prefix
-        at, col = np.concatenate(at), np.concatenate(col)
-        count = np.bincount(at, minlength=len(traces))
+        count = np.bincount(at, minlength=T)
         order = np.argsort(-count, kind="stable")
-        self.pos = np.argsort(order)
-        col = col[np.argsort(self.pos[at], kind="stable")]
+        self.pos = np.argsort(order).astype(np.int32)
+        col = col[np.argsort(self.pos[at], kind="stable")].astype(np.int32)
         count = count[order]
         first = np.cumsum(count) - count
         self.cols = [col[first[count > f] + f] for f in range(count.max(initial=0))]
 
+    def table(self, q: int):
+        """The Legendre table mod a factor q, from the bitmap; None for
+        another q."""
+        o = self.off.get(q)
+        if o is None:
+            return None
+        tab = np.unpackbits(self.nonres[o:o + (q + 7) // 8], count=q, bitorder="little").view(np.int8)
+        tab *= -2
+        tab += 1
+        tab[0] = 0
+        return tab
+
     def rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """int8 rows [delta/pi] over the traces, one per primary pi = a + bi
-        (int64 arrays) over a split p > bound.  The columns take
-        |a| + s_w |b| < sqrt(p) (1 + bound) in int64."""
-        top = a[:, None] + self.s * b[:, None]
-        top[:, self.inert] = (a * a + b * b)[:, None]
-        sym = np.empty((len(a), len(self.q) + 2), dtype=np.int8)
-        sym[:, :-2] = self.tab[self.off + _mod(top, self.q)]
-        sym[:, -2], sym[:, -1] = _supplements(a, b)
-        acc = np.ones((len(a), len(self.pos)), dtype=np.int8)
+        (int64 arrays) over a split p > bound.
+
+        The symbols of a column w are the bits of 64-bit words, bit r set
+        when row r's symbol is -1, and each trace XORs the words of its
+        factor list.  The residues a + s_w b mod q (p mod q for an inert w)
+        are taken in float64 by floor division, a chunk of columns at a
+        time.  That is exact while p and sqrt(p) (1 + bound) are below
+        2^53: no value is a multiple of q, so its quotient lies 1/q or more
+        from an integer."""
+        R = len(a)
+        af, bf = a.astype(np.float64), b.astype(np.float64)
+        p = af * af + bf * bf
+        packed = np.zeros((len(self.q) + 2, -(-R // 64) * 8), dtype=np.uint8)
+        packed[-2:, :-(-R // 8)] = np.packbits((1 - np.stack(_supplements(a, b))) >> 1,
+                                               axis=1, bitorder="little")
+        for c in range(0, len(self.q), 256):  # 256 columns of R float64s stay in cache
+            s, q, bit_at = self.columns[:, c:c + 256]
+            x = np.multiply(s, bf)
+            x += af
+            x[self.inert[c:c + 256]] = p
+            y = x / q
+            np.floor(y, out=y)
+            y *= q
+            x -= y
+            x += bit_at
+            at = x.astype(np.int64)
+            bits = self.nonres[at >> 3]
+            bits >>= (at & 7).astype(np.uint8)
+            bits &= 1
+            packed[c:c + len(at), :-(-R // 8)] = np.packbits(bits, axis=1, bitorder="little")
+        words = packed.view(np.uint64).T.copy()
+        acc = np.zeros((len(self.pos), len(words)), dtype=np.uint64)
         for w in self.cols:
-            acc[:, :len(w)] *= sym[:, w]
-        return acc[:, self.pos]
+            for k, word in enumerate(words):
+                acc[:len(w), k] ^= word[w]
+        sym = np.unpackbits(acc[self.pos].view(np.uint8).T, axis=0, count=R,
+                            bitorder="little").view(np.int8)
+        sym *= -2
+        sym += 1
+        return sym
 
 
 # 64 MiB holds every row and vector that psi(1e4) at V = 1000 reads twice
@@ -335,11 +423,12 @@ class _DeltaFactors:
 # would keep 71 MiB; the cache keeps what it admits first, which is the
 # rows of the small primes that every node of the walk reads, and a block
 # it did not admit is rebuilt when a later node asks for it again.  Each of
-# the 3,233 rational primes below p = 8 * 7,950 still gets one Legendre
-# table; above it a rebuild takes the local symbols, whose cost does not
-# grow with p (29,116 local rows, 27,454, one per split ideal, with a 1 GiB
-# budget).  The call takes 3.7 to 3.8 s and 134 MB of peak RSS on 2 vCPUs,
-# 3.7 s and 142 MB with a 1 GiB budget
+# the 690 rational primes that the walk reaches up to the factor bound
+# 10,405 gets one Legendre table; beyond it a rebuild takes the local
+# symbols, whose cost does not grow with p (34,202 local rows, 32,540, one
+# per split ideal, with a 1 GiB budget).  The call takes 2.3 to 2.9 s and
+# 127 to 129 MB of peak RSS on 2 vCPUs, 2.2 to 2.8 s and 135 MB with a
+# 1 GiB budget
 CACHE_BYTES = 1 << 26
 
 # leaf rows are built and cached in blocks of this many consecutive prime
@@ -347,16 +436,6 @@ CACHE_BYTES = 1 << 26
 # one row per norm among them; a fixed count, so that the pieces a range is
 # summed in depend neither on the traces nor on the cutoff
 ROW_BLOCK = 64
-
-# a split p beyond the bound of the traces' prime factors and with p^2
-# beyond the cutoff takes its rows from reciprocity once
-# p > RECIPROCITY_PER_TRACE * traces.  Measured on 2 vCPUs at 7,950 traces,
-# a table row costs 65 us at p = 2 * traces, 126 us at 8 * traces and 514 us
-# at 16 * traces, a local row 64 to 80 us at any p.  At 5 or less,
-# psi(X ~ 1e4) at V = 1000 (~7,900 traces, cutoff 40,000) would cross, and
-# factoring its n^2 - 4 (0.1 s) would cost more than its rows save
-RECIPROCITY_PER_TRACE = 8
-
 
 def _residues(da, db, npj: int, pj):
     """(p, [x mod pi]) for an inert pi = (p), whose map to Z/p is the
@@ -414,11 +493,11 @@ class LambdaVectors:
     split prime's symbol serves both ideals over p, whose rows are built
     together and summed.  Each rational prime's symbols come from one
     build: its Legendre table (p bytes), or, for a split p beyond
-    `local_from` (with p*p > limit, beyond `bound` and large against the
-    number of traces), the local symbols of _DeltaFactors.  That factors
-    the traces' n^2 - 4 once, before the first row block of a walk that
-    reaches such a p, and its factors' tables serve the walk's rows over
-    them.
+    `local_from` = max(bound, isqrt(limit)), so p*p > limit, the local
+    symbols of _DeltaFactors.  That factors the traces' n^2 - 4 once,
+    before the first row block of a walk that reaches such a p, and its
+    factors' tables, which it keeps as one bitmap, serve the walk's rows
+    over them.
     """
 
     def __init__(self, traces: TraceSet, limits):
@@ -429,8 +508,7 @@ class LambdaVectors:
         self._cache: dict = {}
         # max N(n +- 2), a bound on the norm of every prime factor of n^2 - 4
         self.bound = int(((np.abs(traces.na) + 2) ** 2 + traces.nb ** 2).max(initial=0))
-        self.local_from = max(self.bound, RECIPROCITY_PER_TRACE * len(traces),
-                              math.isqrt(int(self.limit)))
+        self.local_from = max(self.bound, math.isqrt(int(self.limit)))
         self._factors = None
 
     def _put(self, key, arr: np.ndarray) -> None:
@@ -441,7 +519,7 @@ class LambdaVectors:
     def _chartab(self, p: int) -> np.ndarray:
         tab = self._cache.get(p)
         if tab is None and self._factors is not None:
-            tab = self._factors.tables.get(p)
+            tab = self._factors.table(p)
         if tab is None:
             tab = _sq_char_table(p)
             if p * p <= self.limit:
@@ -490,8 +568,9 @@ class LambdaVectors:
         conjugate pair never cut: lambda_pi(n^2-4) (e = 1) for (1+i) and an
         inert pi, and lambda_pi + lambda_conj(pi), in -2..2, for a split
         pair, whose leaves share one weight.  A split p beyond local_from
-        takes both its rows from reciprocity, in one _DeltaFactors.rows call
-        for the block; every other prime reads a Legendre table, one per
+        (the factor bound, or the square root of the cutoff if larger) takes
+        both its rows from reciprocity, in one _DeltaFactors.rows call for
+        the block; every other prime reads a Legendre table, one per
         rational prime, at the residues da + t db with t < p, exact in int64
         while |n^2 - 4| (1 + p) < 2^63."""
         tr = self.tr

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pgt.characters import is_perfect_square
 from pgt.gaussian import (UNIT_PAIRS, CanonicalIdealRep, GaussianInt, canonical_pair,
-                          disk_rows, euler_symbol, exact_div, factor_pair_cached,
+                          disk_rows, euler_symbol, exact_div, factor_pair_cached, i_mod_split,
                           ideal_reps_upto, leaf_pairs, mul, norm, primary_associate,
                           prime_ideals_upto, walk_ideals)
 from pgt.lfunctions import smoothed_sums, zagier_L1
@@ -319,8 +319,8 @@ def test_leaf_ranges_from_conj_pi_add_its_own_row_first(monkeypatch):
     assert {e for _, _, e in heads} == {1}
 
 
-# 1, 2 and 40 traces: the local symbols of reciprocity pay from
-# p ~ 8 m on, and never below the norm bound of the factors of n^2 - 4
+# 1, 2 and 40 traces: the local symbols of reciprocity serve every split p
+# beyond the norm bound of the factors of n^2 - 4, and never one below it
 ROW_TRACES = {1: [(7, 3)], 2: [(7, 3), (-11, 5)],
               40: [(a, b) for a in range(-9, 11, 3) for b in range(1, 12, 2)][:40]}
 
@@ -333,12 +333,13 @@ def _norm_rank(primes):
 @pytest.mark.parametrize("m", sorted(ROW_TRACES))
 def test_reciprocity_rows_equal_table_rows_and_scalar_lambda(monkeypatch, m):
     # one row per norm of a prime ideal of norm <= 2e4, split, inert and
-    # (1+i), with every split pair beyond the factor bound by reciprocity,
-    # every row by table, and at the default crossover: the same bytes, and
-    # each row the sum of the scalar lambda over the ideals of its norm.  The
-    # cache's limit of 1 lets reciprocity take any split prime beyond the
-    # bound.  A head row, the one ideal's row that a leaf range starting at
-    # conj(pi) adds first, is the scalar lambda at conj(pi)
+    # (1+i): through LambdaVectors, whose every split pair beyond
+    # max(factor bound, sqrt(cutoff)) takes reciprocity, at the cutoffs 1
+    # (every split pair beyond the factor bound) and 2e4, and from the
+    # Legendre tables alone; the same bytes, and each row the sum of the
+    # scalar lambda over the ideals of its norm.  A head row, the one
+    # ideal's row that a leaf range starting at conj(pi) adds first, is the
+    # scalar lambda at conj(pi)
     pairs = ROW_TRACES[m]
     assert len(pairs) == m
     tr = _trace_set(pairs)
@@ -350,16 +351,23 @@ def test_reciprocity_rows_equal_table_rows_and_scalar_lambda(monkeypatch, m):
     monkeypatch.setattr(trace_engine._DeltaFactors, "rows",
                         lambda self, a, b: built.append("local") or real_rows(self, a, b))
 
-    def rows(per_trace):
-        monkeypatch.setattr(trace_engine, "RECIPROCITY_PER_TRACE", per_trace)
+    def rows(limit):
         built.clear()
-        out = np.concatenate(list(LambdaVectors(tr, [1]).rows(primes, rank, 0, len(primes))))
+        out = np.concatenate(list(LambdaVectors(tr, [limit]).rows(primes, rank, 0, len(primes))))
         return out, set(built)
 
-    default, how_d = rows(trace_engine.RECIPROCITY_PER_TRACE)
-    (local, how_l), (table, how_t) = rows(0), rows(math.inf)
-    assert how_t == {"table"} and how_l == how_d == {"local", "table"}
-    assert local.dtype == table.dtype == np.int8
+    (local, how_l), (default, how_d) = rows(1), rows(20000)
+    assert how_l == how_d == {"local", "table"}
+    table, norms = [], primes[:, 0].tolist()
+    for j, (npi, a, b) in enumerate(primes.tolist()):
+        if npi == 2:
+            table.append(LambdaVectors(tr, [1]).vec(npi, (a, b), 1))
+        elif j == 0 or norms[j - 1] != npi:  # a split pair's two residues at once
+            p, res = trace_engine._residues(tr.da, tr.db, npi, (a, b))
+            tab = trace_engine._sq_char_table(p)
+            table.append(sum(tab[x] for x in res).astype(np.int8))
+    table = np.stack(table)
+    assert local.dtype == default.dtype == table.dtype == np.int8
     assert local.tobytes() == table.tobytes() == default.tobytes()
     ns = [G(a, b) for a, b in pairs]
     lam = {(a, b): [lambda_at_prime_power((a, b), 1, n * n - G(4, 0), n) for n in ns]
@@ -441,6 +449,85 @@ def test_reciprocity_rows_match_table_rows_on_every_unit_and_power_of_two():
     table = np.stack([trace_engine._sq_char_table(npi)[
         trace_engine._residues(tr.da, tr.db, npi, pi)[1][0]] for npi, pi in split])
     assert local.tobytes() == table.tobytes()
+
+
+def _incidences(fac, count):
+    """{trace: set of (q, s_w) columns, plus "unit" and "two"} read back from
+    the factor lists of a _DeltaFactors over `count` traces."""
+    names = [(q, s) for q, s in zip(fac.q.tolist(), fac.s.tolist())] + ["unit", "two"]
+    out = {j: set() for j in range(count)}
+    for j, at in enumerate(fac.pos.tolist()):
+        for w in fac.cols:
+            if at < len(w):
+                assert names[w[at]] not in out[j]
+                out[j].add(names[w[at]])
+    return out
+
+
+def _scalar_incidences(n: GaussianInt):
+    """The same set for one trace from the scalar factorization of n^2 - 4."""
+    u, k = _unit_and_k(n)
+    out = {"unit"} if u in ((0, 1), (0, -1)) else set()
+    out |= {"two"} if k % 2 else set()
+    for (a, b), e in factor_pair_cached((n * n - G(4, 0)).pair):
+        if e % 2 and (a, b) != (1, 1):
+            out.add((a, 0) if b == 0 else (a * a + b * b, i_mod_split((a, b), a * a + b * b)))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(any_trace_st, min_size=1, max_size=8, unique=True))
+# all four units and an odd k; and n^2 - 4 with no odd prime in n +- 2
+@example(GRID)
+@example([(0, 0)])
+@example([(0, 2)])
+def test_delta_factors_match_the_scalar_factorization(pairs):
+    # the vectorized factoring of n - 2 and n + 2 lists, for each trace, the
+    # odd-exponent prime factors (q, s_w) of n^2 - 4 and the columns [i/pi]
+    # (unit +-i) and [(1+i)/pi] (odd k) that the scalar factorization gives
+    tr = _trace_set(pairs)
+    fac = trace_engine._DeltaFactors(tr, LambdaVectors(tr, [1]).bound, trace_engine._sq_char_table)
+    got = _incidences(fac, len(pairs))
+    assert [got[j] for j in range(len(pairs))] == [_scalar_incidences(G(*n)) for n in pairs]
+    assert len(set(zip(fac.q.tolist(), fac.s.tolist()))) == len(fac.q)  # one column per ideal
+
+
+@pytest.fixture(scope="module")
+def grid_factors():
+    """_DeltaFactors of GRID, the primary split primes beyond its bound, and
+    their rows from the Legendre tables."""
+    tr = _trace_set(GRID)
+    bound = LambdaVectors(tr, [1]).bound
+    fac = trace_engine._DeltaFactors(tr, bound, trace_engine._sq_char_table)
+    split = [(npi, (a, b)) for npi, a, b in prime_ideals_upto(3000 + bound).tolist()
+             if npi > bound and b][:130]
+    pis = np.array([pi for _, pi in split])
+    table = np.stack([trace_engine._sq_char_table(npi)[
+        trace_engine._residues(tr.da, tr.db, npi, pi)[1][0]] for npi, pi in split])
+    return fac, primary_associate(pis[:, 0], pis[:, 1]), table
+
+
+@pytest.mark.parametrize("R", [1, 7, 8, 63, 64, 65, 130])
+def test_reciprocity_rows_pack_any_number_of_primes(grid_factors, R):
+    # the symbols of R rows are packed into ceil(R / 64) words per column,
+    # XORed along each trace's factor list and unpacked: byte for byte the
+    # table rows, across the byte and word boundaries
+    fac, (a, b), table = grid_factors
+    assert len(table) == 130
+    rows = fac.rows(a[:R], b[:R])
+    assert rows.dtype == np.int8 and rows.shape == (R, len(GRID))
+    assert rows.tobytes() == table[:R].tobytes()
+
+
+def test_delta_factors_refuse_a_bound_below_the_norms_of_n_pm_2():
+    # the smallest-factor table covers the bound alone: a factor beyond it
+    # is an ArithmeticError that names the bound, never an IndexError
+    tr = _trace_set([(7, 3), (-11, 5)])
+    bound = LambdaVectors(tr, [1]).bound
+    assert bound == (11 + 2) ** 2 + 5 ** 2
+    trace_engine._DeltaFactors(tr, bound, trace_engine._sq_char_table)
+    with pytest.raises(ArithmeticError, match=f"bound {bound - 1}"):
+        trace_engine._DeltaFactors(tr, bound - 1, trace_engine._sq_char_table)
 
 
 @settings(max_examples=25, deadline=None)
@@ -636,10 +723,10 @@ def test_gv_sweep_matches_single_trace_single_v_sweeps(pairs, V, budget):
 @pytest.mark.parametrize("window", ["trace_set", "odd"])
 def test_gv_sweep_leaves_the_trace_set_unchanged(monkeypatch, window):
     # both walks take local symbols, so _DeltaFactors divides the primes out
-    # of n^2 - 4 in place: into copies, never into the da and db of the
-    # TraceSet swept or of the one it reads.  No n^2 - 4 of the odd traces
-    # 3 and 5 + 2i is divisible by (1+i), where a valuation returning its
-    # input arrays unchanged would alias them
+    # of n +- 2 and (1+i) out of n^2 - 4: in its own arrays, never in the
+    # da and db of the TraceSet swept or of the one it reads.  No n^2 - 4
+    # of the odd traces 3 and 5 + 2i is divisible by (1+i), where a
+    # valuation returning its input arrays unchanged would alias them
     tr, V = (trace_set(2000.0, 2100.0), 2000.0) if window == "trace_set" else \
         (_trace_set([(3, 0), (5, 2)]), 30.0)
     before = tr.da.copy(), tr.db.copy()
