@@ -213,20 +213,20 @@ def cmd_lfun(args) -> int:
     else:
         delta = args.delta
         n = None
-    tol = args.tol if args.tol is not None else 1e-3
     split = discriminant_split(delta)
     char = quadratic_character(delta)
-    V = args.v if args.v is not None else lf.choose_V(delta, tol=tol)
+    exact = lf.L1_exact(delta, n=n)
+    V = args.v if args.v is not None else exact.V
     gv = lf.zagier_L1(delta, V, n=n)
-    tval = lf.T_l_poly(1.0, split.D, split.l, char)
-    lval = lf.L_chi(1.0, char, V / 8.0)
+    tval = complex(lf.T_l_poly(1.0, split.D, split.l, char)).real
+    lval = lf.L1_chi_exact(char)
     _emit(args, {
         "command": "lfun", "delta": str(delta), "D": str(split.D),
         "l": str(split.l.value), "even_value": char.even_value,
         "unit_value": char.unit_value, "v_used": V, "G_V": gv.value,
-        "tail_estimate": gv.tail_estimate, "T_at_1": complex(tval).real,
-        "L_at_1": lval.value.real, "product": complex(tval).real * lval.value.real,
-    }, ["delta", "D", "l", "even_value", "v_used", "G_V", "T_at_1", "L_at_1"])
+        "tail_estimate": gv.tail_estimate, "L1": exact.value, "T_at_1": tval,
+        "L_at_1": lval, "product": tval * lval,
+    }, ["delta", "D", "l", "even_value", "v_used", "G_V", "L1", "T_at_1", "L_at_1"])
     return 0
 
 
@@ -363,12 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_smoothed)
 
-    p = sub.add_parser("lfun", help="smoothed form L-value and its factorization")
+    p = sub.add_parser("lfun", help="exact form L-value at 1, its factorization, and G_V")
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--delta", type=parse_discriminant)
     grp.add_argument("--trace", type=parse_trace, help="trace n; delta = n^2-4")
-    p.add_argument("--v", type=parse_positive, default=None)
-    _add_tol(p)
+    p.add_argument("--v", type=parse_positive, default=None,
+                   help="smoothing length of G_V (default: the exact walk's)")
     _add_common(p)
     p.set_defaults(func=cmd_lfun)
 

@@ -13,6 +13,8 @@ from pgt import calibration as cal
 from pgt import cli
 from pgt.harness import FitResult, compensated_sum, fit_exponent, write_csv, write_json
 from pgt.cli import main, parse_gaussian, parse_grid
+from pgt.gaussian import GaussianInt
+from pgt.lfunctions import L1_exact
 
 
 def test_fit_exact_power_law():
@@ -63,6 +65,8 @@ def test_cli_rejects_bad_tol_and_seed(capsys):
                 ["interval", "--x", "100", "--y", "-3"],
                 ["smoothed", "--x", "1000", "--y", "nan"],
                 ["lfun", "--delta", "0"], ["lfun", "--delta", "9"],
+                # lfun's value is exact: it takes no accuracy target
+                ["lfun", "--trace", "3", "--tol", "1e-3"],
                 # zagier_L1 needs n with delta = n^2 - 4: --delta 7 passed the
                 # parse and died in a traceback ("11 is not a perfect square")
                 ["lfun", "--delta", "7"], ["lfun", "--delta", str(2**31 - 1)],
@@ -179,6 +183,14 @@ def test_cli_lfun(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["delta"] == "5"
     assert obj["G_V"] == pytest.approx(obj["product"], abs=1e-4)
+    # without --v, G_V is taken at the exact walk's own V; the exact L(1)
+    # and T(1) L(1, chi_D) are two walks over different coefficients
+    assert main(["lfun", "--trace", "26+45i"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["l"] == "15+26i"
+    assert obj["v_used"] == L1_exact(GaussianInt(-1353, 2340)).V
+    assert abs(obj["L1"] - 0.5331761981130890) <= 1e-14
+    assert abs(obj["product"] - obj["L1"]) <= 1e-13
     assert main(["lfun", "--delta", "12", "--v", "100"]) == 0  # n = 4, l = (2)
     assert json.loads(capsys.readouterr().out)["l"] == "2"
 

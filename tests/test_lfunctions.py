@@ -3,6 +3,7 @@
 import ast
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,12 @@ from pgt.gaussian import GaussianInt, canonical_rep, canonical_pair, divides, \
 from pgt.characters import chi, discriminant_split, is_perfect_square, quadratic_character
 from pgt.harness import fit_exponent
 from pgt import lfunctions as lf, quad_counts as qc
-from pgt.lfunctions import (L_chi, R_V_estimate, T_l_poly, choose_V,
+from pgt.lfunctions import (L1_chi_exact, L1_exact, L_chi, R_V_estimate, T_l_poly, e1,
                             ideal_norm_counts, normalization_sum, smoothed_sums,
                             szmidt_coefficient_check,
                             szmidt_product_coefficients, zagier_L1, zeta_qi)
 from pgt import trace_engine
+from pgt.geodesics import trace_threshold
 
 G = GaussianInt
 
@@ -65,8 +67,8 @@ def test_L_chi_v_stability():
             for V in (1e3, 1e4, 1e5)]
     assert abs(vals[1] - vals[0]) < 1e-4
     assert abs(vals[2] - vals[1]) < 1e-4
-    r = L_chi(1.0, char, 1e3, tol=1e-4)
-    assert r.converged
+    r = L_chi(1.0, char, 1e3)
+    assert r.band <= 1e-4
     assert r.band < 1e-6
 
 
@@ -121,10 +123,11 @@ def test_L_chi_walk_runs_no_primality_test(monkeypatch):
        V=st.floats(0.05, 150.0))
 @example(n=(2, 1), V=0.1)
 def test_vector_prime_leaves_match_per_prime_extend(n, V):
-    # zagier_L1, L_chi and R_V_estimate take their prime leaves from one
-    # euler_symbols pass; with smoothed_sums' default table, filled by one
+    # zagier_L1, L1_exact, R_V_estimate, L_chi and L1_chi_exact take their
+    # prime leaves from one euler_symbols pass; with smoothed_sums' default table, filled by one
     # extend call per prime, every field comes out bit-identical.  (1+i) is
     # a prime leaf only below the cutoff 10, which V < 0.25 reaches.
+    # R_V_estimate takes the V whose dual walk runs to 40 V.
     n = G(*n)
     delta = n * n - G(4, 0)
     assume(not delta.is_zero() and not is_perfect_square(delta))
@@ -132,7 +135,9 @@ def test_vector_prime_leaves_match_per_prime_extend(n, V):
 
     def values():
         return [repr(v) for v in (
-            zagier_L1(delta, V, n=n), zagier_L1(delta, V), R_V_estimate(delta, V / 4.0),
+            zagier_L1(delta, V, n=n), zagier_L1(delta, V),
+            R_V_estimate(delta, delta.norm() / (math.pi**2 * V)),
+            L1_exact(delta, n=n), L1_chi_exact(char),
             *(L_chi(s, char, V / 8.0) for s in (1.0, 2.0, 0.75 + 0.5j, 0.5)))]
 
     vector = values()
@@ -150,12 +155,6 @@ def test_L_chi_doubling_steps_decreasing():
     diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
     for a, b in zip(diffs, diffs[1:]):
         assert b <= a or b < 1e-12, diffs
-
-
-def test_L_chi_nonconvergence_flag():
-    char = quadratic_character(G(5, 0))
-    r = L_chi(1.0, char, 2.0, tol=1e-18, doublings=1)
-    assert not r.converged  # flag, not an exception
 
 
 def test_L_chi_trivial_character_reduces_to_zeta():
@@ -247,9 +246,12 @@ def test_scalar_series_match_the_per_leaf_walk(Vs):
 @settings(max_examples=15, deadline=None)
 @given(n=st.tuples(st.integers(-30, 30), st.integers(-30, 30)), V=st.floats(0.05, 40.0))
 @example(n=(2, 1), V=0.1)
+@example(n=(20, 20), V=22.137240649341198)
 def test_zagier_and_L_chi_match_the_per_leaf_walk(n, V):
     # each through its own prime values: lambda at every prime power for G_V,
-    # characters.chi at every prime for L_chi
+    # characters.chi at every prime for L_chi.  The band is the difference
+    # of two sums of size ~5 at (20, 20), so it is checked as that
+    # difference, bit for bit, of values each checked against the walk.
     n = G(*n)
     delta = n * n - G(4, 0)
     assume(not delta.is_zero() and not is_perfect_square(delta))
@@ -267,7 +269,9 @@ def test_zagier_and_L_chi_match_the_per_leaf_walk(n, V):
         r = L_chi(s, char, V, doublings=2)
         want = _per_leaf_sums([V, 2 * V, 4 * V], chi_ext, root=1 + 0j, weight=(
             lambda W, nrm: lf._exp_weight(W, nrm) * nrm ** (1 - s)))
-        assert _close([r.value, r.band], [want[-1], abs(want[-1] - want[-2])]), s
+        half = L_chi(s, char, 2 * V, doublings=0).value
+        assert _close([r.value, half], [want[-1], want[-2]]), s
+        assert r.band == abs(r.value - half), s
 
 
 def test_scalar_sums_do_not_depend_on_the_chunk_bound(monkeypatch):
@@ -280,6 +284,7 @@ def test_scalar_sums_do_not_depend_on_the_chunk_bound(monkeypatch):
     def values():
         return [repr(v) for v in (
             zagier_L1(delta, 30.0, n=n), R_V_estimate(delta, 4.0), normalization_sum(30.0),
+            L1_exact(delta, n=n), L1_chi_exact(char),
             *(L_chi(s, char, 4.0) for s in (1.0, 2.0, 0.75 + 0.5j, 0.5)),
             smoothed_sums([3.0, 30.0, 0.5], _ext),
             smoothed_sums([30.0, 3.0], _ext, weight=_other_weight),
@@ -363,13 +368,6 @@ def test_L_chi_rejects_bad_doublings(doublings):
 def test_L_chi_rejects_non_finite_s(s):
     with pytest.raises(ValueError, match=f"finite s, got {re.escape(repr(s))}"):
         L_chi(s, quadratic_character(G(5, 0)), 50.0)
-
-
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-3, math.inf])
-def test_L_chi_rejects_bad_tol(tol):
-    # a nan tol used to read as non-convergence, converged=False
-    with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
-        L_chi(1.0, quadratic_character(G(5, 0)), 50.0, tol=tol)
 
 
 def _callers(*names):
@@ -644,11 +642,9 @@ def test_normalization_sum_takes_its_prime_leaves_from_one_array(monkeypatch):
 
 
 def test_R_V_estimate_proxy_decreases():
-    e1 = R_V_estimate(G(5, 0), 50.0)
-    e2 = R_V_estimate(G(5, 0), 400.0)
-    assert not e1.extrapolated and not e2.extrapolated
-    assert e2.proxy < e1.proxy
-    assert e1.sigma_bound > 0 and e1.subconvex_bound > 0
+    small, large = R_V_estimate(G(5, 0), 50.0), R_V_estimate(G(5, 0), 400.0)
+    assert 0 < abs(large.remainder) < abs(small.remainder)
+    assert small.sigma_bound > 0 and small.subconvex_bound > 0
 
 
 def test_R_V_estimate_sigma_half_shape():
@@ -663,40 +659,120 @@ def test_R_V_estimate_rejects_non_finite_theta(theta):
         R_V_estimate(G(5, 0), 50.0, theta=theta)
 
 
-def test_R_V_estimate_huge_V_extrapolates_tiny():
+def test_R_V_estimate_huge_V_walks_one_ideal(monkeypatch):
+    # the dual sum's cutoff 40 A / (4 pi^2 V) falls below 2 at V = 1e8
+    visits = []
+    walk_ideals = pgt.gaussian.walk_ideals
+
+    def walk(primes, limit, extend, before, *args, **kwargs):
+        walk_ideals(primes, limit, extend, lambda *v: visits.append(v) or before(*v),
+                    *args, **kwargs)
+
+    monkeypatch.setattr(pgt.gaussian, "walk_ideals", walk)
     est = R_V_estimate(G(5, 0), 1e8)
-    assert est.extrapolated
-    assert est.proxy < 1e-6
+    assert abs(est.remainder) < 1e-6
+    assert [nrm for _, nrm, _, _ in visits] == [1]
 
 
-def test_R_V_estimate_is_zagier_differences(monkeypatch):
-    # the ladder and its 8V partners from one walk equal separate walks
-    delta = G(5, 0)
-    est = R_V_estimate(delta, 40.0)
-    assert not est.extrapolated
-    assert est.proxy == abs(zagier_L1(delta, 40.0).value - zagier_L1(delta, 320.0).value)
-    monkeypatch.setattr(lf, "_RV_EXACT_LIMIT", 40 * 8 * 50)
-    seen = []
-
-    def recording_fit(points):
-        seen.extend(points)
-        return fit_exponent(seen)
-
-    monkeypatch.setattr(lf, "fit_exponent", recording_fit)
-    assert R_V_estimate(delta, 1e3).extrapolated
-    want = [(v, max(abs(zagier_L1(delta, v).value - zagier_L1(delta, 8 * v).value), 1e-300))
-            for v in (12.5, 25.0, 50.0)]
-    assert seen == want
+def _delta(n):
+    return G(*n) * G(*n) - G(4, 0)
 
 
-def test_choose_V_converges():
-    v = choose_V(G(5, 0), tol=1e-3)
-    assert v >= 1000.0
-    assert R_V_estimate(G(5, 0), v).proxy <= 1e-3
+def test_R_V_estimate_is_zagier_differences():
+    # the dual E_1 sum against two other walks, G_V and the exact L(1)
+    for n in ((3, 0), (13, -16), (4, 0)):
+        delta = _delta(n)
+        exact = L1_exact(delta).value
+        for V in (0.5, 4.0, 40.0, 300.0):
+            want = zagier_L1(delta, V).value - exact
+            assert abs(R_V_estimate(delta, V).remainder - want) <= 1e-14, (n, V)
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-3, math.inf])
-def test_choose_V_rejects_bad_tol(tol):
-    # a nan tol failed every "proxy <= tol" and so doubled V to the end
-    with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
-        choose_V(G(5, 0), tol=tol)
+def test_R_V_shrinks_as_V_grows():
+    # on exact values, from a quarter of the exact walk's V to 16 times it
+    for n in ((3, 0), (13, -16), (26, 45), (2, 3)):
+        delta = _delta(n)
+        V0 = L1_exact(delta).V
+        sizes = [abs(R_V_estimate(delta, V0 * 2.0**k).remainder) for k in range(-2, 5)]
+        assert all(b < a for a, b in zip(sizes, sizes[1:])), (n, sizes)
+
+
+# L(1, n^2 - 4), from the exact walk of a scratch evaluation checked against
+# mpmath's E_1 at 30 digits and against T(1) L(1, chi_D)
+EXACT_L1 = {(3, 0): 0.6047086137711147, (13, -16): 0.7144998965461855,
+            (26, 45): 0.5331761981130890, (101, 7): 1.4865604158165386}
+
+
+def test_L1_exact_values():
+    for n, want in EXACT_L1.items():
+        assert abs(L1_exact(_delta(n), n=G(*n)).value - want) <= 1e-14 * want, n
+    # delta = 5: the class number formula of Q(sqrt 5) over Q(i)
+    assert abs(L1_exact(G(5, 0)).value - 2 * math.pi * math.log((1 + 5**0.5) / 2) / 5) <= 1e-15
+
+
+def test_G_V_minus_R_V_is_L1_at_every_V():
+    for n in ((3, 0), (13, -16), (26, 45)):
+        delta = _delta(n)
+        exact = L1_exact(delta)
+        for V in (exact.V / 2, 2 * exact.V, 50.0, 1e4):
+            got = zagier_L1(delta, V).value - R_V_estimate(delta, V).remainder
+            assert abs(got - exact.value) <= 1e-14 * exact.value, (n, V)
+
+
+def test_L1_exact_is_T_times_exact_L_chi():
+    # L1_chi_exact at chi_D's own conductor 4 N(D) is a second walk, over
+    # other coefficients; T_l(1) closes the product, also where l != (1)
+    count = 0
+    for a in range(-12, 13):
+        for b in range(13):
+            delta = _delta((a, b))
+            if delta.is_zero() or is_perfect_square(delta):
+                continue
+            count += 1
+            sp, ch = discriminant_split(delta), quadratic_character(delta)
+            product = (T_l_poly(1.0, sp.D, sp.l, ch) * L1_chi_exact(ch)).real
+            want = L1_exact(delta, n=G(a, b)).value
+            assert abs(product - want) <= 1e-13 * want, (a, b)
+    assert count == 322
+
+
+def test_class_number_ratio_is_a_small_rational():
+    # r(n) = sqrt N(delta) L(1, delta) / (pi log thr(n)) is a sum of
+    # (4 / w_O) h(O) / k_O over the orders O: a rational of denominator <= 18
+    ts = trace_engine.trace_set(1.0, 100.0)
+    assert len(ts) == 310
+    for a, b in zip(ts.na.tolist(), ts.nb.tolist()):
+        n = G(a, b)
+        delta = _delta((a, b))
+        r = math.sqrt(delta.norm()) * L1_exact(delta, n=n).value \
+            / (math.pi * math.log(trace_threshold(n)))
+        near = Fraction(r).limit_denominator(18)
+        assert abs(r - near) <= 1e-12, (a, b, r, near)
+
+
+_E1_GRID = np.concatenate([np.geomspace(1e-12, 64.0, 600), [1 - 1e-12, 1.0, 1 + 1e-12]])
+
+
+def test_e1_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    got = e1(_E1_GRID)
+    for x, y in zip(_E1_GRID.tolist(), got.tolist()):
+        want = mpmath.e1(mpmath.mpf(x))
+        assert abs(y / want - 1) <= 1e-14, x
+
+
+def test_phi_weight_matches_scipy_exp1():
+    special = pytest.importorskip("scipy.special")
+    x = _E1_GRID
+    want = np.exp(-x) / x + special.exp1(x)
+    assert np.all(np.abs(lf._phi_weight(1.0, x) / want - 1) <= 1e-14)
+    # V scales the argument and the whole weight
+    assert np.all(np.abs(lf._phi_weight(3.0, 3.0 * x) / (want / 3.0) - 1) <= 1e-14)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_e1_rejects_bad_x(bad):
+    for x in (bad, np.array([1.0, bad, 2.0])):
+        with pytest.raises(ValueError, match="finite x > 0"):
+            e1(x)
