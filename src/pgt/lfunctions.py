@@ -40,7 +40,8 @@ Objects:
                     equation at the conductor A = 4 N(delta) (T. Dokchitser,
                     Experiment. Math. 13, 2004): L(1) = G_V - R_V at every V.
   normalization_sum the mu-square-weighted smoothed sum that tends to 1.
-  R_V_estimate      the smoothing remainder R_V, exactly, as its dual E_1 sum.
+  R_V_estimate      the smoothing remainder R_V, exactly: its dual E_1 sum
+                    from L1_exact's V on, G_V - L(1) below it.
 
 Every scalar series  sum_q a(q) w_V(N(q))  of the package -- G_V, L(1),
 R_V, L_chi, normalization_sum -- is evaluated by one function,
@@ -519,13 +520,22 @@ class RVEstimate:
     theta: float
 
 
+def _dual_remainder(delta: GaussianInt, V: float) -> float:
+    """G_V(delta) - L(1, delta) as the dual sum
+    -(2 pi / sqrt(A)) sum_q lambda_q(delta) E_1(N(q) / W), A = 4 N(delta),
+    W = A / (4 pi^2 V): one walk to 40 W, which shrinks as V grows and
+    outgrows L1_exact's walk to 40 V0, V0 = sqrt(A) / 2 pi, below V0."""
+    A = 4.0 * delta.norm()
+    dual, = _zagier_sums(delta, None, (A / (4.0 * math.pi**2 * V),), lambda W, nrm: e1(nrm / W))
+    return -2.0 * math.pi / math.sqrt(A) * float(dual)
+
+
 def R_V_estimate(delta: GaussianInt, V: float, sigma: float = 0.5,
                  theta: float = 1.0 / 6.0) -> RVEstimate:
-    """R_V(delta) = G_V(delta) - L(1, delta), exactly, as the dual sum
-    -(2 pi / sqrt(A)) sum_q lambda_q(delta) E_1(N(q) / W), A = 4 N(delta),
-    W = A / (4 pi^2 V): one walk to 40 W, which shrinks as V grows (below
-    L1_exact's V = sqrt(A) / 2 pi, it outgrows that walk's 40 V).  The
-    sigma-parameterized and subconvex bound shapes are evaluated for
+    """R_V(delta) = G_V(delta) - L(1, delta), exactly: from V0 = sqrt(A) / 2 pi
+    (A = 4 N(delta), L1_exact's V) on the dual sum of _dual_remainder,
+    below it zagier_L1 minus L1_exact, so that no walk runs beyond 40 V0.
+    The sigma-parameterized and subconvex bound shapes are evaluated for
     reporting alongside; they are bounds on sums over families, so for a
     single delta both Card and the tower count are 1.
     """
@@ -534,11 +544,12 @@ def R_V_estimate(delta: GaussianInt, V: float, sigma: float = 0.5,
         raise ValueError("sigma must lie in [1/2, 1)")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    A = 4.0 * delta.norm()
-    dual, = _zagier_sums(delta, None, (A / (4.0 * math.pi**2 * V),), lambda W, nrm: e1(nrm / W))
+    if V < math.sqrt(delta.norm()) / math.pi:
+        remainder = zagier_L1(delta, V).value - L1_exact(delta).value
+    else:
+        remainder = _dual_remainder(delta, V)
     Q = 2.0 + float(delta.norm())
     sigma_bound = Q ** (10.0 * (1.0 - sigma) / (3.0 - sigma)) + V ** (sigma - 1.0)
     subconvex_bound = V ** (-0.5) * Q ** theta
-    remainder = -2.0 * math.pi / math.sqrt(A) * float(dual)
     return RVEstimate(delta=delta, V=float(V), remainder=remainder, sigma_bound=float(sigma_bound),
                       subconvex_bound=float(subconvex_bound), theta=theta)

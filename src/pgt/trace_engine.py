@@ -17,14 +17,16 @@ computed at once:
     marked square table mod p or, for p beyond the norms of the prime
     factors of n^2-4 and p^2 beyond the cutoff, by quadratic reciprocity
     from the symbols of pi at those factors (_DeltaFactors);
-    for e >= 2, gaussian.valuation divides pi out of n^2-4 (capped at e),
-    the rest is mapped the same way, and the value is quad_counts.lambda_odd,
-    the closed form of the scalar path.
+    for e >= 2, the value is s^e, s the e = 1 vector, where pi does not
+    divide n^2-4 (s != 0); on the rest gaussian.valuation divides pi out
+    (capped at e), and the value is quad_counts.lambda_odd, the closed form
+    of the scalar path, at the symbol of what remains.
   * inert p:          the symbol is legendre(N(x) mod p) since the norm is
     the Frobenius trace map to F_p; the same for e >= 2.
-  * pi = (1+i):       quad_counts.lambda_from_rho, the scalar path's
-    alternating sum, over rows of one table of rho_{(1+i)^c} over
-    Z[i]/((1+i)^c) per c and process (_even_rho_table), built from the unit
+  * pi = (1+i):       lambda_e = rho_e - lambda_(e-1), lambda_0 = 1, the
+    scalar path's alternating sum (quad_counts.lambda_from_rho), from the
+    vector one power down and one table of rho_{(1+i)^e} over
+    Z[i]/((1+i)^e) per e and process (_even_rho_table), built from the unit
     histogram of y + y^(-1) with inverses via a vectorized Newton iteration
     mod 2^f (no loops in Python).  The scalar path lifts the roots of one n
     instead (quad_counts._rho_levels), the tables' oracle.
@@ -100,7 +102,7 @@ import numpy as np
 
 from . import gaussian as g
 from .lfunctions import CUTOFF_MULT, _exp_weight, _sweep_limits
-from .quad_counts import lambda_from_rho, lambda_odd
+from .quad_counts import lambda_odd
 
 
 # ---------------------------------------------------------------------------
@@ -532,21 +534,28 @@ class LambdaVectors:
         return self._factors
 
     def _build(self, npj: int, pj, e: int) -> np.ndarray:
-        """lambda vector; int8 for exponent 1 (values in {-1,0,1}), int64 else."""
+        """lambda_{pi^e} over the traces; int8 for an odd pi at e = 1 (values
+        in {-1,0,1}), int64 else.  Beyond e = 1 a build reads a lower power
+        through _lower: lambda_(e-1) at (1+i), for rho_e - lambda_(e-1), and
+        the e = 1 vector s at an odd pi, for s^e, with the valuation and
+        lambda_odd run on the traces where s = 0 alone."""
         tr = self.tr
         if pj == (1, 1):
-            # rho_(1) = 1, then one table of rho_{(1+i)^c} per level c
-            return lambda_from_rho([1] + [rho[ring.index((tr.na, tr.nb))] for rho, ring
-                                          in map(_even_rho_table, range(1, e + 1))])
+            rho, ring = _even_rho_table(e)
+            return rho[ring.index((tr.na, tr.nb))] - (self._lower(npj, pj, e - 1) if e > 1 else 1)
         if e == 1:
             p, res = _residues(tr.da, tr.db, npj, pj)
             rows = self._chartab(p)[np.stack(res)]
             if len(rows) == 2 and 2 * npj <= self.limit:  # one table serves both ideals over p
                 self._put((pj[::-1], 1), rows[1])
             return rows[0]
-        v, u = g.valuation(pj, (tr.da, tr.db), e)
+        s = self._lower(npj, pj, 1)
+        lam = (s * s if e % 2 == 0 else s).astype(np.int64)
+        at = np.flatnonzero(s == 0)
+        v, u = g.valuation(pj, (tr.da[at], tr.db[at]), e)
         p, res = _residues(*u, npj, pj)
-        return lambda_odd(e, v, self._chartab(p)[res[0]], npj)
+        lam[at] = lambda_odd(e, v, self._chartab(p)[res[0]], npj)
+        return lam
 
     def vec(self, npj: int, pj, e: int) -> np.ndarray:
         key = (pj, e)
@@ -558,10 +567,11 @@ class LambdaVectors:
         return out
 
     # A leaf range that starts at the second ideal of a conjugate pair adds
-    # that ideal's own row, its e = 1 vector, first: the same cached read
-    # under a second name, so that vec stays the walk's extend alone (the
-    # benchmark's tracer times and counts its calls)
-    head = vec
+    # that ideal's own row, its e = 1 vector, first, and a build at e >= 2
+    # reads a vector of a lower power: the same cached read under other
+    # names, so that vec stays the walk's extend alone (the benchmark's
+    # tracer times and counts its calls)
+    head = _lower = vec
 
     def _prime_rows(self, primes, a: int, b: int) -> np.ndarray:
         """int8 rows over the traces, one per norm of primes[a:b], a

@@ -127,7 +127,7 @@ def test_vector_prime_leaves_match_per_prime_extend(n, V):
     # prime leaves from one euler_symbols pass; with smoothed_sums' default table, filled by one
     # extend call per prime, every field comes out bit-identical.  (1+i) is
     # a prime leaf only below the cutoff 10, which V < 0.25 reaches.
-    # R_V_estimate takes the V whose dual walk runs to 40 V.
+    # R_V_estimate's dual sum takes the V whose walk runs to 40 V.
     n = G(*n)
     delta = n * n - G(4, 0)
     assume(not delta.is_zero() and not is_perfect_square(delta))
@@ -136,7 +136,7 @@ def test_vector_prime_leaves_match_per_prime_extend(n, V):
     def values():
         return [repr(v) for v in (
             zagier_L1(delta, V, n=n), zagier_L1(delta, V),
-            R_V_estimate(delta, delta.norm() / (math.pi**2 * V)),
+            lf._dual_remainder(delta, delta.norm() / (math.pi**2 * V)),
             L1_exact(delta, n=n), L1_chi_exact(char),
             *(L_chi(s, char, V / 8.0) for s in (1.0, 2.0, 0.75 + 0.5j, 0.5)))]
 
@@ -679,13 +679,37 @@ def _delta(n):
 
 
 def test_R_V_estimate_is_zagier_differences():
-    # the dual E_1 sum against two other walks, G_V and the exact L(1)
+    # the dual E_1 sum against two other walks, G_V and the exact L(1), on
+    # both sides of L1_exact's V0 (1.59 at n = 3), below which R_V_estimate
+    # takes the difference itself
     for n in ((3, 0), (13, -16), (4, 0)):
         delta = _delta(n)
-        exact = L1_exact(delta).value
+        exact = L1_exact(delta)
         for V in (0.5, 4.0, 40.0, 300.0):
-            want = zagier_L1(delta, V).value - exact
-            assert abs(R_V_estimate(delta, V).remainder - want) <= 1e-14, (n, V)
+            want = zagier_L1(delta, V).value - exact.value
+            assert abs(lf._dual_remainder(delta, V) - want) <= 1e-14, (n, V)
+            got = R_V_estimate(delta, V).remainder
+            assert got == want if V < exact.V else abs(got - want) <= 1e-14, (n, V)
+
+
+def test_R_V_estimate_walks_no_further_than_the_exact_walk(monkeypatch):
+    # below V0 = sqrt(4 N(delta)) / 2 pi the dual sum's cutoff 40 A / (4 pi^2 V)
+    # outgrows 40 V0: 1.05e9 at n = 30 + 30i and V = 0.0125, against 22,918.
+    # Each walk's cutoffs are checked before the primes up to them are sieved
+    delta = _delta((30, 30))
+    V0 = math.sqrt(4 * delta.norm()) / (2 * math.pi)
+    limits = []
+    real = lf._sweep_limits
+
+    def checked(*args):
+        out = real(*args)
+        assert max(out) <= 40 * V0 < 22919, out
+        limits.extend(out)
+        return out
+
+    monkeypatch.setattr(lf, "_sweep_limits", checked)
+    R_V_estimate(delta, 0.0125)
+    assert len(limits) == 2  # G_V and the exact L(1)
 
 
 def test_R_V_shrinks_as_V_grows():

@@ -91,30 +91,69 @@ def test_lambda_vectors_match_scalar_lambda(pairs, data, descending):
                                 for n in ns], (pi, e)
 
 
-def _two_power_traces():
-    """Traces n = 2 + (1+i)^k m, k = 5..15: n^2 - 4 = (n - 2)(n + 2) has
-    (1+i)-valuation k + 4, since n + 2 = (n - 2) + 4 has valuation 4."""
-    pairs = [(3, 1), (7, 3)]
-    for k in range(5, 16):
-        m = (1, 0)
-        for _ in range(k):
-            m = mul(m, (1, 1))
-        for d in (m, mul(m, (1, 2))):
+def _power_traces(pi, ks, ms):
+    """Traces n = 2 + pi^k m, for k in ks and m in ms."""
+    pairs = []
+    for k in ks:
+        q = _power(pi, k).pair
+        for m in ms:
+            d = mul(q, m)
             pairs.append((d[0] + 2, d[1]))
     return pairs
 
 
-def test_deep_two_power_vectors_match_scalar_lambda():
-    # PRIME_POWERS stops at (1+i)^10; the sweeps reach (1+i)^16 to (1+i)^18
-    pairs = _two_power_traces()
-    prov = LambdaVectors(_trace_set(pairs), [1])
+def _two_power_traces(top=15):
+    """Traces n = 2 + (1+i)^k m, k = 5..top: n^2 - 4 = (n - 2)(n + 2) has
+    (1+i)-valuation k + 4, since n + 2 = (n - 2) + 4 has valuation 4."""
+    return [(3, 1), (7, 3)] + _power_traces((1, 1), range(5, top + 1), ((1, 0), (1, 2)))
+
+
+def test_deep_two_power_vectors_match_scalar_lambda(monkeypatch):
+    # PRIME_POWERS stops at (1+i)^10; the sweeps reach (1+i)^16 to (1+i)^18.
+    # Valuations up to 22, and no budget under a cutoff that would keep the
+    # vectors: each build's read of the vector one power down rebuilds it,
+    # down to (1+i)^1
+    monkeypatch.setattr(trace_engine, "CACHE_BYTES", 0)
+    pairs = _two_power_traces(18)
+    prov = LambdaVectors(_trace_set(pairs), [1 << 22])
     ns = [G(a, b) for a, b in pairs]
     seen = set()
-    for e in range(11, 19):
+    for e in range(11, 22):
         want = [lambda_at_prime_power((1, 1), e, n * n - G(4, 0), n) for n in ns]
         assert prov.vec(2, (1, 1), e).tolist() == want, e
         seen.update(want)
     assert min(seen) < 0 < max(seen) and len(seen) > 5, seen
+    assert prov._cache == {}
+
+
+# the odd prime ideals with a second power of norm <= PP_NORM_MAX: the split
+# ones over 5 to 41 and the inert (3)
+SQUARED_PRIMES = [(npi, (a, b)) for npi, a, b in prime_ideals_upto(PP_NORM_MAX).tolist()
+                  if npi != 2 and npi * npi <= PP_NORM_MAX]
+
+
+@pytest.mark.parametrize("npi, pi", SQUARED_PRIMES)
+def test_prime_power_vectors_at_high_valuations(monkeypatch, npi, pi):
+    # at an odd pi and e >= 2 a vector is s^e, s the e = 1 vector, where pi
+    # does not divide delta, and lambda_odd at the valuation where s = 0.
+    # n = 2 + pi^k m with pi not dividing m has pi^k || n - 2, and pi does
+    # not divide n + 2 = (n - 2) + 4, so v_pi(delta) = k: for k = 1..top + 1
+    # it lies below e, at e and beyond it (capped) for every e <= top.  In
+    # ascending e the e = 1 read is the walk's cached vector, in descending
+    # e its own build, and with no budget every read rebuilds
+    top = max(e for e in range(1, 12) if npi**e <= PP_NORM_MAX)
+    pairs = [(3, 1), (7, 3)] + _power_traces(pi, range(1, top + 2), ((1, 0), (1, 1)))
+    ns = [G(a, b) for a, b in pairs]
+    want = {e: [lambda_(_power(pi, e), n * n - G(4, 0), n=n) for n in ns]
+            for e in range(1, top + 1)}
+    # pi divides every delta of the powers, and not one of the first two
+    assert set(want[1][2:]) == {0} and any(want[1][:2])
+    for budget in (0, CACHE_BYTES):
+        monkeypatch.setattr(trace_engine, "CACHE_BYTES", budget)
+        for es in (range(1, top + 1), range(top, 0, -1)):
+            prov = LambdaVectors(_trace_set(pairs), [PP_NORM_MAX])
+            for e in es:
+                assert prov.vec(npi, pi, e).tolist() == want[e], (e, budget)
 
 
 def test_narrowed_vectors_equal_their_int64_builds():
