@@ -755,11 +755,12 @@ def leaf_pairs(primes) -> np.ndarray:
 def walk_ideals(primes, limit, extend, before, after=None, root=1) -> None:
     """Reach every ideal of norm <= limit in factored form.
 
-    `primes` is prime_ideals_upto(limit), whose rows with N(pi)^2 <= limit
-    are read as Python ints.  The value of an ideal is built one prime power
-    at a time: extend(value_q, N(pi), (re, im), e) returns the value of
-    q * pi^e, or None to prune that ideal together with every ideal the walk
-    reaches through it.
+    `primes` is prime_ideals_upto(limit), or its first row of each norm,
+    whose products are then norms, not ideals (trace_engine.gv_sweep); its
+    rows with N(pi)^2 <= limit are read as Python ints.  The value of an
+    ideal is built one prime power at a time: extend(value_q, N(pi),
+    (re, im), e) returns the value of q * pi^e, or None to prune that ideal
+    together with every ideal the walk reaches through it.
 
     The walk goes from q * pi_j on to the primes after pi_j.  When even
     q * pi_j * pi_(j+1) lies beyond the limit, q * pi_j is a prime leaf of q
@@ -781,8 +782,8 @@ def walk_ideals(primes, limit, extend, before, after=None, root=1) -> None:
     series.  lfunctions.smoothed_sums sums a scalar series after the walk,
     in passes of at most LEAF_CHUNK elements, and its before hook only
     records the visit, since a sum per visit would cost a weight call per
-    visit.  trace_engine.gv_sweep sums G_V over traces as it walks: a
-    visit's term in before, its prime leaves in after.
+    visit.  trace_engine.gv_sweep sums G_V over traces as it walks the
+    norms: a visit's term in before, its prime leaves in after.
     """
     # no row with N(pi)^2 > limit is read: the loop breaks there even at q = (1)
     k = int(np.searchsorted(primes[:, 0], math.isqrt(math.floor(limit)), "right"))

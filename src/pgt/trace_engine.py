@@ -34,22 +34,27 @@ computed at once:
 The traces themselves are the gaussian.disk_rows points of an annulus in
 N(n), filtered and ordered by the vectorized `thresholds`.  The sum is
 gv_sweep's own, on the package's one ideal walker, gaussian.walk_ideals
-(lfunctions.smoothed_sums, the other caller, sums the scalar series).  The
-depth-first walk over the sorted prime list fixes the term order (hence
-floating-point rounding), and a prime power whose product vector vanishes
-on every trace prunes its subtree.  The walk visits only the ideals with
-a multiple in range (1,248 of 31,407 at the 40,000 cutoff of V = 1000)
-and the higher prime powers.  Each visit adds its term before its subtree
-and its prime leaves q * pi after it, in one step over one int8 row per
-norm N: lambda_pi(n^2-4) where one ideal has that norm, and
-lambda_pi + lambda_conj(pi), in -2..2, for a split pair, whose two leaves
-share the weight w_N = e^(-N(q) N/V) / (N(q) N); the step adds
-val_q * sum_N w_N row_N.  A range that starts at conj(pi), past pi (the
-visit ends in pi, or the leaf bound falls between the two), adds
-conj(pi)'s own row, its e = 1 vector, first.  (A scalar series records
-its visits and sums them after the walk.)
-Every vector and row builder is property-tested against the scalar
-quad_counts.lambda_.
+(lfunctions.smoothed_sums, the other caller, sums the scalar series).
+G_V sees an ideal only through its norm, so it is the rational series
+sum_n a_n e^(-n/V)/n, a_n the sum of lambda_q over the ideals of norm n,
+multiplicative over rational primes (Zagier's L-series).  The walk runs
+over its Euler factors: one row per norm, (1+i), each inert (q) at q^2
+and the first ideal of each split pair at p, and a node extends by
+a_(N^e) (LambdaVectors.factor), lambda at (1+i)^e or (q)^e, and at a
+split p the sum over a + b = e of lambda_(pi^a) lambda_(conj(pi)^b).
+The depth-first walk over the sorted norms fixes the term order (hence
+floating-point rounding), and a factor whose product vector vanishes on
+every trace prunes its subtree.  The walk visits only the norms with a
+multiple in range (432 at the 40,000 cutoff of V = 1000, against 1,248
+ideals walked one per prime ideal, of 31,407) and the higher powers.
+Each visit adds its term before its subtree and its prime leaves n * N
+after it, in one step over one int8 row per norm N: lambda_pi(n^2-4)
+where one ideal has that norm, and lambda_pi + lambda_conj(pi), in -2..2,
+for a split pair; the step adds val_n * sum_N w_N row_N, with
+w_N = e^(-nN/V) / (nN).  (A scalar series records its visits and sums
+them after the walk.)
+Every vector, factor and row builder is property-tested against the
+scalar quad_counts.lambda_.
 
 No work is done twice for an answer already known:
 
@@ -60,9 +65,9 @@ No work is done twice for an answer already known:
     member with Im(delta) >= 0, and the values are scattered back.  The
     representative depends only on the class, so a value never depends on
     which other traces share the set: each column of a leaf sum is summed
-    in the order of the primes, whatever the other columns.  In floating
-    point a trace with Im(delta) < 0 gets conj(delta)'s walk, which adds
-    the same terms in another order: within ~1e-14 of walking delta itself.
+    in the order of the norms, whatever the other columns.  Every factor
+    a_(N^e) and row is symmetric in pi and conj(pi), so walking conj(delta)
+    adds the same terms in the same order as walking delta: bit-identical.
   * several V in one walk: `gv_sweep` keeps an accumulator for each V,
     bit-identical to its own `gv_per_trace`.  The quarter-V validation of
     geodesics rides along the V sweep this way.
@@ -428,9 +433,9 @@ class _DeltaFactors:
 # the 690 rational primes that the walk reaches up to the factor bound
 # 10,405 gets one Legendre table; beyond it a rebuild takes the local
 # symbols, whose cost does not grow with p (34,202 local rows, 32,540, one
-# per split ideal, with a 1 GiB budget).  The call takes 2.3 to 2.9 s and
-# 127 to 129 MB of peak RSS on 2 vCPUs, 2.2 to 2.8 s and 135 MB with a
-# 1 GiB budget
+# per split ideal, with a 1 GiB budget).  With the walk over norms the
+# call takes 1.8 to 2.0 s and 127 MB of peak RSS on 2 vCPUs, 1.7 to 2.0 s
+# and 134 MB with a 1 GiB budget
 CACHE_BYTES = 1 << 26
 
 # leaf rows are built and cached in blocks of this many consecutive prime
@@ -472,9 +477,10 @@ def _narrowest(vec: np.ndarray) -> np.ndarray:
 class LambdaVectors:
     """Per-trace lambda_{pi^e}(n^2-4) vectors and prime rows for a walk to
     the cutoffs `limits`, kept while a later visit can read them and they
-    fit in CACHE_BYTES.  The rows are one per norm: a split pair's row is
-    lambda_pi + lambda_conj(pi), and a leaf range that starts at conj(pi)
-    reads conj(pi)'s own row as a vector (head).
+    fit in CACHE_BYTES.  The rows are one per norm, as are the Euler
+    factors the walk extends by (factor): a split pair's row is
+    lambda_pi + lambda_conj(pi), its factor at e the sum of the products of
+    the two ideals' vectors.
 
     The cache holds vectors, Legendre tables and blocks of prime rows.  It
     admits an entry that a later (visit, V) pair of the walk can read while
@@ -566,12 +572,26 @@ class LambdaVectors:
                 self._put(key, out)
         return out
 
-    # A leaf range that starts at the second ideal of a conjugate pair adds
-    # that ideal's own row, its e = 1 vector, first, and a build at e >= 2
-    # reads a vector of a lower power: the same cached read under other
-    # names, so that vec stays the walk's extend alone (the benchmark's
-    # tracer times and counts its calls)
-    head = _lower = vec
+    # a build at e >= 2 reads a vector of a lower power: the same cached
+    # read under another name, so that vec stays the reads of the walk's
+    # extends (the benchmark's tracer times and counts its calls)
+    _lower = vec
+
+    def factor(self, npj: int, pj, e: int) -> np.ndarray:
+        """a_(N^e), N = npj, over the traces: the sum of lambda_q over the
+        ideals q of norm N^e, the Euler factor the walk extends by.  pj is
+        the first ideal of norm N; at (1+i) and an inert (q) it is lambda at
+        pj^e, at a split pi the sum over a + b = e of lambda_(pi^a)
+        lambda_(conj(pi)^b), exact integers (int8 at e = 1, else int64)."""
+        lam = self.vec(npj, pj, e)
+        if npj == 2 or pj[1] == 0:
+            return lam
+        cj = pj[::-1]
+        # at e = 1 both vectors are int8 in -1..1, and so is their sum in -2..2
+        lam = self.vec(npj, cj, e) + (lam if e == 1 else lam.astype(np.int64))
+        for a in range(1, e):
+            lam += self.vec(npj, pj, a) * self.vec(npj, cj, e - a).astype(np.int64)
+        return lam
 
     def _prime_rows(self, primes, a: int, b: int) -> np.ndarray:
         """int8 rows over the traces, one per norm of primes[a:b], a
@@ -616,14 +636,12 @@ class LambdaVectors:
 
     def rows(self, primes, rank, lo: int, hi: int):
         """The rows of _prime_rows for the norms of primes[lo:hi] (primes:
-        the walk's array of rows (norm, re, im), prime_ideals_upto(limit);
-        lo and hi at the first ideal of a norm or the end; rank[j] the
+        prime_ideals_upto(limit), whose first row of each norm the walk
+        takes; lo and hi at the first ideal of a norm or the end; rank[j] the
         number of norms among primes[:j]) as consecutive pieces, one per
         block, built as they are consumed: a block the cache does not admit
         is not held for the rest of the range."""
         k = lo // ROW_BLOCK
-        if lo < _block_start(primes, k):
-            k -= 1
         a = _block_start(primes, k)
         while a < hi:
             b = _block_start(primes, k + 1)
@@ -679,18 +697,18 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT) -> list:
 
     One gaussian.walk_ideals over the orbit representatives, to the largest
     cutoff max(int(cutoff_mult * V), 1), with one accumulator per V; each
-    array is bit-identical to gv_per_trace at its V.  The running product
-    over prime powers is a float64 vector (lambda values at desk scale stay
-    far below 2^53, so products are exact), and a product that vanishes on
-    every trace prunes its subtree.  A visited ideal adds its term before
-    its subtree, for each V whose cutoff its reach lies within, and its
-    prime leaves after it, for each V a range found by bisection, as
-    val_q * (w_head head + sum_N w_N row_N): row_N the int8 row of norm N
-    from the blocks of LambdaVectors.rows, which sums a conjugate pair, so
-    that each pair is added as w_N (a + b), and head the row of conj(pi)
-    alone (LambdaVectors.head) when the range starts past pi.  Each column
-    is summed in the order of the norms, so a trace's value never depends
-    on the traces beside it.
+    array is bit-identical to gv_per_trace at its V.  The walk's rows are
+    one per norm, the first ideal of each, and a node extends by the Euler
+    factor a_(N^e) of LambdaVectors.factor, so it visits rational norms
+    n.  The running product is a float64 vector (lambda values at desk
+    scale stay far below 2^53, so products are exact), and a product that
+    vanishes on every trace prunes its subtree.  A visit adds its term
+    before its subtree, for each V whose cutoff its reach lies within, and
+    its prime leaves after it, for each V a range of norms found by
+    bisection, as val_n * sum_N w_N row_N: row_N the int8 row of norm N
+    from the blocks of LambdaVectors.rows, which sums a conjugate pair.
+    Each column is summed in the order of the norms, so a trace's value
+    never depends on the traces beside it.
 
     The order is load-bearing: the leaves go after the subtree, so the deep
     nodes, whose ranges hold the small primes only, ask for rows first, and
@@ -709,15 +727,18 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT) -> list:
     reps, inverse = _orbit_reps(traces)
     prov = LambdaVectors(reps, limits)
     primes = g.prime_ideals_upto(max(limits))
-    pnorms, pairs = primes[:, 0], g.leaf_pairs(primes)
-    # the rows are summed per norm: rank[j] norms lie below prime row j
-    first = np.diff(pnorms, prepend=0) > 0
+    # the walk takes one row per norm, its first ideal; rank[j] norms lie
+    # below prime row j, and norm row r starts at prime row start[r]
+    first = np.diff(primes[:, 0], prepend=0) > 0
     rank = np.append(0, np.cumsum(first))
-    norms = pnorms[first].astype(np.float64)
+    start = np.append(np.flatnonzero(first), len(primes)).tolist()
+    walked = primes[first]
+    pnorms, pairs = walked[:, 0], g.leaf_pairs(walked)
+    norms = pnorms.astype(np.float64)
     sums = [np.zeros(len(reps)) for _ in Vs]
 
     def extend(vec, npj, pj, e):
-        child = vec * prov.vec(npj, pj, e)
+        child = vec * prov.factor(npj, pj, e)
         return child if child.any() else None
 
     def term(i, nrm, val, reach):
@@ -731,21 +752,14 @@ def gv_sweep(traces: TraceSet, Vs, cutoff_mult: float = CUTOFF_MULT) -> list:
             lo = max(i, int(pairs.searchsorted(m, "right")))
             hi = int(pnorms.searchsorted(m, "right"))
             if lo < hi:
-                total = 0.0
-                if not first[lo]:
-                    # the range starts at conj(pi), past pi: its own row first
-                    npj, re, im = primes[lo].tolist()
-                    total = _exp_weight(Vs[k], nrm * npj) * prov.head(npj, (re, im), 1)
-                    lo += 1
-                if lo < hi:
-                    w = _exp_weight(Vs[k], nrm * norms[rank[lo]:rank[hi]])
-                    at = 0
-                    for piece in prov.rows(primes, rank, lo, hi):
-                        total = total + _row_sum(w[at:at + len(piece)], piece)
-                        at += len(piece)
+                w = _exp_weight(Vs[k], nrm * norms[lo:hi])
+                total, at = 0.0, 0
+                for piece in prov.rows(primes, rank, start[lo], start[hi]):
+                    total = total + _row_sum(w[at:at + len(piece)], piece)
+                    at += len(piece)
                 sums[k] += val * total
 
-    g.walk_ideals(primes, max(limits), extend, term, leaves, root=np.ones(len(reps)))
+    g.walk_ideals(walked, max(limits), extend, term, leaves, root=np.ones(len(reps)))
     return [acc[inverse] for acc in sums]
 
 

@@ -156,6 +156,55 @@ def test_prime_power_vectors_at_high_valuations(monkeypatch, npi, pi):
                 assert prov.vec(npi, pi, e).tolist() == want[e], (e, budget)
 
 
+# the walk's rows, the first ideal of each norm: (1+i), each split pi
+# before conj(pi), and each inert (q) at norm q^2
+_ROWS = prime_ideals_upto(PP_NORM_MAX)
+NORM_ROWS = [(npi, (a, b)) for npi, a, b in _ROWS[np.diff(_ROWS[:, 0], prepend=0) > 0].tolist()]
+
+
+def test_euler_factors_match_scalar_lambda_over_each_norm(monkeypatch):
+    # the factor a_(N^e) the walk extends by at a norm row is the sum of
+    # the scalar lambda over the ideals of norm N^e: lambda at (1+i)^e and
+    # at (q)^e, and at a split p over the e + 1 ideals pi^a conj(pi)^b, for
+    # every e with N^e <= PP_NORM_MAX.  The traces have pi^k || n - 2 for
+    # the split ideals over 5 and 13, both of each pair, and the inert (3),
+    # k = 1..5, so that v_pi(delta) lies below, at and beyond e, and high
+    # (1+i)-valuations; with no budget every read rebuilds
+    pairs = GRID[::9] + _two_power_traces(8)
+    for pi in ((1, 2), (2, 1), (2, 3), (3, 2), (3, 0)):
+        pairs += _power_traces(pi, range(1, 6), ((1, 0), (1, 1)))
+    ns = [G(a, b) for a, b in pairs]
+    ideals = {}
+    for q in ideal_reps_upto(PP_NORM_MAX):
+        ideals.setdefault(norm(q), []).append(CanonicalIdealRep(G(*q)))
+    want = {}
+    for npi, pi in NORM_ROWS:
+        for e in range(1, 12):
+            if npi ** e <= PP_NORM_MAX:
+                want[npi, e] = [sum(lambda_(q, n * n - G(4, 0), n=n) for q in ideals[npi ** e])
+                                for n in ns]
+    assert len(ideals[5 ** 4]) == 5 and len(ideals[9 ** 3]) == 1
+    assert min(want[5, 3]) < -5 and max(want[5, 4]) > 25 and max(want[9, 3]) == 9
+    for budget in (0, CACHE_BYTES):
+        monkeypatch.setattr(trace_engine, "CACHE_BYTES", budget)
+        prov = LambdaVectors(_trace_set(pairs), [PP_NORM_MAX])
+        for npi, pi in NORM_ROWS:
+            for e in range(1, 12):
+                if npi ** e <= PP_NORM_MAX:
+                    assert prov.factor(npi, pi, e).tolist() == want[npi, e], (pi, e, budget)
+
+
+def test_gv_sweep_of_delta_and_its_conjugate_is_bit_identical(monkeypatch):
+    # every factor a_(N^e) and row is symmetric in pi and conj(pi), so a
+    # sweep of the traces n and one of conj(n), each trace its own
+    # representative, give the same bytes
+    monkeypatch.setattr(trace_engine, "_orbit_reps", lambda ts: (ts, np.arange(len(ts))))
+    ts = trace_set(1000.0, 1100.0)
+    conj = TraceSet(lo=ts.lo, hi=ts.hi, na=ts.na, nb=-ts.nb, weight=ts.weight, thr=ts.thr)
+    assert np.count_nonzero(ts.db) > 300
+    assert gv_per_trace(ts, 1000.0).tobytes() == gv_per_trace(conj, 1000.0).tobytes()
+
+
 def test_narrowed_vectors_equal_their_int64_builds():
     # each vector is stored in int8 or int16 and equals its build element by
     # element: every prime power of norm <= PP_NORM_MAX over GRID, and the
@@ -324,38 +373,57 @@ def test_row_cache_keys_are_plain_ints(monkeypatch):
 
 
 def test_walk_extends_only_ideals_with_multiples_in_range(monkeypatch):
-    # the walk builds a prime leaf q * pi (q * pi * pi' beyond the cutoff)
-    # only as one row of a batch: of the 31,406 ideals of norm <= 40,000
-    # other than the unit, gv_per_trace at V = 1000 extends 1,247; of the
-    # 102,771 at the deep cutoff 130,854, it extends 2,840 (no product
-    # vanishes on all 81 representatives, so nothing is pruned)
-    calls = []
-    real = LambdaVectors.vec
-    monkeypatch.setattr(LambdaVectors, "vec", lambda self, *a: calls.append(a) or real(self, *a))
+    # the walk runs over rational norms, one row per norm, and builds a
+    # prime leaf n * N (n * N * N' beyond the cutoff) only as one row of a
+    # batch: for the 31,406 ideals of norm <= 40,000 other than the unit,
+    # gv_per_trace at V = 1000 extends 431 times; for the 102,771 at the
+    # deep cutoff 130,854, 875 times (no product vanishes on all 81
+    # representatives, so nothing is pruned)
+    walks, real = [], trace_engine.g.walk_ideals
+
+    def walk(primes, limit, extend, *args, **kw):
+        calls = []
+        walks.append((primes, calls))
+        real(primes, limit, lambda *a: calls.append(a) or extend(*a), *args, **kw)
+
+    monkeypatch.setattr(trace_engine.g, "walk_ideals", walk)
     traces = trace_set(1000.0, 1100.0)
-    for V, extended in ((1000.0, 1247), (130854.5 / 40, 2840)):
-        calls.clear()
+    for V, extended in ((1000.0, 431), (130854.5 / 40, 875)):
+        walks.clear()
         gv_per_trace(traces, V)
+        ((primes, calls),) = walks
         assert len(calls) == extended, V
+        assert len(np.unique(primes[:, 0])) == len(primes)
 
 
-def test_leaf_ranges_from_conj_pi_add_its_own_row_first(monkeypatch):
-    # a leaf range starts at conj(pi), past pi, when the visit ends in pi or
-    # the leaf bound falls between the two; the sweep adds conj(pi)'s own
-    # row first, read from the vector cache through LambdaVectors.head, so
-    # that vec still counts the walk's extends alone
-    calls, heads = [], []
-    for name, seen in (("vec", calls), ("head", heads)):
+def test_leaf_ranges_start_at_the_first_ideal_of_a_norm(monkeypatch):
+    # the walk runs over norms, so each leaf range is a run of whole norms,
+    # never one that starts at conj(pi), past pi, and the leaves read row
+    # blocks alone: every vector read is one of an Euler factor
+    # (LambdaVectors.factor), the walk's extend
+    ranges, reads, inside = [], [], []
+    real_rows, real_factor = LambdaVectors.rows, LambdaVectors.factor
+
+    def factor(self, *a):
+        inside.append(a)
+        try:
+            return real_factor(self, *a)
+        finally:
+            inside.pop()
+
+    for name in ("vec", "_lower"):
         real = getattr(LambdaVectors, name)
         monkeypatch.setattr(LambdaVectors, name,
-                            lambda self, *a, real=real, seen=seen: seen.append(a) or real(self, *a))
+                            lambda self, *a, real=real: reads.append(bool(inside)) or real(self, *a))
+    monkeypatch.setattr(LambdaVectors, "factor", factor)
+    monkeypatch.setattr(LambdaVectors, "rows", lambda self, primes, rank, lo, hi:
+                        ranges.append((lo, hi)) or real_rows(self, primes, rank, lo, hi))
     gv_per_trace(trace_set(1000.0, 1100.0), 1000.0)
-    # the 290 heads are second ideals of a pair: (norm, (re, im)) after a row of that norm
-    primes = prime_ideals_upto(40000).tolist()
-    second = {(npi, (a, b)) for (npi, a, b), (n0, _, _) in zip(primes[1:], primes) if npi == n0}
-    assert len(calls) == 1247 and len(heads) > 100
-    assert {(npi, pj) for npi, pj, _ in heads} <= second
-    assert {e for _, _, e in heads} == {1}
+    primes = prime_ideals_upto(40000)
+    starts = set(np.flatnonzero(np.diff(primes[:, 0], prepend=0) > 0).tolist()) | {len(primes)}
+    assert len(ranges) > 100 and len(reads) >= 431
+    assert all(lo in starts and hi in starts for lo, hi in ranges)
+    assert all(reads)
 
 
 # 1, 2 and 40 traces: the local symbols of reciprocity serve every split p
@@ -376,9 +444,8 @@ def test_reciprocity_rows_equal_table_rows_and_scalar_lambda(monkeypatch, m):
     # max(factor bound, sqrt(cutoff)) takes reciprocity, at the cutoffs 1
     # (every split pair beyond the factor bound) and 2e4, and from the
     # Legendre tables alone; the same bytes, and each row the sum of the
-    # scalar lambda over the ideals of its norm.  A head row, the one
-    # ideal's row that a leaf range starting at conj(pi) adds first, is the
-    # scalar lambda at conj(pi)
+    # scalar lambda over the ideals of its norm.  conj(pi)'s own vector,
+    # which the build of pi's fills, is the scalar lambda at conj(pi)
     pairs = ROW_TRACES[m]
     assert len(pairs) == m
     tr = _trace_set(pairs)
@@ -419,13 +486,13 @@ def test_reciprocity_rows_equal_table_rows_and_scalar_lambda(monkeypatch, m):
     assert {x for row in want.values() for x in row} >= {-2, 2}
     # conj(pi) follows pi: its row is read after pi's build put it, as in a sweep
     prov = LambdaVectors(tr, [20000])
-    heads = 0
+    conjs = 0
     for j in np.flatnonzero(np.diff(rank) == 0).tolist():
         (npi, *pi), (_, *conj) = primes[j - 1:j + 1].tolist()
         prov.vec(npi, tuple(pi), 1)
-        assert prov.head(npi, tuple(conj), 1).tolist() == lam[tuple(conj)], conj
-        heads += 1
-    assert heads == len(primes) - len(want) > 1000
+        assert prov.vec(npi, tuple(conj), 1).tolist() == lam[tuple(conj)], conj
+        conjs += 1
+    assert conjs == len(primes) - len(want) > 1000
 
 
 def test_supplementary_laws_match_euler_symbol():
@@ -594,11 +661,12 @@ def test_walk_ideals_visits_each_ideal_once(limit, other):
     # ideal of norm <= L is reached exactly once, as a visit with reach <= L
     # or as one prime of that visit's leaf range for L, the rows j >= i with
     # N(q) N(pi_j) <= L < N(q) N(pi_j) N(pi_(j+1)); the after hook sees each
-    # visit once, the unit ideal's last
+    # visit once, the unit ideal's last.  On the first row of each norm (as
+    # gv_sweep walks), the same holds for the norms: every n <= L whose
+    # inert primes appear to even powers is reached exactly once
     limits = [limit, other]
     primes = prime_ideals_upto(max(limits))
-    norms, pairs = primes[:, 0].tolist(), leaf_pairs(primes).tolist()
-    before, after = [], []
+    walked = primes[np.diff(primes[:, 0], prepend=0) > 0]
 
     def extend(val, npj, pj, e):
         # Python ints, never numpy scalars: nrm * npj * npj must not wrap
@@ -607,22 +675,37 @@ def test_walk_ideals_visits_each_ideal_once(limit, other):
             val = mul(val, pj)
         return val
 
-    walk_ideals(primes, max(limits), extend, lambda *visit: before.append(visit),
-                lambda *visit: after.append(visit), root=(1, 0))
-    assert before[0] == after[-1] == (0, 1, (1, 0), 1)
-    assert sorted(before) == sorted(after)
-    for L in limits:
-        seen = []
-        for i, nrm, val, reach in before:
-            assert type(reach) is int and nrm == norm(val)
-            if reach <= L:
-                seen.append(canonical_pair(val))
-            for j in range(i, len(norms)):
-                if nrm * norms[j] > L:
-                    break
-                if nrm * pairs[j] > L:
-                    seen.append(canonical_pair(mul(val, tuple(primes[j, 1:].tolist()))))
-        assert sorted(seen) == sorted(ideal_reps_upto(L))
+    def norm_extend(val, npj, pj, e):
+        assert type(npj) is int
+        return val * npj ** e
+
+    for rows in (primes, walked):
+        by_norm = rows is walked
+        norms, pairs = rows[:, 0].tolist(), leaf_pairs(rows).tolist()
+        root = 1 if by_norm else (1, 0)
+        before, after = [], []
+        walk_ideals(rows, max(limits), norm_extend if by_norm else extend,
+                    lambda *visit: before.append(visit), lambda *visit: after.append(visit),
+                    root=root)
+        assert before[0] == after[-1] == (0, 1, root, 1)
+        assert sorted(before) == sorted(after)
+        for L in limits:
+            seen = []
+            for i, nrm, val, reach in before:
+                assert type(reach) is int and nrm == (val if by_norm else norm(val))
+                if reach <= L:
+                    seen.append(val)
+                for j in range(i, len(norms)):
+                    if nrm * norms[j] > L:
+                        break
+                    if nrm * pairs[j] > L:
+                        seen.append(nrm * norms[j] if by_norm
+                                    else mul(val, tuple(rows[j, 1:].tolist())))
+            ideals = ideal_reps_upto(L)
+            if by_norm:
+                assert sorted(seen) == sorted({norm(q) for q in ideals})
+            else:
+                assert sorted(map(canonical_pair, seen)) == sorted(ideals)
 
 
 def test_sweep_and_series_leave_no_reference_cycles():
