@@ -26,7 +26,7 @@ from .quad_counts import (KloostermanValue, kloosterman,
                           lambda_partial_sum, rho_bruteforce, rho_fast)
 from .lfunctions import (SmoothedValue, L1_chi_exact, L1_exact, L_chi, R_V_estimate,
                          T_l_poly, e1, normalization_sum, szmidt_coefficient_check,
-                         zagier_L1, zeta_qi)
+                         zagier_L1)
 from .lattice import EtaFit, LatticeCountResult, circle_count, eta_fit, \
     residue_class_count
 from .geodesics import (GeodesicCountResult, KernelSpec, PsiOptions,

@@ -756,8 +756,8 @@ def walk_ideals(primes, limit, extend, before, after=None, root=1) -> None:
     """Reach every ideal of norm <= limit in factored form.
 
     `primes` is prime_ideals_upto(limit), or its first row of each norm,
-    whose products are then norms, not ideals (trace_engine.gv_sweep); its
-    rows with N(pi)^2 <= limit are read as Python ints.  The value of an
+    whose products are then norms, not ideals, as both callers walk them;
+    its rows with N(pi)^2 <= limit are read as Python ints.  The value of an
     ideal is built one prime power at a time: extend(value_q, N(pi),
     (re, im), e) returns the value of q * pi^e, or None to prune that ideal
     together with every ideal the walk reaches through it.
@@ -778,12 +778,12 @@ def walk_ideals(primes, limit, extend, before, after=None, root=1) -> None:
     extend runs once per visited ideal other than the unit, and once per
     pruned one.  Deterministic order: primes ascending by (norm, re),
     exponents ascending, the same for every ideal within L as in a walk to
-    L alone.  Each caller walks to its largest cutoff and sums one shape of
-    series.  lfunctions.smoothed_sums sums a scalar series after the walk,
-    in passes of at most LEAF_CHUNK elements, and its before hook only
-    records the visit, since a sum per visit would cost a weight call per
-    visit.  trace_engine.gv_sweep sums G_V over traces as it walks the
-    norms: a visit's term in before, its prime leaves in after.
+    L alone.  Each caller walks the norms to its largest cutoff, extends
+    by an Euler factor and sums one shape of series.
+    lfunctions.smoothed_sums records the visits, lists each norm with its
+    coefficient after the walk and sums a scalar series over that list.
+    trace_engine.gv_sweep sums G_V over traces as it walks: a visit's term
+    in before, its prime leaves in after.
     """
     # no row with N(pi)^2 > limit is read: the loop breaks there even at q = (1)
     k = int(np.searchsorted(primes[:, 0], math.isqrt(math.floor(limit)), "right"))

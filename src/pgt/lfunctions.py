@@ -9,7 +9,6 @@ Objects:
 
   smoothed_sums     the one evaluator of the scalar smoothed series below.
   e1(x)             the exponential integral E_1 on float64 arrays.
-  zeta_qi(s)        Dedekind zeta of Q(i), partial ideal sum + tail bound.
   L_chi(s, chi, V)  exponentially smoothed L(s, chi_D), with a convergence
                     band from doubling V.
   L1_chi_exact(chi) L(1, chi_D) exactly, as L1_exact at the conductor 4 N(D).
@@ -47,27 +46,28 @@ Every scalar series  sum_q a(q) w_V(N(q))  of the package -- G_V, L(1),
 R_V, L_chi, normalization_sum -- is evaluated by one function,
 smoothed_sums, on gaussian.walk_ideals (whose other caller,
 trace_engine.gv_sweep, sums G_V for a column per trace itself): a series
-supplies how a(q) extends by a prime power, its values at the primes, and
-its weight w_V, e^(-N/V)/N unless given (L_chi off s = 1 takes
-e^(-N/V) N^-s, L(1) phi(N/V)/V, R_V E_1(N/V)); one walk in factored form
-serves every V.  The walk makes one Python callback per ideal with a
-multiple in range and per higher prime power, and only records the
-visits; the terms and the prime leaves q * pi below each visited q are
-summed by numpy after it, in passes of whole visits, at most LEAF_CHUNK
-elements each (0.7 MiB of temporaries, unless one ideal's leaf range
-alone is longer), one weight call per V and pass.  The lambda and chi_D
-series take their values at the prime leaves from one array pass,
-gaussian.euler_symbols over the walk's prime array, so only the visited
-ideals call extend; normalization_sum's prime values are a closed form,
--1/N(pi), taken by one array expression over the prime norms.  Each sum
-is exact over N(q) <= 40 V; the neglected tail is exp(-40)-suppressed and
-the attached tail_estimate bounds it.
+supplies its values a(pi^e) at the prime powers, its values at the primes
+as one array, and its weight w_V, e^(-N/V)/N unless given (L_chi off
+s = 1 takes e^(-N/V) N^-s, L(1) phi(N/V)/V, R_V E_1(N/V)).  The weight
+sees N(q) alone, so the series is the rational one  sum_m a_m w_V(m),
+a_m the sum of a(q) over the ideals of norm m (D. Zagier, Modular forms
+whose coefficients involve zeta-functions of quadratic fields, 1977):
+the walk runs over the Euler factors a_(N^e), one Python callback per
+norm with a multiple in range and per higher prime power, and lists each
+norm m once with a_m.  One walk serves every V: each sum is math.fsum of
+a_m w_V(m) over its m <= 40 V, in blocks of one weight call.  The lambda
+and chi_D series take their values at the primes from one array pass,
+gaussian.euler_symbols over the walk's prime array; normalization_sum's
+are a closed form, -1/N(pi), one array expression over the prime norms.
+Each sum is exact over N(q) <= 40 V; the neglected tail is
+exp(-40)-suppressed and the attached tail_estimate bounds it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,52 +97,10 @@ class SmoothedValue:
 
 
 @dataclass
-class ZetaPartialSum:
-    value: complex
-    tail_bound: float
-    cutoff: int
-
-
-@dataclass
 class LChiValue:
     value: complex
     band: float           # |last doubling step|
     v_used: float
-
-
-# ---------------------------------------------------------------------------
-# zeta of Q(i)
-# ---------------------------------------------------------------------------
-
-def ideal_norm_counts(limit: int) -> np.ndarray:
-    """A[m] = number of ideals of norm exactly m, for m <= limit."""
-    counts = np.zeros(limit + 1, dtype=np.int64)
-    for b, a in g.disk_rows(0, limit):
-        if b >= 0:
-            a = a[a > 0]
-            np.add.at(counts, a * a + b * b, 1)
-    return counts
-
-
-def zeta_qi(s: complex, cutoff: int = 10**6) -> ZetaPartialSum:
-    """Partial sum of the Dedekind zeta of Q(i) over ideals of norm <= cutoff.
-
-    Requires a finite s with Re(s) >= 1.2 and an int cutoff >= 1.  The
-    attached tail bound is the integral comparison
-    sum_{N>K} N^-sigma <= sigma/(sigma-1) * K^(1-sigma), using #ideals(t) <= t.
-    """
-    s = complex(s)
-    if not (cmath.isfinite(s) and s.real >= 1.2):
-        raise ValueError(f"zeta_qi requires a finite s with Re(s) >= 1.2, got {s!r}")
-    if isinstance(cutoff, bool) or not isinstance(cutoff, int) or cutoff < 1:
-        raise ValueError(f"zeta_qi requires an int cutoff >= 1, got {cutoff!r}")
-    sigma = s.real
-    counts = ideal_norm_counts(cutoff)
-    m = np.nonzero(counts)[0]
-    terms = counts[m] * np.exp(-s * np.log(m.astype(np.float64)))
-    value = complex(np.sum(terms))
-    tail = sigma / (sigma - 1.0) * cutoff ** (1.0 - sigma)
-    return ZetaPartialSum(value=value, tail_bound=float(tail), cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -215,130 +173,110 @@ def _sweep_limits(Vs, cutoff_mult=None) -> list:
     return [max(int(mult * V), 1) for V in Vs]
 
 
-# Elements (visited ideals and prime leaves, over every V) per pass of a
-# scalar series' sums.  An element takes at most about 40 bytes of
-# temporaries (29 to 36 under tracemalloc, real and complex weights), so a
-# pass stays within 0.7 MiB unless one ideal's leaf range alone is longer,
-# since a pass takes whole visits: the unit ideal's range, the primes of
-# norm in (sqrt(L), L], which a sum per leaf range held at once as well.
-LEAF_CHUNK = 1 << 14
+# Entries of the coefficient list per weight call: a block's weight
+# temporaries stay within about 1 MiB (20 to 66 bytes an entry under
+# tracemalloc, the most for L(1)'s phi weight).
+SUM_BLOCK = 1 << 14
 
 
-def smoothed_sums(Vs, extend, root=1.0, leaf=None, weight=_exp_weight) -> list:
-    """[sum_q a(q) weight(V, N(q)) for V in Vs] from one ideal walk.
+def smoothed_sums(Vs, local, leaf=None, weight=_exp_weight) -> list:
+    """[sum_q a(q) weight(V, N(q)) for V in Vs] from one walk over the norms.
 
-    a(q) is multiplicative, built by `extend` from the scalar `root` at the
-    unit ideal as in gaussian.walk_ideals, and weight(V, N), e^(-N/V) / N by
-    default, takes an int norm or a float64 array of norms.  The walk
-    visits only the ideals with a multiple in range and the prime powers
-    pi^e, e >= 2; below each visited q the prime leaves q * pi_j add
+    a(q) is multiplicative, with local(N(pi), (re, im), e) = a(pi^e), and
+    weight(V, N), e^(-N/V) / N by default, takes a float64 array of norms.
+    A weight of N(q) alone makes the series Zagier's rational one,
+    sum_m a_m weight(V, m), with a_m the sum of a(q) over the ideals of
+    norm m, multiplicative over rational primes.  gaussian.walk_ideals
+    takes one row per norm, its first ideal, and extends by the Euler
+    factor a_(N^e): a(pi^e) at (1+i) and at an inert (q), and at a split
+    p the sum over a + b = e of a(pi^a) a(conj(pi)^b), once per (N, e); a
+    zero factor prunes its subtree.  leaf(primes), with primes the
+    gaussian.prime_ideals_upto array, gives a(pi) at every row (by default
+    local(N(pi), pi, 1), one call per prime), and a prime leaf n * N takes
+    their sum over the ideals of norm N.
 
-        val_q * sum_j a(pi_j) weight(V, N(q) N(pi_j)),
-
-    over the contiguous range of primes that are leaves for V's own cutoff.
-    leaf(primes), with primes the walk's gaussian.prime_ideals_upto array,
-    gives a(pi_j) for every row; by default a table filled by
-    extend(root, N(pi), pi, 1), once per prime, and for the symbol series a
-    _leaf_rows table.
-
-    One walk to the largest cutoff serves every V; the sum for V takes the
-    ideals of norm <= max(int(CUTOFF_MULT * V), 1), with the same products
-    and in the same order as a walk to that cutoff alone, so each sum is
+    That sum and the e = 1 factor are one float (a sum of two values does
+    not depend on their order), so the walk to the largest cutoff lists
+    every norm m <= L once, with an a_m that does not depend on L.  The
+    sum for V takes the m <= max(int(CUTOFF_MULT * V), 1): one weight call
+    per V on each block of SUM_BLOCK entries, the terms a_m weight(V, m)
+    summed exactly by math.fsum (real and imaginary parts apart).  So no
+    value depends on SUM_BLOCK or on the other Vs, and each sum is
     bit-identical to the one-V call.  Vs must be a non-empty sequence.
-
-    Adding each visit's term and leaf range as the walk goes would cost a
-    weight call per visit (1,204 in one zagier_L1 at V = 1000), so the walk
-    only records the visits and _scalar_sums adds them afterwards, one
-    weight call per V on each pass of at most LEAF_CHUNK elements.
     """
     limits = _sweep_limits(Vs)
-    primes = g.prime_ideals_upto(max(limits))
-    if leaf is None:
-        table = np.array([0.0 if a is None else a for a in
-                          (extend(root, npj, (re, im), 1) for npj, re, im in primes.tolist())])
-    else:
-        table = leaf(primes)
+    limit = max(limits)
+    primes = g.prime_ideals_upto(limit)
+    first = np.flatnonzero(np.diff(primes[:, 0], prepend=0))
+    rows = primes[first]
+    table = leaf(primes) if leaf is not None else \
+        np.array([local(npj, (re, im), 1) for npj, re, im in primes.tolist()])
+    per_norm = np.add.reduceat(table, first)
+    factors = {}
+
+    def extend(val, npj, pj, e):
+        f = factors.get((npj, e))
+        if f is None:
+            if npj == 2 or pj[1] == 0:
+                f = local(npj, pj, e)
+            else:
+                # the canonical conj(pi) of pi = (re, im) is (im, re)
+                at = [[1] + [local(npj, p, a) for a in range(1, e + 1)] for p in (pj, pj[::-1])]
+                f = sum(at[0][a] * at[1][e - a] for a in range(e + 1))
+            factors[npj, e] = f
+        return val * f if f else None
+
     visits = []
-    g.walk_ideals(primes, max(limits), extend, lambda *visit: visits.append(visit), root=root)
-    return _scalar_sums(Vs, limits, primes, table, weight, visits)
+    g.walk_ideals(rows, limit, extend, lambda i, nrm, val, reach: visits.append((i, nrm, val)))
+    norms, coef = _norm_coefficients(rows, per_norm, limit, visits)
+    return [_fsum_upto(V, cutoff, norms, coef, weight) for V, cutoff in zip(Vs, limits)]
 
 
-def _scalar_sums(Vs, limits, primes, table, weight, visits) -> list:
-    """smoothed_sums of a scalar series from its walk's visits, each
-    (i, N(q), value_q, reach) as gaussian.walk_ideals hands it over, and
-    its values a(pi_j) at the prime rows, `table`.
+def _norm_coefficients(rows, per_norm, limit, visits):
+    """(norms, a): every norm m <= limit that the walk reaches, once, as an
+    int64 array, and a_m.  A visit (i, n, val) is the norm n itself, and
+    its prime leaves are n * N_j for the rows j >= i with
+    n N_j <= limit < n N_j N_(j+1), at val * per_norm[j]."""
+    start, nrm, val = (np.array(column) for column in zip(*visits))
+    pnorms = rows[:, 0]
+    m = limit // nrm
+    lo = np.maximum(start, np.searchsorted(g.leaf_pairs(rows), m, side="right"))
+    n = np.maximum(np.searchsorted(pnorms, m, side="right") - lo, 0)  # leaves per visit
+    j = np.repeat(lo - (np.cumsum(n) - n), n)
+    j += np.arange(len(j))  # each leaf's row
+    return (np.concatenate((nrm, np.repeat(nrm, n) * pnorms[j])),
+            np.concatenate((val, np.repeat(val, n) * per_norm[j])))
 
-    For V with cutoff L, a visit is V's when reach <= L, and its prime
-    leaves are the rows max(i, lo) <= j < hi found by np.searchsorted of
-    L // N(q) in leaf_pairs and in the norms.  Passes take whole visits,
-    up to LEAF_CHUNK elements over every V and at least one visit.  In a
-    pass, V's terms and leaves take one weight call on their float64 norms,
-    N(q) and N(q) * N(pi_j); each visit's leaf products a(pi_j) w_j are
-    added by one np.add.reduceat, whose sum of a segment does not depend on
-    the segments beside it.  A visit then adds val_q (w_q + leaf sum), and
-    V's sum is np.sum over its visits in walk order, so no value depends on
-    LEAF_CHUNK or on the other Vs.
-    """
-    start, nrm, val, reach = (np.array(column) for column in zip(*visits))
-    pnorms = primes[:, 0]
-    norms, pairs = pnorms.astype(np.float64), g.leaf_pairs(primes)
-    first, size = [], []  # per V: each visit's first leaf row, and its elements (0: not V's)
-    for limit in limits:
-        m = limit // nrm
-        lo = np.maximum(start, np.searchsorted(pairs, m, side="right"))
-        hi = np.searchsorted(pnorms, m, side="right")
-        first.append(lo)
-        size.append(np.where(reach <= limit, 1 + np.maximum(hi - lo, 0), 0))
-    done = np.concatenate(([0], np.cumsum(sum(size))))  # elements before each visit
-    nrm = nrm.astype(np.float64)
-    parts = [[] for _ in Vs]
-    a = 0
-    while a < len(start):
-        b = max(a + 1, int(np.searchsorted(done, done[a] + LEAF_CHUNK, side="right")) - 1)
-        for k, V in enumerate(Vs):
-            own = np.flatnonzero(size[k][a:b]) + a
-            if len(own) == 0:
-                continue
-            n = size[k][own] - 1  # leaves per visit
-            at = np.cumsum(n) - n  # each visit's first leaf element
-            j = np.repeat(first[k][own] - at, n)
-            j += np.arange(len(j))  # each leaf element's prime row
-            x = np.empty(len(own) + len(j))
-            x[:len(own)] = nrm[own]
-            np.multiply(np.repeat(nrm[own], n), norms[j], out=x[len(own):])
-            w = weight(V, x)
-            del x
-            leaf = w[len(own):] * table[j]
-            total = w[:len(own)].astype(leaf.dtype)
-            total[n > 0] += np.add.reduceat(leaf, at[n > 0])
-            parts[k].append(val[own] * total)
-        a = b
-    return [np.sum(np.concatenate(p)) for p in parts]
+
+def _fsum_upto(V, limit, norms, coef, weight):
+    """math.fsum of coef[k] * weight(V, norms[k]) over the entries with
+    norms[k] <= limit, one weight call per block of SUM_BLOCK entries."""
+    terms = []
+    for a in range(0, len(norms), SUM_BLOCK):
+        own = norms[a:a + SUM_BLOCK] <= limit
+        x = norms[a:a + SUM_BLOCK][own].astype(np.float64)
+        terms.append(coef[a:a + SUM_BLOCK][own] * weight(V, x))
+    total = math.fsum(chain.from_iterable(t.real.tolist() for t in terms))
+    if not np.iscomplexobj(terms[0]):
+        return total
+    return complex(total, math.fsum(chain.from_iterable(t.imag.tolist() for t in terms)))
 
 
 def _leaf_rows(x, first):
     """smoothed_sums leaf of a scalar series whose value is `first` at
     primes[0] = (1+i) and the quadratic residue symbol (x / pi) at every odd
-    prime pi: one gaussian.euler_symbols pass, in the dtype of [first] and
-    int8."""
+    prime pi: one gaussian.euler_symbols pass."""
     return lambda primes: np.concatenate(([first], g.euler_symbols(x, primes[1:])))
 
 
 def _chi_sums(character: QuadraticCharacter, Vs, weight) -> list:
     """[sum_q chi_D(q) weight(V, N(q)) for V in Vs], complex, from one
-    smoothed_sums walk.  It hands the primes it extends to the character's
-    cached symbol lookup, and its prime leaves take chi_D from one
-    euler_symbols pass, so no prime is tested for primality here."""
+    smoothed_sums walk.  It hands the primes of the norms it extends to the
+    character's cached symbol lookup, and its prime leaves take chi_D from
+    one euler_symbols pass, so no prime is tested for primality here."""
     D_pair, ev, cache = character.D.pair, character.even_value, character._prime_cache
-
-    def extend(val, npj, pj, e):
-        v = _prime_value(D_pair, ev, cache, pj)
-        return val * v ** (e % 2) if v else None
-
-    # values complex like the symbol table's, so smoothed_sums' own extend
-    # table sums the same
-    return smoothed_sums(Vs, extend, root=1 + 0j, leaf=_leaf_rows(D_pair, complex(ev)),
-                         weight=weight)
+    return smoothed_sums(Vs, lambda npj, pj, e: _prime_value(D_pair, ev, cache, pj) ** e,
+                         leaf=_leaf_rows(D_pair, ev), weight=weight)
 
 
 def L_chi(s: complex, character: QuadraticCharacter, V: float,
@@ -452,19 +390,13 @@ def _zagier_sums(delta: GaussianInt, n: GaussianInt | None, Vs, weight=_exp_weig
         raise ValueError(f"delta = {delta} is a perfect square")
     if n is None:
         n = quad_counts.sqrt_perfect_square(delta + GaussianInt(4, 0))
-    memo: dict = {}
 
-    def extend(val, npj, pj, e):
-        key = (pj, e)
-        v = memo.get(key)
-        if v is None:
-            v = quad_counts.lambda_at_prime_power(pj, e, delta, n)
-            memo[key] = v
-        return val * v if v else None
+    def local(npj, pj, e):
+        return quad_counts.lambda_at_prime_power(pj, e, delta, n)
 
     # at an odd pi, lambda_pi(delta) is the symbol (delta / pi)
-    return smoothed_sums(Vs, extend, weight=weight,
-                         leaf=_leaf_rows(delta.pair, extend(1.0, 2, (1, 1), 1) or 0.0))
+    return smoothed_sums(Vs, local, leaf=_leaf_rows(delta.pair, local(2, (1, 1), 1)),
+                         weight=weight)
 
 
 def zagier_L1(delta: GaussianInt, V: float,
@@ -500,7 +432,7 @@ def normalization_sum(V: float) -> float:
     if V < 1:
         raise ValueError("V must be >= 1")
     mu = quad_counts.mu_square_local
-    return smoothed_sums((V,), lambda val, npj, pj, e: val * mu(npj, e),
+    return smoothed_sums((V,), lambda npj, pj, e: mu(npj, e),
                          leaf=lambda primes: mu(primes[:, 0].astype(np.float64), 1))[0]
 
 

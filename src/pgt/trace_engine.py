@@ -51,8 +51,8 @@ Each visit adds its term before its subtree and its prime leaves n * N
 after it, in one step over one int8 row per norm N: lambda_pi(n^2-4)
 where one ideal has that norm, and lambda_pi + lambda_conj(pi), in -2..2,
 for a split pair; the step adds val_n * sum_N w_N row_N, with
-w_N = e^(-nN/V) / (nN).  (A scalar series records its visits and sums
-them after the walk.)
+w_N = e^(-nN/V) / (nN).  (A scalar series walks the same norms, lists
+each with its coefficient and sums the list after the walk.)
 Every vector, factor and row builder is property-tested against the
 scalar quad_counts.lambda_.
 

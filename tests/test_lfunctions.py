@@ -17,9 +17,8 @@ from pgt.characters import chi, discriminant_split, is_perfect_square, quadratic
 from pgt.harness import fit_exponent
 from pgt import lfunctions as lf, quad_counts as qc
 from pgt.lfunctions import (L1_chi_exact, L1_exact, L_chi, R_V_estimate, T_l_poly, e1,
-                            ideal_norm_counts, normalization_sum, smoothed_sums,
-                            szmidt_coefficient_check,
-                            szmidt_product_coefficients, zagier_L1, zeta_qi)
+                            normalization_sum, smoothed_sums, szmidt_coefficient_check,
+                            szmidt_product_coefficients, zagier_L1)
 from pgt import trace_engine
 from pgt.geodesics import trace_threshold
 
@@ -30,35 +29,21 @@ G = GaussianInt
 ZETA_QI_AT_2 = (math.pi**2 / 6.0) * 0.915_965_594_177_219_015
 
 
-def test_zeta_qi_at_2():
-    z = zeta_qi(2.0, 10**6)
-    assert abs(z.value.real - ZETA_QI_AT_2) < 1e-6
-    assert abs(z.value.imag) == 0.0
-    assert z.tail_bound < 1e-5
+def _norm_counts(limit):
+    """{m: number of ideals of norm m} for m <= limit, from the ideal list."""
+    counts: dict = {}
+    for q in ideal_reps_upto(limit):
+        counts[norm(q)] = counts.get(norm(q), 0) + 1
+    return counts
 
 
-def test_zeta_qi_leading_coefficient_and_tail_monotone():
-    counts = ideal_norm_counts(50)
-    assert counts[1] == 1 and counts[2] == 1 and counts[5] == 2
-    t1 = zeta_qi(1.5, 10**3).tail_bound
-    t2 = zeta_qi(1.5, 10**4).tail_bound
-    t3 = zeta_qi(1.5, 10**5).tail_bound
-    assert t1 > t2 > t3
-
-
-def test_zeta_qi_domain():
-    with pytest.raises(ValueError):
-        zeta_qi(1.1, 100)
-    # NaN fails no "sigma < 1.2" test, and the cutoff is an ideal norm bound
-    for s in (math.nan, math.inf, complex(2.0, math.nan), complex(2.0, math.inf)):
-        with pytest.raises(ValueError):
-            zeta_qi(s, 100)
-    for cutoff in (0, -5, 1.5, True):
-        with pytest.raises(ValueError):
-            zeta_qi(2.0, cutoff)
-    assert zeta_qi(2.0, 1).value == 1.0
-    z = zeta_qi(2.0 + 3.0j, 10**4)   # complex s off the real axis
-    assert abs(z.value.imag) > 0
+def test_unit_series_at_2_is_zeta_of_q_i():
+    # the Dedekind zeta of Q(i) at 2 is the unit series with weight N^-2;
+    # over N(q) <= K its tail is at most 2 / K, since #ideals(t) <= t
+    V = 25_000.0
+    K = int(lf.CUTOFF_MULT * V)
+    got, = smoothed_sums([V], lambda npj, pj, e: 1.0, weight=lambda V, nrm: nrm ** -2.0)
+    assert 0 < ZETA_QI_AT_2 - got <= 2.0 / K
 
 
 def test_L_chi_v_stability():
@@ -73,12 +58,12 @@ def test_L_chi_v_stability():
 
 
 def test_L_chi_walk_runs_no_primality_test(monkeypatch):
-    # the walk hands prime pairs from its prime list to the pinned
+    # the walk hands the prime pairs of the norms it extends to the pinned
     # character's cached lookup, and its prime leaves to one vector pass:
-    # no Miller-Rabin; the scalar symbol only at the primes the walk extends,
-    # each at most once (the pinning, local to (1+i), leaves the cache
-    # empty); and the vector symbols agree with the scalar ones at every
-    # prime reached
+    # no Miller-Rabin; the scalar symbol only at the ideals of the norms the
+    # walk extends, each at most once and never at (1+i), whose value the
+    # pinning fixes (the pinning, local to (1+i), leaves the cache empty);
+    # and the vector symbols agree with the scalar ones at every prime reached
     from pgt import characters, gaussian
     characters._pinned.cache_clear()
     char = quadratic_character(G(7, 3) * G(7, 3) - G(4, 0))
@@ -98,7 +83,7 @@ def test_L_chi_walk_runs_no_primality_test(monkeypatch):
 
     def walk(primes, limit, extend, *args, **kwargs):
         def recorded(val, npj, pj, e):
-            extended.add(pj)
+            extended.add(npj)
             return extend(val, npj, pj, e)
         walk_ideals(primes, limit, recorded, *args, **kwargs)
 
@@ -109,9 +94,11 @@ def test_L_chi_walk_runs_no_primality_test(monkeypatch):
     limit = int(lf.CUTOFF_MULT * V * 2**doublings)
     reached = {(a, b) for npi, a, b in gaussian.prime_ideals_upto(limit).tolist() if npi != 2}
     assert primality == []
-    assert len(symbols) == len(set(symbols))
-    assert set(symbols) <= extended & reached
-    assert reached - extended  # primes the walk reaches only as leaves
+    assert len(symbols) == len(set(symbols)) and (1, 1) not in symbols
+    assert set(symbols) <= reached and {norm(pi) for pi in symbols} <= extended
+    # both ideals of a split norm the walk extends
+    assert {(b, a) for a, b in symbols if b} <= set(symbols)
+    assert {norm(pi) for pi in reached} - extended  # norms reached only as leaves
     x, primes, got = passes.pop()
     assert passes == [] and x == char.D.pair
     assert {(a, b) for _, a, b in primes.tolist()} == reached
@@ -162,8 +149,7 @@ def test_L_chi_trivial_character_reduces_to_zeta():
     from pgt.characters import QuadraticCharacter
     triv = QuadraticCharacter(D=G(1, 0), even_value=1, validated=True)
     got = L_chi(2.0, triv, 50.0, doublings=0).value.real
-    direct = sum(c / m**2 * math.exp(-m / 50.0)
-                 for m, c in enumerate(ideal_norm_counts(2000)) if c and m)
+    direct = sum(c / m**2 * math.exp(-m / 50.0) for m, c in _norm_counts(2000).items())
     assert got == pytest.approx(direct, rel=1e-12)
 
 
@@ -181,9 +167,10 @@ def test_L_chi_off_the_real_axis_matches_direct_sum():
     assert abs(r.band - abs(direct[2 * V] - direct[V])) <= 1e-12
 
 
-def _ext(val, npj, pj, e):
-    # a multiplicative a(q) of mixed sign with non-dyadic values
-    return val * ((-1) ** e * 3.0 / (npj + e) if pj[1] else 0.5 ** e)
+def _ext(npj, pj, e):
+    # the local values a(pi^e) of a multiplicative a(q) of mixed sign with
+    # non-dyadic values, different at pi and conj(pi)
+    return (-1) ** e * 3.0 / (npj + e + pj[0]) if pj[1] else 0.5 ** e
 
 
 def _other_weight(V, nrm):
@@ -198,18 +185,19 @@ def test_smoothed_sums_multi_v_is_one_v_bit_for_bit(Vs):
         assert smoothed_sums(Vs, _ext, **kw) == [smoothed_sums([V], _ext, **kw)[0] for V in Vs]
 
 
-def _per_leaf_sums(Vs, extend, root=1.0, weight=lf._exp_weight):
-    """The scalar sums as smoothed_sums added them at each visit: one walk
-    to each V's own cutoff, each visited ideal's term added before its
-    subtree, and its prime leaves, found by a scan of the primes after it,
-    with one weight call behind it."""
+def _per_leaf_sums(Vs, extend, weight=lf._exp_weight):
+    """The scalar sums by a walk over the prime ideals, extend(val, N(pi),
+    pi, e) giving the value of q * pi^e (None to prune): one walk to each
+    V's own cutoff, each visited ideal's term added before its subtree, and
+    its prime leaves, found by a scan of the primes after it, with one
+    weight call behind it."""
     sums = []
     for V in Vs:
         limit = max(int(lf.CUTOFF_MULT * V), 1)
         primes = pgt.gaussian.prime_ideals_upto(limit)
         norms = primes[:, 0].astype(np.float64)
-        table = np.array([extend(root, npj, (a, b), 1) or 0.0 for npj, a, b in primes.tolist()])
-        total = root * 0.0
+        table = np.array([extend(1.0, npj, (a, b), 1) or 0.0 for npj, a, b in primes.tolist()])
+        total = 0.0
 
         def before(i, nrm, val, reach):
             nonlocal total
@@ -226,7 +214,7 @@ def _per_leaf_sums(Vs, extend, root=1.0, weight=lf._exp_weight):
             if leaves:
                 total += val * np.sum(weight(V, nrm * norms[leaves]) * table[leaves])
 
-        pgt.gaussian.walk_ideals(primes, limit, extend, before, after, root=root)
+        pgt.gaussian.walk_ideals(primes, limit, extend, before, after, root=1.0)
         sums.append(total)
     return sums
 
@@ -239,8 +227,11 @@ def _close(got, want):
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(0.01, 150.0), min_size=1, max_size=4))
 def test_scalar_series_match_the_per_leaf_walk(Vs):
-    for kw in ({}, {"weight": _other_weight}, {"root": 0.5 - 0.25j}):
-        assert _close(smoothed_sums(Vs, _ext, **kw), _per_leaf_sums(Vs, _ext, **kw)), kw
+    def extend(val, npj, pj, e):
+        return val * _ext(npj, pj, e)
+
+    for kw in ({}, {"weight": _other_weight}):
+        assert _close(smoothed_sums(Vs, _ext, **kw), _per_leaf_sums(Vs, extend, **kw)), kw
 
 
 @settings(max_examples=15, deadline=None)
@@ -267,7 +258,7 @@ def test_zagier_and_L_chi_match_the_per_leaf_walk(n, V):
     assert _close([zagier_L1(delta, V, n=n).value], _per_leaf_sums([V], lam))
     for s in (1.0, 2.0, 0.75 + 0.5j, 0.5):
         r = L_chi(s, char, V, doublings=2)
-        want = _per_leaf_sums([V, 2 * V, 4 * V], chi_ext, root=1 + 0j, weight=(
+        want = _per_leaf_sums([V, 2 * V, 4 * V], chi_ext, weight=(
             lambda W, nrm: lf._exp_weight(W, nrm) * nrm ** (1 - s)))
         half = L_chi(s, char, 2 * V, doublings=0).value
         assert _close([r.value, half], [want[-1], want[-2]]), s
@@ -275,8 +266,8 @@ def test_zagier_and_L_chi_match_the_per_leaf_walk(n, V):
 
 
 def test_scalar_sums_do_not_depend_on_the_chunk_bound(monkeypatch):
-    # a pass takes whole visits, so a bound of one element sums each visit
-    # in a pass of its own; every value comes out the same bits
+    # each sum is math.fsum of terms computed elementwise, so a block of one
+    # entry gives every value the same bits as one block of the whole list
     n = G(7, 3)
     delta = n * n - G(4, 0)
     char = quadratic_character(delta)
@@ -287,56 +278,138 @@ def test_scalar_sums_do_not_depend_on_the_chunk_bound(monkeypatch):
             L1_exact(delta, n=n), L1_chi_exact(char),
             *(L_chi(s, char, 4.0) for s in (1.0, 2.0, 0.75 + 0.5j, 0.5)),
             smoothed_sums([3.0, 30.0, 0.5], _ext),
-            smoothed_sums([30.0, 3.0], _ext, weight=_other_weight),
-            smoothed_sums([30.0], _ext, root=0.5 - 0.25j))]
+            smoothed_sums([30.0, 3.0], _ext, weight=_other_weight))]
 
     want = values()
-    for chunk in (1, 2, 97, 10**9):
-        monkeypatch.setattr(lf, "LEAF_CHUNK", chunk)
-        assert values() == want, chunk
+    for block in (1, 2, 97, 10**9):
+        monkeypatch.setattr(lf, "SUM_BLOCK", block)
+        assert values() == want, block
+
+
+def _coefficients(limit, local, leaf=None):
+    """smoothed_sums' coefficient list (norms, a_m) for the walk to `limit`,
+    as _norm_coefficients hands it to the sums, and each entry's term."""
+    got, real = [], lf._norm_coefficients
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lf, "_norm_coefficients", lambda *args: got.append(real(*args)) or got[-1])
+        smoothed_sums([(limit + 0.5) / lf.CUTOFF_MULT], local, leaf)
+    norms, coef = got.pop()
+    return norms.tolist(), coef.tolist()
 
 
 def test_scalar_series_call_weight_once_per_pass(monkeypatch):
-    # with every element in one pass, one weight call per V (a call per
-    # visited ideal and per leaf range before); with one visit per pass,
-    # one per pass that holds a visit of V's, a visit with reach <= V's cutoff
-    reaches, calls = [], []
-    walk_ideals = pgt.gaussian.walk_ideals
-
-    def walk(primes, limit, extend, before, *args, **kwargs):
-        def recorded(i, nrm, val, reach):
-            reaches.append(reach)
-            before(i, nrm, val, reach)
-        walk_ideals(primes, limit, extend, recorded, *args, **kwargs)
+    # one weight call per V and block of SUM_BLOCK entries of the one
+    # coefficient list of the walk to the largest cutoff (before, a call
+    # per visited ideal and per leaf range)
+    calls = []
 
     def weight(V, nrm):
         calls.append(V)
         return lf._exp_weight(V, nrm)
 
-    monkeypatch.setattr(pgt.gaussian, "walk_ideals", walk)
     Vs = [125.0, 250.0, 500.0, 1000.0]
-    for chunk in (10**9, 1):
-        monkeypatch.setattr(lf, "LEAF_CHUNK", chunk)
-        reaches.clear()
+    entries = len(_coefficients(int(lf.CUTOFF_MULT * max(Vs)), _ext)[0])
+    assert entries > 9000
+    for block in (10**9, 97, 1 << 14):
+        monkeypatch.setattr(lf, "SUM_BLOCK", block)
         calls.clear()
         smoothed_sums(Vs, _ext, weight=weight)
-        passes = {V: 1 if chunk > 1 else sum(r <= lf.CUTOFF_MULT * V for r in reaches)
-                  for V in Vs}
-        assert {V: calls.count(V) for V in Vs} == passes, chunk
+        assert {V: calls.count(V) for V in Vs} == {V: -(-entries // block) for V in Vs}, block
+
+
+def _power_trace(pi, k):
+    """n = 2 + pi^k, so that pi^k || n - 2 and, for odd pi, v_pi(n^2 - 4) = k."""
+    q = (1, 0)
+    for _ in range(k):
+        q = mul(q, pi)
+    return G(q[0] + 2, q[1])
+
+
+def _lambda_series(n):
+    """(local, leaf) of lambda_q(n^2 - 4), as _zagier_sums hands them over."""
+    delta = n * n - G(4, 0)
+
+    def local(npj, pj, e):
+        return qc.lambda_at_prime_power(pj, e, delta, n)
+
+    return local, lf._leaf_rows(delta.pair, local(2, (1, 1), 1))
+
+
+def _chi_series(char):
+    """(local, leaf) of chi_D, as _chi_sums hands them over."""
+    D_pair, ev, cache = char.D.pair, char.even_value, char._prime_cache
+    return (lambda npj, pj, e: lf._prime_value(D_pair, ev, cache, pj) ** e,
+            lf._leaf_rows(D_pair, ev))
+
+
+def _mu_series():
+    mu = qc.mu_square_local
+    return (lambda npj, pj, e: mu(npj, e),
+            lambda primes: mu(primes[:, 0].astype(np.float64), 1))
+
+
+# lambda at traces with pi^k || n - 2 for pi over 5 (both ideals), (3) and
+# (1+i), so that the valuation lies below, at and beyond e; two traces with
+# small valuations; chi_D of two of them; and two float series
+_PRIME_POWER_TRACES = [G(3, 1), G(7, 3)] + [
+    _power_trace(pi, k) for pi, ks in (((2, 1), (1, 2, 3)), ((1, 2), (2,)), ((3, 0), (1, 2)),
+                                       ((1, 1), (5, 8))) for k in ks]
+
+
+def _series_cases():
+    cases = [(_lambda_series(n), True) for n in _PRIME_POWER_TRACES]
+    cases += [(_chi_series(quadratic_character(_delta(n))), True) for n in ((7, 3), (2, 1))]
+    return cases + [((_ext, None), False), (_mu_series(), False)]
+
+
+def test_coefficient_list_sums_the_ideals_of_each_norm():
+    # a_m is the sum over the ideals of norm m of gaussian.multiplicative's
+    # product of the same local values: exactly for lambda and chi_D, whose
+    # values are integers, and to rounding for the float series, which the
+    # walk multiplies per norm, not per ideal
+    limit = 2000
+    ideals = ideal_reps_upto(limit)
+    for (local, leaf), exact in _series_cases():
+        want: dict = {}
+        for q in ideals:
+            a = pgt.gaussian.multiplicative(q, lambda pi, e: local(norm(pi), pi, e))
+            want[norm(q)] = want.get(norm(q), 0) + a
+        norms, coef = _coefficients(limit, local, leaf)
+        assert len(set(norms)) == len(norms) and max(norms) <= limit
+        got = dict(zip(norms, coef))
+        for m in range(1, limit + 1):
+            a, b = got.get(m, 0), want.get(m, 0)
+            assert a == b if exact else abs(a - b) <= 1e-15 * max(1.0, abs(b)), (m, a, b)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 3000))
+@example(24, 25)
+def test_coefficient_list_does_not_depend_on_the_cutoff(limit, other):
+    # each norm is listed once, and every a_m of the smaller cutoff comes
+    # out the same bits in the walk to the larger one, whether m is a node
+    # of one walk and a prime leaf of the other or not (a zero a_m is
+    # listed as a leaf and pruned as a node)
+    lo, hi = sorted((limit, other))
+    for (local, leaf), _ in _series_cases():
+        lists = [_coefficients(cut, local, leaf) for cut in (lo, hi)]
+        for norms, _ in lists:
+            assert len(set(norms)) == len(norms)
+        small, large = ({m: a for m, a in zip(*pair) if a and m <= lo} for pair in lists)
+        assert small == large
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.01, 150.0))
 def test_smoothed_sums_unit_coefficients_match_norm_counts(V):
     # a(q) = 1: sum over m of (#ideals of norm m) e^(-m/V)/m^power, the
-    # ideals counted by lattice points rather than walked; power 2 through
+    # ideals counted from the ideal list rather than walked; power 2 through
     # the weight argument
     limit = max(int(40 * V), 1)
-    counts = ideal_norm_counts(limit)
+    counts = _norm_counts(limit)
     for power, kw in ((1, {}), (2, {"weight": lambda V, nrm: np.exp(-nrm / V) / nrm**2})):
-        want = math.fsum(int(c) * math.exp(-m / V) / m**power
-                         for m, c in enumerate(counts) if m and c)
-        got, = smoothed_sums([V], lambda val, npj, pj, e: val, **kw)
+        want = math.fsum(c * math.exp(-m / V) / m**power for m, c in counts.items())
+        got, = smoothed_sums([V], lambda npj, pj, e: 1.0, **kw)
         assert abs(got - want) <= 1e-13 * want, power
 
 
@@ -633,7 +706,7 @@ def test_normalization_sum_takes_its_prime_leaves_from_one_array(monkeypatch):
     # the one of a table filled prime by prime
     V = 1000.0
     local = qc.mu_square_local
-    want = smoothed_sums((V,), lambda val, npj, pj, e: val * local(npj, e))[0]
+    want = smoothed_sums((V,), lambda npj, pj, e: local(npj, e))[0]
     calls = []
     monkeypatch.setattr(qc, "mu_square_local",
                         lambda npi, e: calls.append(npi) or local(npi, e))
@@ -743,6 +816,15 @@ def test_G_V_minus_R_V_is_L1_at_every_V():
             assert abs(got - exact.value) <= 1e-14 * exact.value, (n, V)
 
 
+def test_series_of_delta_and_its_conjugate_are_bit_identical():
+    # lambda_q(conj(delta)) = lambda_conj(q)(delta): the walk over the norms
+    # adds the same integer a_m, and math.fsum the same terms, for both
+    for a, b in ((3, 1), (13, -16), (26, 45), (-1, 10), (101, 7), (4, 6)):
+        n, m = G(a, b), G(a, -b)
+        assert L1_exact(_delta((a, b)), n=n).value == L1_exact(_delta((a, -b)), n=m).value
+        assert zagier_L1(_delta((a, b)), 50.0).value == zagier_L1(_delta((a, -b)), 50.0).value
+
+
 def test_L1_exact_is_T_times_exact_L_chi():
     # L1_chi_exact at chi_D's own conductor 4 N(D) is a second walk, over
     # other coefficients; T_l(1) closes the product, also where l != (1)
@@ -756,7 +838,7 @@ def test_L1_exact_is_T_times_exact_L_chi():
             sp, ch = discriminant_split(delta), quadratic_character(delta)
             product = (T_l_poly(1.0, sp.D, sp.l, ch) * L1_chi_exact(ch)).real
             want = L1_exact(delta, n=G(a, b)).value
-            assert abs(product - want) <= 1e-13 * want, (a, b)
+            assert abs(product - want) <= 1e-15 * want, (a, b)
     assert count == 322
 
 

@@ -716,7 +716,7 @@ def test_sweep_and_series_leave_no_reference_cycles():
     gc.disable()
     try:
         gv_sweep(_trace_set([(3, 1), (5, 2)]), (30.0, 7.5))
-        smoothed_sums([30.0], lambda val, npj, pj, e: val * 0.5 ** e)
+        smoothed_sums([30.0], lambda npj, pj, e: 0.5 ** e)
         assert gc.collect() == 0
     finally:
         gc.enable()
